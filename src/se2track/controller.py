@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ErrorKind, GroupError
-from .se2 import B_SELECT, S_WEIGHT, ControlPair, Pose, adjoint_matrix, se2_project
+from .se2 import (B_SELECT, S_WEIGHT, ControlPair, Pose, adjoint_matrix, cos_sin,
+                  se2_project, stack_matrices)
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,21 @@ def regressor(xd: Pose) -> np.ndarray:
     """
     c, s = math.cos(xd.theta), math.sin(xd.theta)
     px, py = xd.p
-    return np.array([[2.0, py, -px], [0.0, c, s]])
+    return np.array(_regressor_rows(c, s, px, py))
+
+
+def regressor_on_grid(theta: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """regressor at the poses (theta[i], (px[i], py[i])), stacked on axis 0.
+
+    theta must already be wrapped the way Pose wraps it; each slice
+    equals the scalar regressor bit for bit.
+    """
+    c, s = cos_sin(theta)
+    return stack_matrices(_regressor_rows(c, s, px, py))
+
+
+def _regressor_rows(c, s, px, py) -> list:
+    return [[2.0, py, -px], [0.0, c, s]]
 
 
 def lyapunov_gradient(e: GroupError) -> np.ndarray:

@@ -328,6 +328,8 @@ def monte_carlo_basin(cfg: SimConfig, samples: int, seed: int,
     fixed seed. The margin keeps draws away from the antipodal
     equilibrium, where escape times blow up.
     """
+    if samples < 0:
+        raise ValueError(f"sample count must be non-negative, got {samples}")
     rng = np.random.default_rng(seed)
     traj = trajectory_from_descriptor(cfg.trajectory)
     thd0, pdx0, pdy0, _, _ = traj.state_at(0.0)

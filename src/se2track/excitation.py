@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
-from .controller import regressor
-from .se2 import Pose
-from .trajectories import DesiredTrajectory
+from .controller import regressor, regressor_on_grid
+from .se2 import Pose, cos_sin, wrap_angle
+from .trajectories import DesiredTrajectory, on_grid
 
 
 @dataclass(frozen=True)
@@ -55,15 +55,17 @@ def window_gram(F, t: float, T: float, n: int = 401) -> np.ndarray:
 
     n is the number of sample points (odd, >= 3, so the interval count
     is even as composite Simpson requires). The result is symmetrized;
-    the raw quadrature is symmetric up to rounding anyway.
+    the raw quadrature is symmetric up to rounding anyway. F is
+    evaluated through on_grid, so its array form is used when it has
+    one.
     """
     if T <= 0.0:
         raise ValueError("window length T must be positive")
     if n < 3 or n % 2 == 0:
         raise ValueError("Simpson sample count n must be odd and >= 3")
     taus = np.linspace(t, t + T, n)
-    mats = [np.asarray(F(float(tau)), dtype=float) for tau in taus]
-    G = simpson(np.array([M.T @ M for M in mats]), x=taus, axis=0)
+    mats = on_grid(F, taus)
+    G = simpson(mats.transpose(0, 2, 1) @ mats, x=taus, axis=0)
     return 0.5 * (G + G.T)
 
 
@@ -75,7 +77,9 @@ def pe_epsilon(F, horizon: float, T: float, windows: int = 64, n: int = 401) -> 
     """
     if horizon < T:
         raise ValueError("horizon must be at least one window long")
-    starts = np.linspace(0.0, horizon - T, max(int(windows), 1))
+    if windows < 1:
+        raise ValueError(f"window count must be at least 1, got {windows}")
+    starts = np.linspace(0.0, horizon - T, int(windows))
     eps = math.inf
     for s in starts:
         G = window_gram(F, float(s), T, n)
@@ -113,6 +117,12 @@ def uniform_heading_ellipse_regressor(a: float, b: float, h: float, origin=(0.0,
     def F(t: float) -> np.ndarray:
         return regressor(Pose(h * t, np.array([ox + a * math.cos(h * t), oy + b * math.sin(h * t)])))
 
+    def F_on_grid(ts: np.ndarray) -> np.ndarray:
+        ht = h * ts
+        c, s = cos_sin(ht)
+        return regressor_on_grid(wrap_angle(ht), ox + a * c, oy + b * s)
+
+    F.array_form = F_on_grid
     return F
 
 
@@ -126,4 +136,9 @@ def controller_regressor(traj: DesiredTrajectory):
     def F(t: float) -> np.ndarray:
         return regressor(traj.pose_at(t))
 
+    def F_on_grid(ts: np.ndarray) -> np.ndarray:
+        theta, px, py, _, _ = traj.sample(ts)
+        return regressor_on_grid(wrap_angle(theta), px, py)
+
+    F.array_form = F_on_grid
     return F

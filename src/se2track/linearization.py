@@ -19,17 +19,22 @@ ground truth the -M S structure is verified against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .controller import correction_scalars
 from .excitation import window_gram
-from .se2 import S_WEIGHT, Pose, adjoint_matrix
-from .trajectories import DesiredTrajectory
+from .se2 import B_SELECT, S_WEIGHT, Pose, adjoint_matrix, cos_sin, stack_matrices, wrap_angle
+from .trajectories import DesiredTrajectory, on_grid
 
 _SQRT_S = np.diag([math.sqrt(2.0), 1.0, 1.0])
+
+# LTV steps whose A(t) values are evaluated together: enough to amortize
+# the grid evaluation, few enough that memory does not grow with the
+# horizon (three full-length stage grids raised peak RSS by about 10%).
+_LTV_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -95,13 +100,21 @@ def actuation_gram(xd: Pose) -> np.ndarray:
     """
     c, s = math.cos(xd.theta), math.sin(xd.theta)
     px, py = xd.p
-    return np.array(
-        [
-            [1.0, py, -px],
-            [py, py * py + c * c, -px * py + c * s],
-            [-px, -px * py + c * s, px * px + s * s],
-        ]
-    )
+    return np.array(_actuation_gram_rows(c, s, px, py))
+
+
+def _actuation_gram_on_grid(theta: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """actuation_gram at the poses (theta[i], (px[i], py[i])); theta already wrapped."""
+    c, s = cos_sin(theta)
+    return stack_matrices(_actuation_gram_rows(c, s, px, py))
+
+
+def _actuation_gram_rows(c, s, px, py) -> list:
+    return [
+        [1.0, py, -px],
+        [py, py * py + c * c, -px * py + c * s],
+        [-px, -px * py + c * s, px * px + s * s],
+    ]
 
 
 def _error_velocity(theta_E: float, p_E: np.ndarray, xd: Pose) -> np.ndarray:
@@ -131,9 +144,46 @@ def fd_closed_loop_jacobian(xd: Pose, step: float = 1e-6) -> np.ndarray:
 
 
 def _psd_sqrt(A: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition (negatives clamped)."""
+    """Symmetric PSD square root via eigendecomposition (negatives clamped).
+
+    A may be one matrix or a stack of them along axis 0.
+    """
     w, V = np.linalg.eigh(A)
-    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+    return (V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(V, -1, -2)
+
+
+def _psd_sqrt_of(A: Callable[[float], np.ndarray]) -> Callable[[float], np.ndarray]:
+    """t -> PSD square root of A(t), with an array form for on_grid."""
+
+    def R(t: float) -> np.ndarray:
+        return _psd_sqrt(np.asarray(A(t), dtype=float))
+
+    R.array_form = lambda ts: _psd_sqrt(on_grid(A, ts))
+    return R
+
+
+def _ltv_rk4(A: Callable[[float], np.ndarray], x0: np.ndarray, t_end: float, dt: float):
+    """Classical RK4 on x_dot = -A(t) x from t = 0; returns (times, |x| at each).
+
+    A is evaluated through on_grid on the stage grids k dt, k dt + dt/2
+    and k dt + dt, one block of _LTV_BLOCK steps at a time.
+    """
+    steps = int(round(t_end / dt))
+    times = np.arange(steps + 1) * dt
+    norms = np.empty(steps + 1)
+    x = np.array(x0, dtype=float)
+    norms[0] = math.sqrt(x.dot(x))
+    for start in range(0, steps, _LTV_BLOCK):
+        t = np.arange(start, min(start + _LTV_BLOCK, steps)) * dt
+        stages = zip(on_grid(A, t), on_grid(A, t + 0.5 * dt), on_grid(A, t + dt))
+        for k, (A1, A2, A3) in enumerate(stages, start + 1):
+            k1 = -(A1 @ x)
+            k2 = -(A2 @ (x + 0.5 * dt * k1))
+            k3 = -(A2 @ (x + 0.5 * dt * k2))
+            k4 = -(A3 @ (x + dt * k3))
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            norms[k] = math.sqrt(x.dot(x))
+    return times, norms
 
 
 def _fit_log_norm(times: np.ndarray, norms: np.ndarray, tail_fraction: float = 0.6):
@@ -161,44 +211,28 @@ def stability_probe(A: Callable[[float], np.ndarray], x0, T: float, epsilon: flo
     the window Gram over [0, T] of the PSD square root of A must
     dominate epsilon * Id. Reports the decay rate fitted on the final
     60% of the horizon and whether |x| was monotone non-increasing.
+    A is evaluated through on_grid, so its array form is used when it
+    has one.
     """
     if epsilon <= 0.0:
         raise ValueError("excitation level epsilon must be positive")
     x0 = np.array(x0, dtype=float)
 
-    for t_chk in np.linspace(0.0, t_end, 23):
-        Ak = np.asarray(A(float(t_chk)), dtype=float)
+    checks = np.linspace(0.0, t_end, 23)
+    for t_chk, Ak in zip(checks, on_grid(A, checks)):
         if float(np.max(np.abs(Ak - Ak.T))) > 1e-9:
             raise ValueError(f"A({t_chk:.3f}) is not symmetric")
         if float(np.linalg.eigvalsh(0.5 * (Ak + Ak.T))[0]) < -1e-9:
             raise ValueError(f"A({t_chk:.3f}) is not positive semi-definite")
 
-    G = window_gram(lambda tau: _psd_sqrt(np.asarray(A(tau), dtype=float)), 0.0, T, gram_points)
+    G = window_gram(_psd_sqrt_of(A), 0.0, T, gram_points)
     lam = float(np.linalg.eigvalsh(G)[0])
     if lam < epsilon:
         raise ValueError(
             f"window Gram smallest eigenvalue {lam:.3e} does not reach epsilon {epsilon:.3e}"
         )
 
-    steps = int(round(t_end / dt))
-    times = np.empty(steps + 1)
-    norms = np.empty(steps + 1)
-    x = x0.copy()
-    times[0] = 0.0
-    norms[0] = float(np.linalg.norm(x))
-    for k in range(steps):
-        t = k * dt
-        A1 = np.asarray(A(t), dtype=float)
-        A2 = np.asarray(A(t + 0.5 * dt), dtype=float)
-        A3 = np.asarray(A(t + dt), dtype=float)
-        k1 = -(A1 @ x)
-        k2 = -(A2 @ (x + 0.5 * dt * k1))
-        k3 = -(A2 @ (x + 0.5 * dt * k2))
-        k4 = -(A3 @ (x + dt * k3))
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        times[k + 1] = (k + 1) * dt
-        norms[k + 1] = float(np.linalg.norm(x))
-
+    times, norms = _ltv_rk4(A, x0, t_end, dt)
     monotone = bool(np.all(np.diff(norms) <= 1e-12 * max(1.0, norms[0])))
     rate, r2, window = _fit_log_norm(times, norms)
     return DecayReport(
@@ -212,13 +246,19 @@ def closed_loop_ltv(traj: DesiredTrajectory) -> Callable[[float], np.ndarray]:
 
     The raw linearization mu_dot = -M(t) S mu is similar (via
     z = sqrt(S) mu) to z_dot = -A_z(t) z with A_z symmetric PSD, which
-    is the form stability_probe accepts. Decay rates agree.
+    is the form stability_probe accepts. Decay rates agree. The
+    returned callable carries its array form for on_grid.
     """
 
     def A_z(t: float) -> np.ndarray:
         M = actuation_gram(traj.pose_at(t))
         return _SQRT_S @ M @ _SQRT_S
 
+    def A_z_on_grid(ts: np.ndarray) -> np.ndarray:
+        theta, px, py, _, _ = traj.sample(ts)
+        return _SQRT_S @ _actuation_gram_on_grid(wrap_angle(theta), px, py) @ _SQRT_S
+
+    A_z.array_form = A_z_on_grid
     return A_z
 
 
@@ -234,8 +274,6 @@ def lin_check(traj: DesiredTrajectory, n_samples: int = 10, fd_step: float = 1e-
     non-exciting reference is reported as such with the (near-zero)
     fitted rate instead of an error.
     """
-    from .se2 import B_SELECT
-
     horizon = traj.period if traj.period is not None else max(t_end, 10.0)
     sample_times = [float(t) for t in np.linspace(0.0, horizon, n_samples)]
 
@@ -250,31 +288,18 @@ def lin_check(traj: DesiredTrajectory, n_samples: int = 10, fd_step: float = 1e-
 
     A_z = closed_loop_ltv(traj)
     T = window if window is not None else (traj.period if traj.period is not None else 5.0)
-    G = window_gram(lambda tau: _psd_sqrt(A_z(tau)), 0.0, T, gram_points)
+    G = window_gram(_psd_sqrt_of(A_z), 0.0, T, gram_points)
     eps = float(np.linalg.eigvalsh(G)[0])
 
+    x0 = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
     if eps > 1e-9:
-        report = stability_probe(A_z, np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0),
-                                 T, 0.9 * eps, t_end, dt, gram_points)
+        report = stability_probe(A_z, x0, T, 0.9 * eps, t_end, dt, gram_points)
         rate, r2, fit_window = report.fitted_rate, report.r_squared, report.fit_window
         verdict = "PE: linearization decays exponentially"
     else:
         # Not exciting: integrate the LTV flow anyway and report the
         # (expected near-zero) fitted rate, skipping the probe's PE gate.
-        steps = int(round(t_end / dt))
-        x = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
-        times = np.empty(steps + 1)
-        norms = np.empty(steps + 1)
-        times[0], norms[0] = 0.0, float(np.linalg.norm(x))
-        for k in range(steps):
-            t = k * dt
-            A1, A2, A3 = A_z(t), A_z(t + 0.5 * dt), A_z(t + dt)
-            k1 = -(A1 @ x)
-            k2 = -(A2 @ (x + 0.5 * dt * k1))
-            k3 = -(A2 @ (x + 0.5 * dt * k2))
-            k4 = -(A3 @ (x + dt * k3))
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            times[k + 1], norms[k + 1] = (k + 1) * dt, float(np.linalg.norm(x))
+        times, norms = _ltv_rk4(A_z, x0, t_end, dt)
         rate, r2, fit_window = _fit_log_norm(times, norms)
         verdict = "not PE: no exponential certificate"
 

@@ -31,8 +31,28 @@ ONE_CROSS = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def wrap_angle(theta: float) -> float:
-    """Normalize an angle to [-pi, pi)."""
+    """Normalize an angle (or an array of angles) to [-pi, pi)."""
     return (theta + math.pi) % TWO_PI - math.pi
+
+
+def cos_sin(theta: np.ndarray) -> tuple:
+    """Elementwise (cos, sin) of an angle array, computed through math.
+
+    numpy picks its sin/cos kernels per CPU, so going through math keeps
+    array code bit-identical to the scalar code on every machine.
+    """
+    th = np.asarray(theta, dtype=float).tolist()
+    return np.array(list(map(math.cos, th))), np.array(list(map(math.sin, th)))
+
+
+def stack_matrices(rows) -> np.ndarray:
+    """(n, r, c) array from an r x c nested list of scalars and length-n arrays."""
+    shape = np.broadcast(*[entry for row in rows for entry in row]).shape
+    out = np.empty(shape + (len(rows), len(rows[0])))
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            out[..., i, j] = entry
+    return out
 
 
 def rot(theta: float) -> np.ndarray:

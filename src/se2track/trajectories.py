@@ -18,7 +18,22 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .se2 import ControlPair, Pose, wedge
+from .se2 import ControlPair, Pose, cos_sin, wedge
+
+
+def on_grid(F, ts) -> np.ndarray:
+    """Values of a function of time at every time in ts, stacked on axis 0.
+
+    A callable may carry its array form as the attribute array_form:
+    F.array_form(ts) must equal the stacked point values bit for bit.
+    It is used when present; any other callable is evaluated point by
+    point.
+    """
+    ts = np.asarray(ts, dtype=float)
+    array_form = getattr(F, "array_form", None)
+    if array_form is not None:
+        return array_form(ts)
+    return np.array([np.asarray(F(t), dtype=float) for t in ts.tolist()])
 
 
 @dataclass(frozen=True)
@@ -26,9 +41,10 @@ class DesiredTrajectory:
     """Reference pose/input pair with a scalar fast path.
 
     state_at(t) returns (theta_d, pdx, pdy, omega_d, v_d) as plain
-    floats; pose_at / input_at wrap it in the structured types. period
-    is None for aperiodic references. descriptor records the family and
-    parameters for manifests and round-trip reconstruction.
+    floats; pose_at / input_at wrap it in the structured types, and
+    sample evaluates it on a time grid. period is None for aperiodic
+    references. descriptor records the family and parameters for
+    manifests and round-trip reconstruction.
     """
 
     state_at: Callable[[float], tuple]
@@ -42,6 +58,13 @@ class DesiredTrajectory:
     def input_at(self, t: float) -> ControlPair:
         _, _, _, omega, v = self.state_at(t)
         return ControlPair(omega, v)
+
+    def sample(self, ts) -> tuple:
+        """Arrays (theta_d, pdx, pdy, omega_d, v_d) over the times ts.
+
+        Each equals calling state_at at every time, bit for bit.
+        """
+        return tuple(on_grid(self.state_at, ts).T)
 
 
 def ellipse_trajectory(a: float, b: float, h: float, origin=(0.0, 0.0)) -> DesiredTrajectory:
@@ -78,6 +101,20 @@ def ellipse_trajectory(a: float, b: float, h: float, origin=(0.0, 0.0)) -> Desir
             math.sqrt(speed2),
         )
 
+    def state_on_grid(ts: np.ndarray) -> np.ndarray:
+        c, s = cos_sin(h * ts)
+        dx = -a * h * s
+        dy = b * h * c
+        speed2 = dx * dx + dy * dy
+        return np.stack([
+            np.array(list(map(math.atan2, dy.tolist(), dx.tolist()))),
+            ox + a * c,
+            oy + b * s,
+            a * b * h / (a * a * s * s + b * b * c * c),
+            np.sqrt(speed2),
+        ], axis=-1)
+
+    state_at.array_form = state_on_grid
     return DesiredTrajectory(
         state_at,
         period=2.0 * math.pi / abs(h),
@@ -95,6 +132,12 @@ def line_trajectory(speed: float, heading: float = 0.0, start=(0.0, 0.0)) -> Des
     def state_at(t: float) -> tuple:
         return (heading, sx + cx * t, sy + cy * t, 0.0, speed)
 
+    def state_on_grid(ts: np.ndarray) -> np.ndarray:
+        n = len(ts)
+        return np.stack([np.full(n, heading), sx + cx * ts, sy + cy * ts,
+                         np.zeros(n), np.full(n, speed)], axis=-1)
+
+    state_at.array_form = state_on_grid
     return DesiredTrajectory(
         state_at,
         period=None,

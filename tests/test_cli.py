@@ -155,6 +155,13 @@ def test_pe_check_rejects_short_horizon(capsys):
     assert "horizon" in capsys.readouterr().err
 
 
+def test_pe_check_rejects_zero_windows(tmp_path, capsys):
+    out = tmp_path / "pe.json"
+    assert main(["pe-check", "--windows", "0", "--out", str(out)]) == 2
+    assert "window count" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_lin_check_writes_report(tmp_path, capsys):
     out = tmp_path / "lin.json"
     run_ok(["lin-check", "--t-end", "10", "--out", str(out)])
@@ -248,6 +255,15 @@ def test_basin_zero_samples_uses_sweep_defaults(tmp_path, capsys):
     assert doc["config"]["t_end"] == 60.0
     assert doc["config"]["dt"] == 5e-3
     assert doc["summary"]["fraction"] is None
+
+
+def test_basin_rejects_negative_samples(tmp_path, capsys):
+    out = tmp_path / "basin.json"
+    assert main(["basin"] + ELLIPSE_ARGS + ["--samples", "-3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "sample count" in captured.err
+    assert "0/-3" not in captured.out
+    assert not out.exists()
 
 
 def test_basin_small_sweep_is_seeded(tmp_path, capsys):
