@@ -132,10 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _trajectory_descriptor(args) -> dict:
     origin = _parse_floats(args.origin, 2, "--origin")
     if args.traj == "ellipse":
-        if args.a <= 0 or args.b <= 0:
-            raise ConfigError("ellipse semi-axes --a/--b must be positive")
-        if args.h == 0:
-            raise ConfigError("--h must be nonzero")
         return {"family": "ellipse", "a": args.a, "b": args.b, "h": args.h,
                 "origin": list(origin)}
     return {"family": "line", "speed": args.speed, "heading": args.heading,

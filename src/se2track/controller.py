@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ErrorKind, GroupError
+from .errors import ErrorKind, GroupError, right_error
 from .se2 import (B_SELECT, S_WEIGHT, ControlPair, Pose, adjoint_matrix, cos_sin,
                   se2_project, stack_matrices)
 
@@ -89,8 +89,6 @@ def correction_matrix_form(e: GroupError, xd: Pose) -> ControlPair:
 
 def total_control(x: Pose, xd: Pose, u_d: ControlPair, gains: Gains = Gains()) -> ControlPair:
     """Feedforward plus (gain-scaled) correction: u = u_d + K u_tilde."""
-    from .errors import right_error
-
     e = right_error(x, xd)
     ut = correction_component_form(e.theta, e.p, xd)
     return ControlPair(

@@ -6,24 +6,35 @@ after every step, so the implied rotation matrix is always exactly
 orthogonal. The control law is algebraic and is re-evaluated at every
 integration substage.
 
+The reference does not depend on the vehicle state, so a run samples
+it once, up front, with DesiredTrajectory.sample on the three RK4
+stage grids k dt, k dt + dt/2 and k dt + dt. The values equal the
+per-stage state_at calls bit for bit. A basin sweep samples it once
+for all of its runs.
+
+One kernel, _integrate, owns the RK4 loop, the divergence checks and
+the log-row formula. simulate passes it a log array to fill at every
+step; monte_carlo_basin passes none and reads the final Lyapunov value
+from the last row, which the kernel always returns.
+
 The hot loop works on plain floats on purpose: a 60 s run at dt = 1e-3
 is 60k steps, and batch experiments multiply that by hundreds. Array
-allocation per substage would dominate the runtime.
+allocation per substage would dominate the runtime. The sampled
+reference is turned into float tuples one block of steps at a time,
+so a long run never holds tuples for all of its steps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from .controller import Gains, KanayamaGains, correction_scalars
 from .se2 import wrap_angle
-from .trajectories import DesiredTrajectory, trajectory_from_descriptor
-
-TWO_PI = 2.0 * math.pi
+from .trajectories import DesiredTrajectory, require_finite, trajectory_from_descriptor
 
 CONTROLLERS = ("spatial", "kanayama", "feedforward")
 
@@ -34,6 +45,12 @@ CSV_COLUMNS = (
 )
 
 COL = {name: i for i, name in enumerate(CSV_COLUMNS)}
+
+# gain type of each controller that takes gains (feedforward ignores them)
+GAINS = {"spatial": Gains, "kanayama": KanayamaGains}
+
+# steps per block of the reference grids turned into float tuples at a time
+_BLOCK = 512
 
 
 class SimulationDiverged(RuntimeError):
@@ -53,7 +70,9 @@ class SimConfig:
     a controller-specific tuple: (k_omega, k_v) for spatial, (k_x, k_y,
     k_theta) for kanayama, ignored for feedforward; None picks the
     defaults. offset = (dx, dy, dtheta) perturbs the initial state to
-    p(0) = p_d(0) + (dx, dy), theta(0) = theta_d(0) + dtheta.
+    p(0) = p_d(0) + (dx, dy), theta(0) = theta_d(0) + dtheta. Every
+    number must be finite, and the gains must fit the controller;
+    anything else raises ValueError on construction.
     """
 
     trajectory: dict
@@ -67,12 +86,29 @@ class SimConfig:
     def __post_init__(self):
         if self.controller not in CONTROLLERS:
             raise ValueError(f"unknown controller {self.controller!r}; pick one of {CONTROLLERS}")
+        require_finite("dt", self.dt)
+        require_finite("t_end", self.t_end)
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
         if self.t_end < self.dt:
             raise ValueError("t_end must be at least one step long")
         if len(self.offset) != 3:
             raise ValueError("offset must be (dx, dy, dtheta)")
+        require_finite("offset", *self.offset)
+        if self.gains is not None:
+            require_finite("gains", *self.gains)
+            gains_type = GAINS.get(self.controller)
+            if gains_type is not None:
+                names = [f.name for f in fields(gains_type)]
+                if len(self.gains) != len(names):
+                    raise ValueError(f"{self.controller} gains are ({', '.join(names)}): "
+                                     f"expected {len(names)} numbers, got {len(self.gains)}")
+                gains_type(*self.gains)
+
+    @property
+    def steps(self) -> int:
+        """Number of integration steps; the log has one more row."""
+        return int(round(self.t_end / self.dt))
 
     def to_dict(self) -> dict:
         return {
@@ -147,24 +183,26 @@ class SimLog:
         return cls(data=data)
 
 
-def _make_controller(cfg: SimConfig, traj: DesiredTrajectory):
-    """Build control(t, th, px, py) -> (omega, v, omega_tilde, v_tilde)."""
-    state_at = traj.state_at
+def _make_controller(cfg: SimConfig):
+    """Build control(ref, th, px, py) -> (omega, v, omega_tilde, v_tilde).
 
+    ref is the tuple (theta_d, pdx, pdy, omega_d, v_d) that the
+    reference's state_at returns at the stage time.
+    """
     if cfg.controller == "feedforward":
 
-        def control(t, th, px, py):
-            thd, pdx, pdy, omd, vd = state_at(t)
-            return omd, vd, 0.0, 0.0
+        def control(ref, th, px, py):
+            return ref[3], ref[4], 0.0, 0.0
 
         return control
 
+    g = GAINS[cfg.controller](*(cfg.gains or ()))
+
     if cfg.controller == "spatial":
-        g = Gains(*cfg.gains) if cfg.gains is not None else Gains()
         k_om, k_v = g.k_omega, g.k_v
 
-        def control(t, th, px, py):
-            thd, pdx, pdy, omd, vd = state_at(t)
+        def control(ref, th, px, py):
+            thd, pdx, pdy, omd, vd = ref
             thE = th - thd
             cE = math.cos(thE)
             sE = math.sin(thE)
@@ -177,11 +215,10 @@ def _make_controller(cfg: SimConfig, traj: DesiredTrajectory):
 
         return control
 
-    g = KanayamaGains(*cfg.gains) if cfg.gains is not None else KanayamaGains()
     k_x, k_y, k_th = g.k_x, g.k_y, g.k_theta
 
-    def control(t, th, px, py):
-        thd, pdx, pdy, omd, vd = state_at(t)
+    def control(ref, th, px, py):
+        thd, pdx, pdy, omd, vd = ref
         # gap to the reference in the vehicle frame
         the = thd - th
         c = math.cos(th)
@@ -197,6 +234,100 @@ def _make_controller(cfg: SimConfig, traj: DesiredTrajectory):
     return control
 
 
+def _reference_grids(traj: DesiredTrajectory, dt: float, steps: int) -> tuple:
+    """The reference sampled on the RK4 stage grids, as DesiredTrajectory.sample arrays.
+
+    The grids are k dt for k = 0..steps (grid points and stage 1), then
+    k dt + dt/2 (stages 2 and 3) and k dt + dt (stage 4) for k < steps.
+    The last is not (k + 1) dt: the two differ in the last bit in about
+    a third of the steps.
+    """
+    t = np.arange(steps + 1) * dt
+    return traj.sample(t), traj.sample(t[:-1] + 0.5 * dt), traj.sample(t[:-1] + dt)
+
+
+def _ref_tuples(grid: tuple, start: int, stop: int):
+    """Reference tuples of plain floats for grid rows start..stop-1."""
+    return zip(*(column[start:stop].tolist() for column in grid))
+
+
+def _initial_state(ref0: tuple, offset) -> tuple:
+    """(theta, px, py) at t = 0: the reference pose ref0 moved by offset = (dx, dy, dtheta)."""
+    thd0, pdx0, pdy0, _, _ = ref0
+    dx0, dy0, dth0 = offset
+    return wrap_angle(thd0 + dth0), pdx0 + dx0, pdy0 + dy0
+
+
+def _log_row(t: float, th: float, px: float, py: float, ref: tuple, u: tuple) -> tuple:
+    """The CSV_COLUMNS row at time t: state, reference, both errors, L and the control u."""
+    thd, pdx, pdy, _, _ = ref
+    thE = wrap_angle(th - thd)
+    cE = math.cos(thE)
+    sE = math.sin(thE)
+    eRx = px - (cE * pdx - sE * pdy)
+    eRy = py - (sE * pdx + cE * pdy)
+    cd = math.cos(thd)
+    sd = math.sin(thd)
+    gx = px - pdx
+    gy = py - pdy
+    lyap = 2.0 * (1.0 - cE) + 0.5 * (eRx * eRx + eRy * eRy)
+    return (t, th, px, py, thd, pdx, pdy,
+            thE, cd * gx + sd * gy, -sd * gx + cd * gy,
+            thE, eRx, eRy, lyap) + u
+
+
+def _integrate(control, state: tuple, grids: tuple, dt: float, data=None) -> tuple:
+    """Integrate the closed loop from state = (theta, px, py) at t = 0.
+
+    grids is the output of _reference_grids. When data is given, a
+    (steps + 1, len(CSV_COLUMNS)) array, row k of the log is written
+    into it at every step; either way the last row is returned. Raises
+    SimulationDiverged (with the offending step index) if the state
+    leaves the finite range.
+    """
+    th, px, py = state
+    on_k, on_mid, on_end = grids
+    steps = len(on_mid[0])
+    half = 0.5 * dt
+    sixth = dt / 6.0
+
+    for start in range(0, steps, _BLOCK):
+        stop = min(start + _BLOCK, steps)
+        block = zip(range(start, stop), _ref_tuples(on_k, start, stop),
+                    _ref_tuples(on_mid, start, stop), _ref_tuples(on_end, start, stop))
+        for k, ref, ref_mid, ref_end in block:
+            u = control(ref, th, px, py)
+            if data is not None:
+                data[k] = _log_row(k * dt, th, px, py, ref, u)
+            try:
+                # stage 1 uses the control of the log row
+                a1, v1, _, _ = u
+                b1 = v1 * math.cos(th)
+                c1 = v1 * math.sin(th)
+                a2, v2, _, _ = control(ref_mid, th + half * a1, px + half * b1, py + half * c1)
+                b2 = v2 * math.cos(th + half * a1)
+                c2 = v2 * math.sin(th + half * a1)
+                a3, v3, _, _ = control(ref_mid, th + half * a2, px + half * b2, py + half * c2)
+                b3 = v3 * math.cos(th + half * a2)
+                c3 = v3 * math.sin(th + half * a2)
+                a4, v4, _, _ = control(ref_end, th + dt * a3, px + dt * b3, py + dt * c3)
+                b4 = v4 * math.cos(th + dt * a3)
+                c4 = v4 * math.sin(th + dt * a3)
+                th = wrap_angle(th + sixth * (a1 + 2.0 * (a2 + a3) + a4))
+                px = px + sixth * (b1 + 2.0 * (b2 + b3) + b4)
+                py = py + sixth * (c1 + 2.0 * (c2 + c3) + c4)
+            except (OverflowError, ValueError):
+                raise SimulationDiverged(k + 1, k * dt + dt) from None
+            if not (math.isfinite(th) and math.isfinite(px) and math.isfinite(py)):
+                raise SimulationDiverged(k + 1, k * dt + dt)
+
+    ref = next(_ref_tuples(on_k, steps, steps + 1))
+    row = _log_row(steps * dt, th, px, py, ref, control(ref, th, px, py))
+    if data is not None:
+        data[steps] = row
+    return row
+
+
 def simulate(cfg: SimConfig) -> SimLog:
     """Integrate the closed loop and return the populated log.
 
@@ -204,85 +335,11 @@ def simulate(cfg: SimConfig) -> SimLog:
     the offending step index) if the state leaves the finite range.
     """
     traj = trajectory_from_descriptor(cfg.trajectory)
-    state_at = traj.state_at
-    control = _make_controller(cfg, traj)
-    dt = cfg.dt
-    steps = int(round(cfg.t_end / dt))
-
-    thd0, pdx0, pdy0, _, _ = state_at(0.0)
-    dx0, dy0, dth0 = cfg.offset
-    th = wrap_angle(thd0 + dth0)
-    px = pdx0 + dx0
-    py = pdy0 + dy0
-
+    steps = cfg.steps
+    grids = _reference_grids(traj, cfg.dt, steps)
     data = np.empty((steps + 1, len(CSV_COLUMNS)))
-    half = 0.5 * dt
-    sixth = dt / 6.0
-
-    for k in range(steps + 1):
-        t = k * dt
-        thd, pdx, pdy, _, _ = state_at(t)
-        om, v, omt, vt = control(t, th, px, py)
-
-        # error components and Lyapunov value at the grid point
-        thE = wrap_angle(th - thd)
-        cE = math.cos(thE)
-        sE = math.sin(thE)
-        eRx = px - (cE * pdx - sE * pdy)
-        eRy = py - (sE * pdx + cE * pdy)
-        cd = math.cos(thd)
-        sd = math.sin(thd)
-        gx = px - pdx
-        gy = py - pdy
-        row = data[k]
-        row[0] = t
-        row[1] = th
-        row[2] = px
-        row[3] = py
-        row[4] = thd
-        row[5] = pdx
-        row[6] = pdy
-        row[7] = thE
-        row[8] = cd * gx + sd * gy
-        row[9] = -sd * gx + cd * gy
-        row[10] = thE
-        row[11] = eRx
-        row[12] = eRy
-        row[13] = 2.0 * (1.0 - cE) + 0.5 * (eRx * eRx + eRy * eRy)
-        row[14] = om
-        row[15] = v
-        row[16] = omt
-        row[17] = vt
-
-        if k == steps:
-            break
-
-        try:
-            # stage 1 reuses the control evaluated for the log row
-            a1 = om
-            b1 = v * math.cos(th)
-            c1 = v * math.sin(th)
-            tm = t + half
-            om2, v2, _, _ = control(tm, th + half * a1, px + half * b1, py + half * c1)
-            a2 = om2
-            b2 = v2 * math.cos(th + half * a1)
-            c2 = v2 * math.sin(th + half * a1)
-            om3, v3, _, _ = control(tm, th + half * a2, px + half * b2, py + half * c2)
-            a3 = om3
-            b3 = v3 * math.cos(th + half * a2)
-            c3 = v3 * math.sin(th + half * a2)
-            om4, v4, _, _ = control(t + dt, th + dt * a3, px + dt * b3, py + dt * c3)
-            a4 = om4
-            b4 = v4 * math.cos(th + dt * a3)
-            c4 = v4 * math.sin(th + dt * a3)
-            th = wrap_angle(th + sixth * (a1 + 2.0 * (a2 + a3) + a4))
-            px = px + sixth * (b1 + 2.0 * (b2 + b3) + b4)
-            py = py + sixth * (c1 + 2.0 * (c2 + c3) + c4)
-        except (OverflowError, ValueError):
-            raise SimulationDiverged(k + 1, t + dt) from None
-        if not (math.isfinite(th) and math.isfinite(px) and math.isfinite(py)):
-            raise SimulationDiverged(k + 1, t + dt)
-
+    _integrate(_make_controller(cfg), _initial_state(traj.state_at(0.0), cfg.offset),
+               grids, cfg.dt, data)
     return SimLog(data=data, config=cfg)
 
 
@@ -332,7 +389,10 @@ def monte_carlo_basin(cfg: SimConfig, samples: int, seed: int,
         raise ValueError(f"sample count must be non-negative, got {samples}")
     rng = np.random.default_rng(seed)
     traj = trajectory_from_descriptor(cfg.trajectory)
-    thd0, pdx0, pdy0, _, _ = traj.state_at(0.0)
+    grids = _reference_grids(traj, cfg.dt, cfg.steps)
+    control = _make_controller(cfg)
+    ref0 = traj.state_at(0.0)
+    _, pdx0, pdy0, _, _ = ref0
 
     finals = []
     failures = []
@@ -344,8 +404,8 @@ def monte_carlo_basin(cfg: SimConfig, samples: int, seed: int,
         c, s = math.cos(thE), math.sin(thE)
         dx = pEx + (c * pdx0 - s * pdy0) - pdx0
         dy = pEy + (s * pdx0 + c * pdy0) - pdy0
-        log = simulate(replace(cfg, offset=(dx, dy, thE), seed=None))
-        final = float(log.lyap[-1])
+        state = _initial_state(ref0, (dx, dy, thE))
+        final = _integrate(control, state, grids, cfg.dt)[COL["lyap"]]
         finals.append(final)
         if not final < threshold:
             failures.append({"index": i, "theta_E": thE, "p_E": [pEx, pEy], "final_lyapunov": final})

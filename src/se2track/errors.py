@@ -23,10 +23,11 @@ import numpy as np
 from .se2 import (
     ControlPair,
     Pose,
+    adjoint_matrix,
     compose,
     inverse,
-    rot,
     wedge,
+    wrap_angle,
 )
 
 
@@ -95,8 +96,6 @@ def right_error_rate(err: GroupError, u: ControlPair, u_d: ControlPair, desired:
     if err.kind is not ErrorKind.SPATIAL:
         raise ValueError("right_error_rate expects a spatial error")
     du = np.array([u.omega - u_d.omega, u.v - u_d.v, 0.0])
-    from .se2 import adjoint_matrix
-
     return err.pose.to_matrix() @ wedge(adjoint_matrix(desired) @ du)
 
 
@@ -116,8 +115,6 @@ def tracking_distance(actual: Pose, desired: Pose) -> float:
     Uses the wrapped heading difference and the raw position gap;
     convention-free, for reporting and convergence checks.
     """
-    from .se2 import wrap_angle
-
     dth = wrap_angle(actual.theta - desired.theta)
     dp = actual.p - desired.p
     return math.sqrt(dth * dth + float(dp @ dp))

@@ -21,6 +21,17 @@ import numpy as np
 from .se2 import ControlPair, Pose, cos_sin, wedge
 
 
+def require_finite(what: str, *values) -> None:
+    """Raise ValueError unless every value is a finite real number."""
+    try:
+        ok = all(math.isfinite(x) for x in values)
+    except TypeError:
+        ok = False
+    if not ok:
+        shown = values[0] if len(values) == 1 else list(values)
+        raise ValueError(f"{what} must be finite, got {shown!r}")
+
+
 def on_grid(F, ts) -> np.ndarray:
     """Values of a function of time at every time in ts, stacked on axis 0.
 
@@ -80,12 +91,14 @@ def ellipse_trajectory(a: float, b: float, h: float, origin=(0.0, 0.0)) -> Desir
     Omega_d = h). Rejects degenerate axes: a zero semi-axis makes the
     speed vanish twice per revolution, where the heading is undefined.
     """
+    ox, oy = float(origin[0]), float(origin[1])
+    a, b, h = float(a), float(b), float(h)
+    require_finite("ellipse a, b, h", a, b, h)
+    require_finite("ellipse origin", ox, oy)
     if a <= 0.0 or b <= 0.0:
         raise ValueError("ellipse semi-axes must be positive")
     if h == 0.0:
         raise ValueError("ellipse rate h must be nonzero")
-    ox, oy = float(origin[0]), float(origin[1])
-    a, b, h = float(a), float(b), float(h)
 
     def state_at(t: float) -> tuple:
         c = math.cos(h * t)
@@ -126,6 +139,8 @@ def line_trajectory(speed: float, heading: float = 0.0, start=(0.0, 0.0)) -> Des
     """Straight-line (or stationary, speed = 0) constant-input reference."""
     sx, sy = float(start[0]), float(start[1])
     speed, heading = float(speed), float(heading)
+    require_finite("line speed, heading", speed, heading)
+    require_finite("line start", sx, sy)
     cx = speed * math.cos(heading)
     cy = speed * math.sin(heading)
 

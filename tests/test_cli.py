@@ -279,3 +279,52 @@ def test_basin_small_sweep_is_seeded(tmp_path, capsys):
     assert d1["summary"]["final_lyapunov"] == d2["summary"]["final_lyapunov"]
     assert d1["summary"]["samples"] == 2
     assert d1["config"]["t_end"] == 5.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--gains", "1,2,3"],
+    ["--gains", "1"],
+    ["--controller", "kanayama", "--gains", "1,2"],
+    ["--gains", "1,inf"],
+    ["--t-end", "inf"],
+    ["--dt", "nan"],
+    ["--offset", "0,nan,0"],
+], ids=["spatial-3-gains", "spatial-1-gain", "kanayama-2-gains", "inf-gain",
+        "inf-t-end", "nan-dt", "nan-offset"])
+def test_simulate_rejects_bad_run_values(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert main(["simulate"] + ELLIPSE_ARGS + ["--dt", "0.01", "--t-end", "2"]
+                + argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration:")
+    assert not out.exists()
+
+
+def test_feedforward_still_ignores_gains(tmp_path, capsys):
+    run_ok(["simulate", "--controller", "feedforward", "--gains", "1,2,3"]
+           + ELLIPSE_ARGS + QUICK + ["--out", str(tmp_path / "x.csv")])
+
+
+def test_basin_rejects_wrong_gain_count(tmp_path, capsys):
+    out = tmp_path / "basin.json"
+    assert main(["basin"] + ELLIPSE_ARGS + ["--gains", "1,2,3", "--samples", "1",
+                                            "--out", str(out)]) == 2
+    assert "expected 2 numbers, got 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--a", "nan"],
+    ["--h", "inf"],
+    ["--origin", "nan,0"],
+    ["--traj", "line", "--speed", "nan"],
+    ["--traj", "line", "--heading", "inf"],
+], ids=["a", "h", "origin", "speed", "heading"])
+def test_non_finite_trajectory_flags_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert main(["simulate"] + argv + QUICK + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be finite" in err
+    assert not out.exists()
+    assert main(["pe-check"] + argv) == 2
+    assert "must be finite" in capsys.readouterr().err

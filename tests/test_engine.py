@@ -12,9 +12,17 @@ from se2track import (
     compare_controllers,
     monte_carlo_basin,
     simulate,
+    trajectory_from_descriptor,
+    wrap_angle,
 )
 
 CIRCLE = {"family": "ellipse", "a": 1.0, "b": 1.0, "h": 1.0, "origin": [0.0, 0.0]}
+
+# references for the bit-for-bit kernel checks
+BIT_DESCS = [
+    {"family": "ellipse", "a": 3.0, "b": 5.0, "h": 2.0 * math.pi / 5.0, "origin": [1.0, -2.0]},
+    {"family": "line", "speed": 1.3, "heading": 0.7, "start": [0.5, 0.2]},
+]
 
 
 def test_log_shape_and_time_grid(ellipse_desc):
@@ -117,6 +125,32 @@ def test_config_validation(ellipse_desc):
         SimConfig(trajectory=ellipse_desc, dt=1e-2, t_end=1e-3)
     with pytest.raises(ValueError, match="offset"):
         SimConfig(trajectory=ellipse_desc, offset=(1.0, 2.0))
+    with pytest.raises(ValueError, match="offset must be finite"):
+        SimConfig(trajectory=ellipse_desc, offset=(1.0, math.nan, 0.0))
+    with pytest.raises(ValueError, match="t_end must be finite"):
+        SimConfig(trajectory=ellipse_desc, t_end=math.inf)
+    with pytest.raises(ValueError, match="dt must be finite"):
+        SimConfig(trajectory=ellipse_desc, dt=math.nan)
+    with pytest.raises(ValueError, match="gains must be finite"):
+        SimConfig(trajectory=ellipse_desc, gains=(1.0, math.inf))
+
+
+@pytest.mark.parametrize("controller, gains", [
+    ("spatial", (1.0, 2.0, 3.0)),
+    ("spatial", (1.0,)),
+    ("kanayama", (1.0, 2.0)),
+])
+def test_config_rejects_wrong_gain_count(ellipse_desc, controller, gains):
+    with pytest.raises(ValueError, match=f"expected .* got {len(gains)}"):
+        SimConfig(trajectory=ellipse_desc, controller=controller, gains=gains)
+
+
+def test_config_checks_gain_signs_and_feedforward_ignores_gains(ellipse_desc):
+    with pytest.raises(ValueError, match="non-negative"):
+        SimConfig(trajectory=ellipse_desc, gains=(-1.0, 1.0))
+    with pytest.raises(ValueError, match="positive"):
+        SimConfig(trajectory=ellipse_desc, controller="kanayama", gains=(1.0, 0.0, 1.0))
+    SimConfig(trajectory=ellipse_desc, controller="feedforward", gains=(1.0, 2.0, 3.0, 4.0))
 
 
 def test_config_dict_round_trip(ellipse_desc):
@@ -220,11 +254,11 @@ def test_kanayama_engine_loop_matches_library_law(ellipse_desc, rng):
     cfg = SimConfig(trajectory=ellipse_desc, controller="kanayama",
                     gains=(2.0, 8.0, 4.0))
     traj = trajectory_from_descriptor(ellipse_desc)
-    control = _make_controller(cfg, traj)
+    control = _make_controller(cfg)
     for _ in range(50):
         t = float(rng.uniform(0.0, 10.0))
         x = Pose(rng.uniform(-math.pi, math.pi), 3.0 * rng.standard_normal(2))
-        om, v, omt, vt = control(t, x.theta, x.p[0], x.p[1])
+        om, v, omt, vt = control(traj.state_at(t), x.theta, x.p[0], x.p[1])
         ud = traj.input_at(t)
         u = kanayama_control(left_error(x, traj.pose_at(t)), ud, KanayamaGains())
         assert abs(om - u.omega) < 1e-12
@@ -268,6 +302,84 @@ def test_basin_draw_mapping_hits_requested_error():
     assert abs(log.column("eR_px")[0] - pEx) < 1e-12
     assert abs(log.column("eR_py")[0] - pEy) < 1e-12
     assert summary.final_lyapunov[0] == pytest.approx(float(log.lyap[-1]), rel=1e-12)
+
+
+def basin_offsets(desc, samples, seed):
+    """The offsets monte_carlo_basin runs, in draw order (default margins)."""
+    rng = np.random.default_rng(seed)
+    _, pdx0, pdy0, _, _ = trajectory_from_descriptor(desc).state_at(0.0)
+    offsets = []
+    for _ in range(samples):
+        thE = rng.uniform(-math.pi + 0.05, math.pi - 0.05)
+        pEx = rng.uniform(-5.0, 5.0)
+        pEy = rng.uniform(-5.0, 5.0)
+        c, s = math.cos(thE), math.sin(thE)
+        offsets.append((pEx + (c * pdx0 - s * pdy0) - pdx0,
+                        pEy + (s * pdx0 + c * pdy0) - pdy0, thE))
+    return offsets
+
+
+@pytest.mark.parametrize("controller", ["spatial", "kanayama", "feedforward"])
+@pytest.mark.parametrize("desc", BIT_DESCS, ids=["ellipse", "line"])
+def test_basin_finals_equal_simulate_bit_for_bit(desc, controller):
+    # a basin sample skips the log but must end on the very same state
+    cfg = SimConfig(trajectory=desc, controller=controller, t_end=3.0, dt=1e-2)
+    summary = monte_carlo_basin(cfg, samples=3, seed=11)
+    for final, offset in zip(summary.final_lyapunov, basin_offsets(desc, 3, 11)):
+        log = simulate(SimConfig(trajectory=desc, controller=controller, offset=offset,
+                                 t_end=3.0, dt=1e-2))
+        assert final == float(log.lyap[-1])
+
+
+def per_step_reference_log(cfg):
+    """The log of the per-step loop that called state_at at every RK4 stage."""
+    from se2track.engine import _initial_state, _log_row, _make_controller
+
+    state_at = trajectory_from_descriptor(cfg.trajectory).state_at
+    control = _make_controller(cfg)
+
+    def f(t, th, px, py):
+        om, v, _, _ = control(state_at(t), th, px, py)
+        return om, v * math.cos(th), v * math.sin(th)
+
+    dt, steps = cfg.dt, cfg.steps
+    th, px, py = _initial_state(state_at(0.0), cfg.offset)
+    rows = []
+    for k in range(steps + 1):
+        t = k * dt
+        rows.append(_log_row(t, th, px, py, state_at(t), control(state_at(t), th, px, py)))
+        if k == steps:
+            break
+        a1, b1, c1 = f(t, th, px, py)
+        a2, b2, c2 = f(t + 0.5 * dt, th + 0.5 * dt * a1, px + 0.5 * dt * b1, py + 0.5 * dt * c1)
+        a3, b3, c3 = f(t + 0.5 * dt, th + 0.5 * dt * a2, px + 0.5 * dt * b2, py + 0.5 * dt * c2)
+        a4, b4, c4 = f(t + dt, th + dt * a3, px + dt * b3, py + dt * c3)
+        th = wrap_angle(th + dt / 6.0 * (a1 + 2.0 * (a2 + a3) + a4))
+        px = px + dt / 6.0 * (b1 + 2.0 * (b2 + b3) + b4)
+        py = py + dt / 6.0 * (c1 + 2.0 * (c2 + c3) + c4)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("controller", ["spatial", "kanayama", "feedforward"])
+@pytest.mark.parametrize("desc", BIT_DESCS, ids=["ellipse", "line"])
+def test_sampled_reference_log_equals_per_step_loop(desc, controller):
+    # sampling the reference up front (in blocks) must not move a single bit
+    cfg = SimConfig(trajectory=desc, controller=controller, offset=(0.7, -1.1, 2.0),
+                    t_end=12.0, dt=1e-2)
+    assert cfg.steps > 2 * 512
+    assert np.array_equal(simulate(cfg).data, per_step_reference_log(cfg))
+
+
+def test_basin_divergence_matches_simulate(ellipse_desc):
+    cfg = SimConfig(trajectory=ellipse_desc, dt=100.0, t_end=10000.0)
+    with pytest.raises(SimulationDiverged) as basin_exc:
+        monte_carlo_basin(cfg, samples=2, seed=5)
+    first = SimConfig(trajectory=ellipse_desc, dt=100.0, t_end=10000.0,
+                      offset=basin_offsets(ellipse_desc, 1, 5)[0])
+    with pytest.raises(SimulationDiverged) as sim_exc:
+        simulate(first)
+    assert basin_exc.value.step == sim_exc.value.step
+    assert basin_exc.value.t == sim_exc.value.t
 
 
 def test_basin_counts_and_determinism():

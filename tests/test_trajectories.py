@@ -99,6 +99,20 @@ def test_degenerate_parameters_rejected():
         ellipse_trajectory(1.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ellipse_trajectory(math.nan, 1.0, 1.0),
+    lambda: ellipse_trajectory(1.0, math.inf, 1.0),
+    lambda: ellipse_trajectory(1.0, 1.0, -math.inf),
+    lambda: ellipse_trajectory(1.0, 1.0, 1.0, origin=(0.0, math.nan)),
+    lambda: line_trajectory(math.nan),
+    lambda: line_trajectory(1.0, heading=math.inf),
+    lambda: line_trajectory(1.0, start=(math.inf, 0.0)),
+], ids=["a", "b", "h", "origin", "speed", "heading", "start"])
+def test_non_finite_parameters_rejected(build):
+    with pytest.raises(ValueError, match="must be finite"):
+        build()
+
+
 def test_descriptor_round_trip(rng):
     for traj in (
         ellipse_trajectory(3.0, 5.0, 2.0 * math.pi / 5.0, origin=(1.0, -2.0)),
