@@ -58,25 +58,29 @@ def _parse_floats(text: str, n: int, what: str) -> tuple:
     return parts
 
 
+# Values of the trajectory flags not given. The flags default to None, like
+# the run flags, so that a run with --config can tell which were given.
+_TRAJECTORY_DEFAULTS = {"traj": "ellipse", "a": 3.0, "b": 5.0, "h": 2.0 * math.pi / 5.0,
+                        "origin": "0,0", "speed": 1.0, "heading": 0.0}
+
+
 def _add_trajectory_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--traj", choices=["ellipse", "line"], default="ellipse",
+    p.add_argument("--traj", choices=["ellipse", "line"],
                    help="reference family (default: ellipse)")
-    p.add_argument("--a", type=float, default=3.0, help="ellipse semi-axis x (default 3)")
-    p.add_argument("--b", type=float, default=5.0, help="ellipse semi-axis y (default 5)")
-    p.add_argument("--h", type=float, default=2.0 * math.pi / 5.0,
-                   help="ellipse angular rate (default 2*pi/5)")
-    p.add_argument("--origin", default="0,0",
-                   help="ellipse center / line start as x,y (default 0,0)")
-    p.add_argument("--speed", type=float, default=1.0, help="line speed (default 1)")
-    p.add_argument("--heading", type=float, default=0.0, help="line heading, rad (default 0)")
+    p.add_argument("--a", type=float, help="ellipse semi-axis x (default 3)")
+    p.add_argument("--b", type=float, help="ellipse semi-axis y (default 5)")
+    p.add_argument("--h", type=float, help="ellipse angular rate (default 2*pi/5)")
+    p.add_argument("--origin", help="ellipse center / line start as x,y (default 0,0)")
+    p.add_argument("--speed", type=float, help="line speed (default 1)")
+    p.add_argument("--heading", type=float, help="line heading, rad (default 0)")
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--controller", choices=list(CONTROLLERS), default="spatial")
+    p.add_argument("--controller", choices=list(CONTROLLERS))
     p.add_argument("--gains", default=None,
                    help="comma-separated controller gains (spatial: k_omega,k_v; "
                         "kanayama: k_x,k_y,k_theta)")
-    p.add_argument("--offset", default="0,0,0",
+    p.add_argument("--offset",
                    help="initial offset dx,dy,dtheta from the reference (default 0,0,0)")
     p.add_argument("--dt", type=float, default=None, help="integration step, s")
     p.add_argument("--t-end", type=float, default=None, help="horizon, s")
@@ -130,11 +134,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _trajectory_descriptor(args) -> dict:
-    origin = _parse_floats(args.origin, 2, "--origin")
-    if args.traj == "ellipse":
-        return {"family": "ellipse", "a": args.a, "b": args.b, "h": args.h,
+    flag = {name: default if getattr(args, name) is None else getattr(args, name)
+            for name, default in _TRAJECTORY_DEFAULTS.items()}
+    origin = _parse_floats(flag["origin"], 2, "--origin")
+    if flag["traj"] == "ellipse":
+        return {"family": "ellipse", "a": flag["a"], "b": flag["b"], "h": flag["h"],
                 "origin": list(origin)}
-    return {"family": "line", "speed": args.speed, "heading": args.heading,
+    return {"family": "line", "speed": flag["speed"], "heading": flag["heading"],
             "start": list(origin)}
 
 
@@ -148,40 +154,35 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
 
 
-def _resolve_sim_config(args, argv) -> SimConfig:
-    """Merge --config file (if any) with explicit flags; flags win."""
-    base = {}
-    if args.config is not None:
+def _resolve_sim_config(args, defaults=None) -> SimConfig:
+    """Merge --config file (if any) with the flags given; given flags win.
+
+    Without --config, the partial config `defaults` stands in for the file.
+    """
+    if args.config is None:
+        cfg = dict(defaults or {})
+    else:
         doc = _load_json(args.config)
-        base = doc.get("config", doc)  # accept a manifest or a bare config
-        if not isinstance(base, dict) or "trajectory" not in base:
+        cfg = doc.get("config", doc)  # accept a manifest or a bare config
+        if not isinstance(cfg, dict) or "trajectory" not in cfg:
             raise ConfigError(f"config file {args.config} lacks a trajectory section")
-
-    def given(flag: str) -> bool:
-        return any(tok == flag or tok.startswith(flag + "=") for tok in argv)
-
-    cfg = dict(base) if base else {}
-    if not cfg or given("--traj") or given("--a") or given("--b") or given("--h") \
-            or given("--origin") or given("--speed") or given("--heading"):
+        cfg = dict(cfg)
+    if "trajectory" not in cfg or any(getattr(args, name) is not None
+                                      for name in _TRAJECTORY_DEFAULTS):
         cfg["trajectory"] = _trajectory_descriptor(args)
-    if "controller" not in cfg or given("--controller"):
-        cfg["controller"] = args.controller
-    if given("--gains"):
+    if args.gains is not None:
         cfg["gains"] = list(_parse_floats(args.gains, len(args.gains.split(",")), "--gains"))
-    elif "gains" not in cfg:
-        cfg["gains"] = None
-    if "offset" not in cfg or given("--offset"):
+    if args.offset is not None:
         cfg["offset"] = list(_parse_floats(args.offset, 3, "--offset"))
-    if args.dt is not None:
-        cfg["dt"] = args.dt
-    cfg.setdefault("dt", 1e-3)
-    if getattr(args, "t_end", None) is not None:
-        cfg["t_end"] = args.t_end
-    cfg.setdefault("t_end", 40.0)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    for name in ("controller", "dt", "t_end", "seed"):
+        if getattr(args, name) is not None:
+            cfg[name] = getattr(args, name)
+    return _sim_config(cfg)
+
+
+def _sim_config(d: dict) -> SimConfig:
     try:
-        return SimConfig.from_dict(cfg)
+        return SimConfig.from_dict(d)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"invalid configuration: {exc}")
 
@@ -198,8 +199,8 @@ def _manifest_path(out_csv: str) -> Path:
     return Path(str(stem) + ".manifest.json")
 
 
-def cmd_simulate(args, argv) -> int:
-    cfg = _resolve_sim_config(args, argv)
+def cmd_simulate(args) -> int:
+    cfg = _resolve_sim_config(args)
     t0 = time.perf_counter()
     log = simulate(cfg)
     log.to_csv(args.out)
@@ -278,6 +279,7 @@ def _compare_config(path: str):
     ctrls = doc["controllers"]
     if not isinstance(ctrls, list) or not ctrls:
         raise ConfigError(f"compare config {path}: 'controllers' must be a non-empty list")
+    run = {key: doc[key] for key in ("trajectory", "offset", "dt", "t_end") if key in doc}
     bad = []
     cfgs = []
     for i, entry in enumerate(ctrls):
@@ -287,16 +289,8 @@ def _compare_config(path: str):
         if name not in CONTROLLERS:
             bad.append(f"controllers[{i}].name={name!r}")
             continue
-        cfgs.append(
-            SimConfig(
-                trajectory=doc["trajectory"],
-                controller=name,
-                gains=tuple(entry["gains"]) if entry.get("gains") else None,
-                offset=tuple(doc.get("offset", (0.0, 0.0, 0.0))),
-                dt=float(doc.get("dt", 1e-3)),
-                t_end=float(doc.get("t_end", 40.0)),
-            )
-        )
+        # an empty gains list picks the defaults, as a missing one does
+        cfgs.append(_sim_config({**run, "controller": name, "gains": entry.get("gains") or None}))
     if bad:
         raise ConfigError(f"compare config {path}: invalid entries: {', '.join(bad)}")
     return cfgs, float(doc.get("threshold", 1e-2))
@@ -348,13 +342,9 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_basin(args, argv) -> int:
-    cfg = _resolve_sim_config(args, argv)
-    # basin-specific defaults (only when neither flag nor config set them)
-    if args.t_end is None and args.config is None:
-        cfg = SimConfig.from_dict({**cfg.to_dict(), "t_end": 60.0})
-    if args.dt is None and args.config is None:
-        cfg = SimConfig.from_dict({**cfg.to_dict(), "dt": 5e-3})
+def cmd_basin(args) -> int:
+    # draws far from the reference need longer to settle than one run
+    cfg = _resolve_sim_config(args, defaults={"t_end": 60.0, "dt": 5e-3})
     seed = args.seed if args.seed is not None else 0
     summary = monte_carlo_basin(cfg, samples=args.samples, seed=seed,
                                 threshold=args.threshold)
@@ -370,7 +360,6 @@ def cmd_basin(args, argv) -> int:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -379,7 +368,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "simulate":
-            return cmd_simulate(args, argv)
+            return cmd_simulate(args)
         if args.command == "pe-check":
             return cmd_pe_check(args)
         if args.command == "lin-check":
@@ -387,7 +376,7 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return cmd_compare(args)
         if args.command == "basin":
-            return cmd_basin(args, argv)
+            return cmd_basin(args)
         raise ConfigError(f"unknown command {args.command!r}")
     except SimulationDiverged as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)

@@ -163,11 +163,21 @@ def kanayama_control(e: GroupError, u_d: ControlPair, g: KanayamaGains = Kanayam
     """
     if e.kind is not ErrorKind.BODY:
         raise ValueError("the baseline law is defined on the body-fixed error")
-    c, s = math.cos(e.theta), math.sin(e.theta)
     px, py = e.p
-    x_e = -(c * px + s * py)
-    y_e = s * px - c * py
-    # cos(theta_e) = cos(theta_E), sin(theta_e) = -sin(theta_E)
-    v = u_d.v * c + g.k_x * x_e
-    omega = u_d.omega + u_d.v * (g.k_y * y_e - g.k_theta * s)
-    return ControlPair(omega, v)
+    # in the reference frame the reference sits at the identity, the vehicle at the error pose
+    return ControlPair(*_kanayama_scalars(-e.theta, e.theta, -px, -py,
+                                          u_d.omega, u_d.v, g.k_x, g.k_y, g.k_theta))
+
+
+def _kanayama_scalars(theta_e, theta, dx, dy, omega_d, v_d, k_x, k_y, k_theta):
+    """(Omega, v) of kanayama_control on plain floats, from the gaps to the reference.
+
+    theta_e = theta_d - theta; (dx, dy) = p_d - p, which theta rotates into (x_e, y_e).
+    """
+    c = math.cos(theta)
+    s = math.sin(theta)
+    x_e = c * dx + s * dy
+    y_e = -s * dx + c * dy
+    v = v_d * math.cos(theta_e) + k_x * x_e
+    omega = omega_d + v_d * (k_y * y_e + k_theta * math.sin(theta_e))
+    return omega, v

@@ -32,7 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .controller import Gains, KanayamaGains, correction_scalars
+from .controller import Gains, KanayamaGains, _kanayama_scalars, correction_scalars
+from .errors import _lyapunov_scalars, _spatial_position
 from .se2 import wrap_angle
 from .trajectories import DesiredTrajectory, require_finite, trajectory_from_descriptor
 
@@ -123,13 +124,14 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
+        """Inverse of to_dict; a key that d lacks takes the field's default."""
         return cls(
             trajectory=dict(d["trajectory"]),
-            controller=d.get("controller", "spatial"),
+            controller=d.get("controller", cls.controller),
             gains=None if d.get("gains") is None else tuple(d["gains"]),
-            offset=tuple(d.get("offset", (0.0, 0.0, 0.0))),
-            dt=float(d.get("dt", 1e-3)),
-            t_end=float(d.get("t_end", 40.0)),
+            offset=tuple(d.get("offset", cls.offset)),
+            dt=float(d.get("dt", cls.dt)),
+            t_end=float(d.get("t_end", cls.t_end)),
             seed=d.get("seed"),
         )
 
@@ -204,10 +206,7 @@ def _make_controller(cfg: SimConfig):
         def control(ref, th, px, py):
             thd, pdx, pdy, omd, vd = ref
             thE = th - thd
-            cE = math.cos(thE)
-            sE = math.sin(thE)
-            pEx = px - (cE * pdx - sE * pdy)
-            pEy = py - (sE * pdx + cE * pdy)
+            pEx, pEy = _spatial_position(thE, px, py, pdx, pdy)
             omt, vt = correction_scalars(thE, pEx, pEy, thd, pdx, pdy)
             omt *= k_om
             vt *= k_v
@@ -219,16 +218,7 @@ def _make_controller(cfg: SimConfig):
 
     def control(ref, th, px, py):
         thd, pdx, pdy, omd, vd = ref
-        # gap to the reference in the vehicle frame
-        the = thd - th
-        c = math.cos(th)
-        s = math.sin(th)
-        dx = pdx - px
-        dy = pdy - py
-        x_e = c * dx + s * dy
-        y_e = -s * dx + c * dy
-        v = vd * math.cos(the) + k_x * x_e
-        om = omd + vd * (k_y * y_e + k_th * math.sin(the))
+        om, v = _kanayama_scalars(thd - th, th, pdx - px, pdy - py, omd, vd, k_x, k_y, k_th)
         return om, v, om - omd, v - vd
 
     return control
@@ -262,18 +252,14 @@ def _log_row(t: float, th: float, px: float, py: float, ref: tuple, u: tuple) ->
     """The CSV_COLUMNS row at time t: state, reference, both errors, L and the control u."""
     thd, pdx, pdy, _, _ = ref
     thE = wrap_angle(th - thd)
-    cE = math.cos(thE)
-    sE = math.sin(thE)
-    eRx = px - (cE * pdx - sE * pdy)
-    eRy = py - (sE * pdx + cE * pdy)
+    eRx, eRy = _spatial_position(thE, px, py, pdx, pdy)
     cd = math.cos(thd)
     sd = math.sin(thd)
     gx = px - pdx
     gy = py - pdy
-    lyap = 2.0 * (1.0 - cE) + 0.5 * (eRx * eRx + eRy * eRy)
     return (t, th, px, py, thd, pdx, pdy,
             thE, cd * gx + sd * gy, -sd * gx + cd * gy,
-            thE, eRx, eRy, lyap) + u
+            thE, eRx, eRy, _lyapunov_scalars(thE, eRx, eRy)) + u
 
 
 def _integrate(control, state: tuple, grids: tuple, dt: float, data=None) -> tuple:
@@ -450,8 +436,8 @@ def _settle_time(t: np.ndarray, err: np.ndarray, threshold: float) -> Optional[f
     above = np.nonzero(~below)[0]
     if len(above) == 0:
         return float(t[0])
-    idx = above[-1] + 1
-    return float(t[idx]) if idx < len(t) else None
+    # below[-1] holds, so the index after the last one above is in range
+    return float(t[above[-1] + 1])
 
 
 def compare_controllers(cfgs, threshold: float = 1e-2):

@@ -106,7 +106,22 @@ def lyapunov(err: GroupError) -> float:
     error matrix and the identity. Zero iff the error is the identity;
     maximal in angle at theta_E = pi, where the value is 4 + 0.5|p_E|^2.
     """
-    return 2.0 * (1.0 - math.cos(err.theta)) + 0.5 * float(err.p @ err.p)
+    return _lyapunov_scalars(err.theta, float(err.p[0]), float(err.p[1]))
+
+
+def _lyapunov_scalars(theta_E: float, pEx: float, pEy: float) -> float:
+    """lyapunov from the error components, as plain floats."""
+    return 2.0 * (1.0 - math.cos(theta_E)) + 0.5 * (pEx * pEx + pEy * pEy)
+
+
+def _spatial_position(theta_E: float, px: float, py: float, pdx: float, pdy: float) -> tuple:
+    """Position part p - R(theta_E) p_d of the spatial error, on plain floats.
+
+    theta_E = theta - theta_d, wrapped or not: the two differ in sin/cos in the last bit.
+    """
+    cE = math.cos(theta_E)
+    sE = math.sin(theta_E)
+    return px - (cE * pdx - sE * pdy), py - (sE * pdx + cE * pdy)
 
 
 def tracking_distance(actual: Pose, desired: Pose) -> float:

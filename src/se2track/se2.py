@@ -194,16 +194,18 @@ def adjoint_matrix(g: Pose) -> np.ndarray:
     )
 
 
+def _jacobian_coefficients(om: float) -> tuple:
+    """(a, b) = (sin(om) / om, (1 - cos(om)) / om) of the translation Jacobian [[a, -b], [b, a]]."""
+    if abs(om) < 1e-8:
+        # 2nd-order series: (1 - cos(om)) / om cancels badly near 0
+        return 1.0 - om * om / 6.0, 0.5 * om
+    return math.sin(om) / om, (1.0 - math.cos(om)) / om
+
+
 def exp_se2(x) -> Pose:
     """Exponential map from algebra coordinates to a Pose."""
     om, vx, vy = float(x[0]), float(x[1]), float(x[2])
-    if abs(om) < 1e-8:
-        # 2nd-order series of the translation Jacobian
-        a = 1.0 - om * om / 6.0
-        b = 0.5 * om
-    else:
-        a = math.sin(om) / om
-        b = (1.0 - math.cos(om)) / om
+    a, b = _jacobian_coefficients(om)
     return Pose(om, np.array([a * vx - b * vy, b * vx + a * vy]))
 
 
@@ -216,12 +218,7 @@ def log_se2(g: Pose, strict: bool = False) -> np.ndarray:
     om = g.theta
     if strict and math.pi - abs(om) < 1e-9:
         raise ValueError("log branch not unique at theta = +/-pi")
-    if abs(om) < 1e-8:
-        a = 1.0 - om * om / 6.0
-        b = 0.5 * om
-    else:
-        a = math.sin(om) / om
-        b = (1.0 - math.cos(om)) / om
+    a, b = _jacobian_coefficients(om)
     d = a * a + b * b
     vx = (a * g.p[0] + b * g.p[1]) / d
     vy = (-b * g.p[0] + a * g.p[1]) / d

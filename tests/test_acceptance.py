@@ -27,7 +27,7 @@ from se2track import (
     uniform_heading_ellipse_regressor,
     window_gram,
 )
-from se2track.engine import COL
+from se2track.engine import COL, _settle_time
 from se2track.se2 import B_SELECT, S_WEIGHT
 
 
@@ -120,11 +120,8 @@ def test_04_one_period_gram_closed_form():
 
 def _stays_below_from(t, err, threshold):
     """First grid time after which err stays below threshold (inf if never)."""
-    below = err < threshold
-    if not below[-1]:
-        return math.inf
-    above = np.nonzero(~below)[0]
-    return float(t[above[-1] + 1]) if len(above) else float(t[0])
+    settle = _settle_time(t, err, threshold)
+    return math.inf if settle is None else settle
 
 
 @pytest.mark.xfail(

@@ -105,6 +105,42 @@ def test_explicit_flags_override_config(tmp_path):
     assert m2["rows"] == 101
 
 
+def write_config(tmp_path, **values):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"trajectory": {"family": "ellipse", "a": 1.0, "b": 1.0,
+                                               "h": 1.0, "origin": [0.0, 0.0]}, **values}))
+    return str(path)
+
+
+def manifest_config(out):
+    return json.loads(out.with_suffix(".manifest.json").read_text())["config"]
+
+
+def test_abbreviated_flags_override_config(tmp_path):
+    # argparse accepts unambiguous prefixes of a flag; they override the
+    # file just as the full flag does
+    cfg = write_config(tmp_path, controller="kanayama", dt=0.01, t_end=1.0)
+    out = tmp_path / "x.csv"
+    run_ok(["simulate", "--config", cfg, "--contr", "spatial", "--ori", "1,2",
+            "--out", str(out)])
+    resolved = manifest_config(out)
+    assert resolved["controller"] == "spatial"
+    assert resolved["trajectory"]["origin"] == [1.0, 2.0]
+
+
+def test_flags_equal_to_their_defaults_override_config(tmp_path):
+    cfg = write_config(tmp_path, controller="kanayama", offset=[0.5, 0.0, 0.3],
+                       dt=0.01, t_end=1.0)
+    out = tmp_path / "x.csv"
+    run_ok(["simulate", "--config", cfg, "--controller", "spatial", "--offset", "0,0,0",
+            "--a", "3", "--dt", "0.001", "--out", str(out)])
+    resolved = manifest_config(out)
+    assert resolved["controller"] == "spatial"
+    assert resolved["offset"] == [0.0, 0.0, 0.0]
+    assert resolved["trajectory"]["a"] == 3.0
+    assert (resolved["dt"], resolved["t_end"]) == (0.001, 1.0)
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "none.json"),
                  "--out", str(tmp_path / "x.csv")]) == 2
@@ -238,6 +274,15 @@ def test_compare_rejects_missing_keys(tmp_path, capsys):
     assert "missing keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides", [{"dt": None}, {"offset": 5}, {"t_end": "long"}],
+                         ids=["null-dt", "scalar-offset", "text-t-end"])
+def test_compare_rejects_bad_run_values(tmp_path, capsys, overrides):
+    cfg = _compare_config(tmp_path, **overrides)
+    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "cmp")]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid configuration:")
+    assert not (tmp_path / "cmp_summary.json").exists()
+
+
 def test_compare_rejects_invalid_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -255,6 +300,24 @@ def test_basin_zero_samples_uses_sweep_defaults(tmp_path, capsys):
     assert doc["config"]["t_end"] == 60.0
     assert doc["config"]["dt"] == 5e-3
     assert doc["summary"]["fraction"] is None
+
+
+@pytest.mark.parametrize("config, flags, t_end, dt", [
+    (None, ["--t-end", "7"], 7.0, 5e-3),
+    (None, ["--dt", "0.01"], 60.0, 0.01),
+    ({}, [], 40.0, 1e-3),
+    ({"dt": 0.02, "t_end": 3}, [], 3.0, 0.02),
+    ({"dt": 0.02}, ["--t-end", "5"], 5.0, 0.02),
+], ids=["t-end-flag", "dt-flag", "bare-config", "config-values", "config-and-flag"])
+def test_basin_sweep_defaults_apply_only_without_flags_and_config(tmp_path, config, flags,
+                                                                  t_end, dt):
+    # the 60 s / 5e-3 sweep defaults stand in for a missing --config, so a
+    # config that sets neither runs at SimConfig's defaults
+    out = tmp_path / "basin.json"
+    source = ELLIPSE_ARGS if config is None else ["--config", write_config(tmp_path, **config)]
+    run_ok(["basin", "--samples", "0"] + source + flags + ["--out", str(out)])
+    resolved = json.loads(out.read_text())["config"]
+    assert (resolved["t_end"], resolved["dt"]) == (t_end, dt)
 
 
 def test_basin_rejects_negative_samples(tmp_path, capsys):

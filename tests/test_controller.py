@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from se2track import (
     ControlPair,
@@ -161,6 +163,16 @@ def test_lyapunov_rate_closed_form(rng):
         assert rate <= 0.0
         # the rate is exactly minus the squared correction magnitude
         assert abs(rate + (u.omega**2 + u.v**2)) < 1e-12
+
+
+finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+poses = st.builds(Pose, st.floats(-math.pi, math.pi), st.tuples(finite, finite))
+
+
+@settings(max_examples=200, deadline=None)
+@given(poses, poses)
+def test_lyapunov_rate_is_never_positive(x, xd):
+    assert lyapunov_rate(right_error(x, xd), xd) <= 0.0
 
 
 def test_correction_depends_on_reference_position(rng):

@@ -2,21 +2,34 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from se2track import (
     CSV_COLUMNS,
     BasinSummary,
+    Gains,
+    KanayamaGains,
+    Pose,
     SimConfig,
     SimLog,
     SimulationDiverged,
     compare_controllers,
+    kanayama_control,
+    left_error,
     monte_carlo_basin,
     simulate,
+    total_control,
     trajectory_from_descriptor,
     wrap_angle,
 )
+from se2track.engine import _make_controller
 
 CIRCLE = {"family": "ellipse", "a": 1.0, "b": 1.0, "h": 1.0, "origin": [0.0, 0.0]}
+
+def finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
 
 # references for the bit-for-bit kernel checks
 BIT_DESCS = [
@@ -244,27 +257,40 @@ def test_kanayama_converges_near_track(ellipse_desc):
     assert log.heading_error()[-1] < 1e-3
 
 
-def test_kanayama_engine_loop_matches_library_law(ellipse_desc, rng):
-    # the scalar hot-loop implementation must agree with the structured
-    # one at arbitrary states and times
-    from se2track import (KanayamaGains, Pose, kanayama_control, left_error,
-                          trajectory_from_descriptor)
-    from se2track.engine import _make_controller
+LAW_DESCS = [
+    {"family": "ellipse", "a": 3.0, "b": 5.0, "h": 2.0 * math.pi / 5.0, "origin": [0.0, 0.0]},
+] + BIT_DESCS
 
-    cfg = SimConfig(trajectory=ellipse_desc, controller="kanayama",
-                    gains=(2.0, 8.0, 4.0))
-    traj = trajectory_from_descriptor(ellipse_desc)
-    control = _make_controller(cfg)
-    for _ in range(50):
-        t = float(rng.uniform(0.0, 10.0))
-        x = Pose(rng.uniform(-math.pi, math.pi), 3.0 * rng.standard_normal(2))
-        om, v, omt, vt = control(traj.state_at(t), x.theta, x.p[0], x.p[1])
-        ud = traj.input_at(t)
-        u = kanayama_control(left_error(x, traj.pose_at(t)), ud, KanayamaGains())
-        assert abs(om - u.omega) < 1e-12
-        assert abs(v - u.v) < 1e-12
-        assert abs(omt - (u.omega - ud.omega)) < 1e-12
-        assert abs(vt - (u.v - ud.v)) < 1e-12
+
+@pytest.mark.parametrize("controller, gains", [
+    ("spatial", (1.0, 1.0)),
+    ("spatial", (0.5, 2.0)),
+    ("kanayama", (2.0, 8.0, 4.0)),
+    ("kanayama", (1.0, 3.0, 0.5)),
+    ("feedforward", None),
+], ids=["spatial-unit", "spatial-scaled", "kanayama-default", "kanayama-other", "feedforward"])
+@settings(max_examples=60, deadline=None)
+@given(desc=st.sampled_from(LAW_DESCS), t=finite(0.0, 10.0), theta=finite(-math.pi, math.pi),
+       px=finite(-9.0, 9.0), py=finite(-9.0, 9.0))
+def test_engine_control_matches_library_law(controller, gains, desc, t, theta, px, py):
+    # the scalar hot-loop law must agree with the structured library law,
+    # which goes through the compose-based errors, at arbitrary states and times
+    cfg = SimConfig(trajectory=desc, controller=controller, gains=gains)
+    traj = trajectory_from_descriptor(desc)
+    x = Pose(theta, (px, py))
+    om, v, omt, vt = _make_controller(cfg)(traj.state_at(t), x.theta, x.p[0], x.p[1])
+    ud = traj.input_at(t)
+    if controller == "feedforward":
+        assert (om, v, omt, vt) == (ud.omega, ud.v, 0.0, 0.0)
+        return
+    if controller == "spatial":
+        u = total_control(x, traj.pose_at(t), ud, Gains(*gains))
+    else:
+        u = kanayama_control(left_error(x, traj.pose_at(t)), ud, KanayamaGains(*gains))
+    assert abs(om - u.omega) < 1e-12
+    assert abs(v - u.v) < 1e-12
+    assert abs(omt - (u.omega - ud.omega)) < 1e-12
+    assert abs(vt - (u.v - ud.v)) < 1e-12
 
 
 def test_divergence_is_reported_with_step(ellipse_desc):
@@ -333,7 +359,7 @@ def test_basin_finals_equal_simulate_bit_for_bit(desc, controller):
 
 def per_step_reference_log(cfg):
     """The log of the per-step loop that called state_at at every RK4 stage."""
-    from se2track.engine import _initial_state, _log_row, _make_controller
+    from se2track.engine import _initial_state, _log_row
 
     state_at = trajectory_from_descriptor(cfg.trajectory).state_at
     control = _make_controller(cfg)

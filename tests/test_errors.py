@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from se2track import (
     ControlPair,
@@ -16,7 +18,12 @@ from se2track import (
     right_error_rate,
     tracking_distance,
     wedge,
+    wrap_angle,
 )
+from se2track.errors import _lyapunov_scalars, _spatial_position
+
+finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+poses = st.builds(Pose, st.floats(-math.pi, math.pi), st.tuples(finite, finite))
 
 
 def random_pose(rng, scale=3.0):
@@ -93,6 +100,21 @@ def test_lyapunov_closed_form_and_frobenius(rng):
         assert abs(val - closed) < 1e-12
         assert abs(val - frob) < 1e-10
         assert val >= 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(poses, poses)
+def test_scalar_kernels_match_group_definitions(x, xd):
+    # the simulation's float kernels against compose(x, inverse(xd)) and
+    # half the squared Frobenius distance of its matrix to the identity;
+    # the control passes the heading difference unwrapped, the log row wrapped
+    e = right_error(x, xd)
+    frob = 0.5 * np.sum((e.pose.to_matrix() - np.eye(3)) ** 2)
+    dth = x.theta - xd.theta
+    for theta_E in (dth, wrap_angle(dth)):
+        pEx, pEy = _spatial_position(theta_E, x.p[0], x.p[1], xd.p[0], xd.p[1])
+        assert abs(pEx - e.p[0]) < 1e-12 and abs(pEy - e.p[1]) < 1e-12
+        assert abs(_lyapunov_scalars(theta_E, pEx, pEy) - frob) < 1e-10
 
 
 def test_lyapunov_accepts_both_kinds(rng):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from se2track import (
     AlgebraVector,
@@ -115,15 +117,19 @@ def test_adjoint_is_group_morphism(rng):
                            adjoint_matrix(g) @ adjoint_matrix(h), atol=1e-12)
 
 
-def test_exp_log_round_trip(rng):
-    for _ in range(300):
-        x = rng.standard_normal(3) * 2.0
-        if abs(x[0]) >= math.pi - 1e-3:
-            continue  # stay on the principal branch
-        assert np.allclose(log_se2(exp_se2(x)), x, atol=1e-10)
-    for _ in range(100):
-        g = random_pose(rng)
-        assert exp_se2(log_se2(g)).isclose(g, tol=1e-10)
+finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-math.pi + 1e-3, math.pi - 1e-3), finite, finite,
+       st.floats(-math.pi, math.pi, exclude_max=True))
+def test_exp_log_round_trip(om, vx, vy, theta):
+    # log inverts exp on the principal branch, away from the +/-pi branch
+    # point; both go through the small-angle series near 0
+    x = np.array([om, vx, vy])
+    assert np.allclose(log_se2(exp_se2(x), strict=True), x, atol=1e-10)
+    g = Pose(theta, (vx, vy))
+    assert exp_se2(log_se2(g)).isclose(g, tol=1e-10)
 
 
 def test_exp_small_angle_series():
