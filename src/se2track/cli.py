@@ -29,6 +29,7 @@ from .engine import (
     CONTROLLERS,
     SimConfig,
     SimulationDiverged,
+    _write_csv,
     compare_controllers,
     monte_carlo_basin,
     simulate,
@@ -98,11 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run one closed-loop simulation")
+    p.set_defaults(run=cmd_simulate)
     _add_trajectory_flags(p)
     _add_run_flags(p)
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("pe-check", help="persistent-excitation scan of a reference")
+    p.set_defaults(run=cmd_pe_check)
     _add_trajectory_flags(p)
     p.add_argument("--window", type=float, default=None,
                    help="window length T, s (default: one period, or 5 if aperiodic)")
@@ -113,16 +116,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="optional JSON report path")
 
     p = sub.add_parser("lin-check", help="linearization structure and decay diagnostics")
+    p.set_defaults(run=cmd_lin_check)
     _add_trajectory_flags(p)
     p.add_argument("--t-end", type=float, default=25.0, help="LTV probe horizon, s")
     p.add_argument("--dt", type=float, default=1e-3, help="probe step, s")
     p.add_argument("--out", default=None, help="optional JSON report path")
 
     p = sub.add_parser("compare", help="run several controllers on one scenario")
+    p.set_defaults(run=cmd_compare)
     p.add_argument("--config", required=True, help="JSON scenario file (see README)")
     p.add_argument("--out", default="compare", help="output stem for CSVs and summary")
 
     p = sub.add_parser("basin", help="Monte-Carlo convergence sweep")
+    p.set_defaults(run=cmd_basin)
     _add_trajectory_flags(p)
     _add_run_flags(p)
     p.add_argument("--samples", type=int, default=100, help="number of draws (default 100)")
@@ -147,11 +153,16 @@ def _trajectory_descriptor(args) -> dict:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _resolve_sim_config(args, defaults=None) -> SimConfig:
@@ -285,6 +296,9 @@ def _compare_config(path: str):
     for i, entry in enumerate(ctrls):
         if isinstance(entry, str):
             entry = {"name": entry}
+        if not isinstance(entry, dict):
+            bad.append(f"controllers[{i}]={entry!r}")
+            continue
         name = entry.get("name")
         if name not in CONTROLLERS:
             bad.append(f"controllers[{i}].name={name!r}")
@@ -293,7 +307,27 @@ def _compare_config(path: str):
         cfgs.append(_sim_config({**run, "controller": name, "gains": entry.get("gains") or None}))
     if bad:
         raise ConfigError(f"compare config {path}: invalid entries: {', '.join(bad)}")
-    return cfgs, float(doc.get("threshold", 1e-2))
+    try:
+        return cfgs, float(doc.get("threshold", 1e-2))
+    except (TypeError, ValueError):
+        raise ConfigError(f"compare config {path}: threshold must be a number, "
+                          f"got {doc['threshold']!r}")
+
+
+def _long_rows(cfgs, logs):
+    """Rows (controller, run, t, variable, value) of the long-format table, one series at a time."""
+    for i, (cfg, log) in enumerate(zip(cfgs, logs)):
+        t = log.t.tolist()
+        series = {
+            "px": log.column("px"), "py": log.column("py"),
+            "pxd": log.column("pxd"), "pyd": log.column("pyd"),
+            "position_error": log.position_error(),
+            "heading_error": log.heading_error(),
+            "lyapunov": log.lyap,
+        }
+        for var, vals in series.items():
+            for tk, vk in zip(t, vals.tolist()):
+                yield cfg.controller, i, tk, var, vk
 
 
 def cmd_compare(args) -> int:
@@ -311,20 +345,7 @@ def cmd_compare(args) -> int:
         paths.append(str(path))
 
     long_path = Path(f"{stem}_long.csv")
-    with open(long_path, "w", newline="\n") as fh:
-        fh.write("controller,run,t,variable,value\n")
-        for i, (cfg, log) in enumerate(zip(cfgs, logs)):
-            t = log.t
-            series = {
-                "px": log.column("px"), "py": log.column("py"),
-                "pxd": log.column("pxd"), "pyd": log.column("pyd"),
-                "position_error": log.position_error(),
-                "heading_error": log.heading_error(),
-                "lyapunov": log.lyap,
-            }
-            for var, vals in series.items():
-                for tk, vk in zip(t, vals):
-                    fh.write(f"{cfg.controller},{i},{tk!r},{var},{vk!r}\n")
+    _write_csv(long_path, ("controller", "run", "t", "variable", "value"), _long_rows(cfgs, logs))
 
     summary = {
         "threshold": threshold,
@@ -345,7 +366,7 @@ def cmd_compare(args) -> int:
 def cmd_basin(args) -> int:
     # draws far from the reference need longer to settle than one run
     cfg = _resolve_sim_config(args, defaults={"t_end": 60.0, "dt": 5e-3})
-    seed = args.seed if args.seed is not None else 0
+    seed = cfg.seed if cfg.seed is not None else 0
     summary = monte_carlo_basin(cfg, samples=args.samples, seed=seed,
                                 threshold=args.threshold)
     frac = "n/a" if summary.fraction is None else f"{summary.fraction:.3f}"
@@ -367,17 +388,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "pe-check":
-            return cmd_pe_check(args)
-        if args.command == "lin-check":
-            return cmd_lin_check(args)
-        if args.command == "compare":
-            return cmd_compare(args)
-        if args.command == "basin":
-            return cmd_basin(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(args)
     except SimulationDiverged as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return 1

@@ -27,7 +27,7 @@ so a long run never holds tuples for all of its steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -35,7 +35,8 @@ import numpy as np
 from .controller import Gains, KanayamaGains, _kanayama_scalars, correction_scalars
 from .errors import _lyapunov_scalars, _spatial_position
 from .se2 import wrap_angle
-from .trajectories import DesiredTrajectory, require_finite, trajectory_from_descriptor
+from .trajectories import (DesiredTrajectory, _require_positive, require_finite,
+                           trajectory_from_descriptor)
 
 CONTROLLERS = ("spatial", "kanayama", "feedforward")
 
@@ -52,6 +53,10 @@ GAINS = {"spatial": Gains, "kanayama": KanayamaGains}
 
 # steps per block of the reference grids turned into float tuples at a time
 _BLOCK = 512
+
+# basin draws: |theta_E| <= pi - _THETA_MARGIN, p_E in [-_P_BOX, _P_BOX]^2
+_THETA_MARGIN = 0.05
+_P_BOX = 5.0
 
 
 class SimulationDiverged(RuntimeError):
@@ -87,10 +92,8 @@ class SimConfig:
     def __post_init__(self):
         if self.controller not in CONTROLLERS:
             raise ValueError(f"unknown controller {self.controller!r}; pick one of {CONTROLLERS}")
-        require_finite("dt", self.dt)
+        _require_positive("dt", self.dt)
         require_finite("t_end", self.t_end)
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
         if self.t_end < self.dt:
             raise ValueError("t_end must be at least one step long")
         if len(self.offset) != 3:
@@ -112,15 +115,7 @@ class SimConfig:
         return int(round(self.t_end / self.dt))
 
     def to_dict(self) -> dict:
-        return {
-            "trajectory": dict(self.trajectory),
-            "controller": self.controller,
-            "gains": None if self.gains is None else list(self.gains),
-            "offset": list(self.offset),
-            "dt": self.dt,
-            "t_end": self.t_end,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
@@ -169,10 +164,7 @@ class SimLog:
 
     def to_csv(self, path) -> None:
         """Write the log with shortest round-trip decimals and LF endings."""
-        with open(path, "w", newline="\n") as fh:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-            for row in self.data:
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        _write_csv(path, CSV_COLUMNS, (row.tolist() for row in self.data))
 
     @classmethod
     def from_csv(cls, path) -> "SimLog":
@@ -183,6 +175,17 @@ class SimLog:
             rows = [[float(tok) for tok in line.split(",")] for line in fh if line.strip()]
         data = np.array(rows, dtype=float).reshape(-1, len(CSV_COLUMNS))
         return cls(data=data)
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write rows of Python scalars (not numpy ones: see tolist) as CSV with LF endings.
+
+    A Python float prints as its shortest round-trip decimal.
+    """
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def _make_controller(cfg: SimConfig):
@@ -346,26 +349,15 @@ class BasinSummary:
         return None if self.samples == 0 else self.converged / self.samples
 
     def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "converged": self.converged,
-            "fraction": self.fraction,
-            "threshold": self.threshold,
-            "t_end": self.t_end,
-            "seed": self.seed,
-            "final_lyapunov": list(self.final_lyapunov),
-            "failures": list(self.failures),
-        }
+        return {**asdict(self), "fraction": self.fraction}
 
 
 def monte_carlo_basin(cfg: SimConfig, samples: int, seed: int,
-                      threshold: float = 1e-6,
-                      theta_margin: float = 0.05,
-                      p_box: float = 5.0) -> BasinSummary:
+                      threshold: float = 1e-6) -> BasinSummary:
     """Sweep random initial spatial errors and count convergences.
 
-    Draws theta_E uniform on [-pi + theta_margin, pi - theta_margin]
-    and p_E uniform on [-p_box, p_box]^2, places the vehicle so the
+    Draws theta_E uniform on [-pi + _THETA_MARGIN, pi - _THETA_MARGIN]
+    and p_E uniform on [-_P_BOX, _P_BOX]^2, places the vehicle so the
     initial spatial error is exactly the draw, runs each case, and
     counts final Lyapunov values below threshold. Deterministic for a
     fixed seed. The margin keeps draws away from the antipodal
@@ -373,6 +365,7 @@ def monte_carlo_basin(cfg: SimConfig, samples: int, seed: int,
     """
     if samples < 0:
         raise ValueError(f"sample count must be non-negative, got {samples}")
+    _require_positive("threshold", threshold)
     rng = np.random.default_rng(seed)
     traj = trajectory_from_descriptor(cfg.trajectory)
     grids = _reference_grids(traj, cfg.dt, cfg.steps)
@@ -383,9 +376,9 @@ def monte_carlo_basin(cfg: SimConfig, samples: int, seed: int,
     finals = []
     failures = []
     for i in range(samples):
-        thE = rng.uniform(-math.pi + theta_margin, math.pi - theta_margin)
-        pEx = rng.uniform(-p_box, p_box)
-        pEy = rng.uniform(-p_box, p_box)
+        thE = rng.uniform(-math.pi + _THETA_MARGIN, math.pi - _THETA_MARGIN)
+        pEx = rng.uniform(-_P_BOX, _P_BOX)
+        pEy = rng.uniform(-_P_BOX, _P_BOX)
         # invert E_R(0) = (thE, pE): p(0) = pE + R(thE) p_d(0)
         c, s = math.cos(thE), math.sin(thE)
         dx = pEx + (c * pdx0 - s * pdy0) - pdx0
@@ -416,15 +409,7 @@ class ComparisonRow:
     final_lyapunov: float
 
     def to_dict(self) -> dict:
-        return {
-            "controller": self.controller,
-            "gains": None if self.gains is None else list(self.gains),
-            "time_to_heading": self.time_to_heading,
-            "time_to_position": self.time_to_position,
-            "final_heading_error": self.final_heading_error,
-            "final_position_error": self.final_position_error,
-            "final_lyapunov": self.final_lyapunov,
-        }
+        return asdict(self)
 
 
 def _settle_time(t: np.ndarray, err: np.ndarray, threshold: float) -> Optional[float]:

@@ -13,14 +13,14 @@ explicit about what was checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.integrate import simpson
 
 from .controller import regressor, regressor_on_grid
 from .se2 import Pose, cos_sin, wrap_angle
-from .trajectories import DesiredTrajectory, on_grid
+from .trajectories import DesiredTrajectory, _require_positive, on_grid
 
 
 @dataclass(frozen=True)
@@ -41,13 +41,7 @@ class PEReport:
         return self.epsilon > 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "window_T": self.window_T,
-            "epsilon": self.epsilon,
-            "horizon": self.horizon,
-            "grid_points_per_window": self.grid_points_per_window,
-            "certifies_pe": self.certifies_pe,
-        }
+        return {**asdict(self), "certifies_pe": self.certifies_pe}
 
 
 def window_gram(F, t: float, T: float, n: int = 401) -> np.ndarray:
@@ -75,6 +69,8 @@ def pe_epsilon(F, horizon: float, T: float, windows: int = 64, n: int = 401) -> 
     epsilon = min over starts of the smallest eigenvalue of
     window_gram(F, start, T, n). Deterministic for fixed arguments.
     """
+    _require_positive("window length T", T)
+    _require_positive("horizon", horizon)
     if horizon < T:
         raise ValueError("horizon must be at least one window long")
     if windows < 1:

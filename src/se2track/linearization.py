@@ -19,15 +19,15 @@ ground truth the -M S structure is verified against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
 from .controller import correction_scalars
 from .excitation import window_gram
 from .se2 import B_SELECT, S_WEIGHT, Pose, adjoint_matrix, cos_sin, stack_matrices, wrap_angle
-from .trajectories import DesiredTrajectory, on_grid
+from .trajectories import DesiredTrajectory, _require_positive, on_grid
 
 _SQRT_S = np.diag([math.sqrt(2.0), 1.0, 1.0])
 
@@ -35,6 +35,13 @@ _SQRT_S = np.diag([math.sqrt(2.0), 1.0, 1.0])
 # the grid evaluation, few enough that memory does not grow with the
 # horizon (three full-length stage grids raised peak RSS by about 10%).
 _LTV_BLOCK = 512
+
+# trailing fraction of the horizon that the decay rate is fitted on
+_TAIL_FRACTION = 0.6
+# lin_check's reference times of the structure and Jacobian checks
+_N_SAMPLES = 10
+# Simpson points of the window Gram over [0, T]
+_GRAM_POINTS = 201
 
 
 @dataclass(frozen=True)
@@ -74,17 +81,7 @@ class LinCheckReport:
     verdict: str
 
     def to_dict(self) -> dict:
-        return {
-            "sample_times": list(self.sample_times),
-            "max_structure_residual": self.max_structure_residual,
-            "max_fd_residual": self.max_fd_residual,
-            "fitted_decay_rate": self.fitted_decay_rate,
-            "fit_window": list(self.fit_window),
-            "r_squared": self.r_squared,
-            "pe_epsilon": self.pe_epsilon,
-            "pe_window": self.pe_window,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def actuation_gram(xd: Pose) -> np.ndarray:
@@ -186,12 +183,12 @@ def _ltv_rk4(A: Callable[[float], np.ndarray], x0: np.ndarray, t_end: float, dt:
     return times, norms
 
 
-def _fit_log_norm(times: np.ndarray, norms: np.ndarray, tail_fraction: float = 0.6):
-    """Least-squares line on log(norm) over the trailing fraction of the run.
+def _fit_log_norm(times: np.ndarray, norms: np.ndarray):
+    """Least-squares line on log(norm) over the trailing _TAIL_FRACTION of the run.
 
     Returns (decay rate = -slope, R^2, (t_lo, t_hi)).
     """
-    t0 = times[0] + (1.0 - tail_fraction) * (times[-1] - times[0])
+    t0 = times[0] + (1.0 - _TAIL_FRACTION) * (times[-1] - times[0])
     mask = times >= t0
     tt = times[mask]
     yy = np.log(np.maximum(norms[mask], 1e-300))
@@ -203,7 +200,7 @@ def _fit_log_norm(times: np.ndarray, norms: np.ndarray, tail_fraction: float = 0
 
 
 def stability_probe(A: Callable[[float], np.ndarray], x0, T: float, epsilon: float,
-                    t_end: float, dt: float = 1e-3, gram_points: int = 201) -> DecayReport:
+                    t_end: float, dt: float = 1e-3, gram_points: int = _GRAM_POINTS) -> DecayReport:
     """Integrate x_dot = -A(t) x and certify exponential decay of |x|.
 
     Preconditions are checked, not assumed: A(t) must be symmetric PSD
@@ -262,20 +259,21 @@ def closed_loop_ltv(traj: DesiredTrajectory) -> Callable[[float], np.ndarray]:
     return A_z
 
 
-def lin_check(traj: DesiredTrajectory, n_samples: int = 10, fd_step: float = 1e-6,
-              t_end: float = 25.0, dt: float = 1e-3, window: Optional[float] = None,
-              gram_points: int = 201) -> LinCheckReport:
+def lin_check(traj: DesiredTrajectory, t_end: float = 25.0, dt: float = 1e-3) -> LinCheckReport:
     """Run all linearization diagnostics along a reference trajectory.
 
     Checks (1) the explicit actuation-Gram block formula against the
     adjoint product, (2) the -M S closed-loop Jacobian against central
-    finite differences of the nonlinear loop, and (3) exponential decay
-    of the LTV linearization when the reference is exciting enough; a
-    non-exciting reference is reported as such with the (near-zero)
-    fitted rate instead of an error.
+    finite differences of the nonlinear loop, and (3) the decay rate of
+    the LTV linearization, fitted as stability_probe fits it. The window
+    Gram over one period (5 s if aperiodic) decides only the verdict.
     """
+    _require_positive("t_end", t_end)
+    _require_positive("dt", dt)
+    if int(round(t_end / dt)) < 2:
+        raise ValueError(f"t_end must span at least two steps of dt = {dt!r}, got {t_end!r}")
     horizon = traj.period if traj.period is not None else max(t_end, 10.0)
-    sample_times = [float(t) for t in np.linspace(0.0, horizon, n_samples)]
+    sample_times = [float(t) for t in np.linspace(0.0, horizon, _N_SAMPLES)]
 
     structure = 0.0
     fd = 0.0
@@ -284,24 +282,15 @@ def lin_check(traj: DesiredTrajectory, n_samples: int = 10, fd_step: float = 1e-
         M = actuation_gram(xd)
         Ad = adjoint_matrix(xd)
         structure = max(structure, float(np.max(np.abs(M - Ad @ B_SELECT @ B_SELECT.T @ Ad.T))))
-        fd = max(fd, float(np.max(np.abs(fd_closed_loop_jacobian(xd, fd_step) - (-M @ S_WEIGHT)))))
+        fd = max(fd, float(np.max(np.abs(fd_closed_loop_jacobian(xd) - (-M @ S_WEIGHT)))))
 
     A_z = closed_loop_ltv(traj)
-    T = window if window is not None else (traj.period if traj.period is not None else 5.0)
-    G = window_gram(_psd_sqrt_of(A_z), 0.0, T, gram_points)
-    eps = float(np.linalg.eigvalsh(G)[0])
-
-    x0 = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
-    if eps > 1e-9:
-        report = stability_probe(A_z, x0, T, 0.9 * eps, t_end, dt, gram_points)
-        rate, r2, fit_window = report.fitted_rate, report.r_squared, report.fit_window
-        verdict = "PE: linearization decays exponentially"
-    else:
-        # Not exciting: integrate the LTV flow anyway and report the
-        # (expected near-zero) fitted rate, skipping the probe's PE gate.
-        times, norms = _ltv_rk4(A_z, x0, t_end, dt)
-        rate, r2, fit_window = _fit_log_norm(times, norms)
-        verdict = "not PE: no exponential certificate"
+    T = traj.period if traj.period is not None else 5.0
+    eps = float(np.linalg.eigvalsh(window_gram(_psd_sqrt_of(A_z), 0.0, T, _GRAM_POINTS))[0])
+    times, norms = _ltv_rk4(A_z, np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0), t_end, dt)
+    rate, r2, fit_window = _fit_log_norm(times, norms)
+    verdict = ("PE: linearization decays exponentially" if eps > 1e-9
+               else "not PE: no exponential certificate")
 
     return LinCheckReport(
         sample_times=sample_times,

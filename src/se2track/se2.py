@@ -195,11 +195,14 @@ def adjoint_matrix(g: Pose) -> np.ndarray:
 
 
 def _jacobian_coefficients(om: float) -> tuple:
-    """(a, b) = (sin(om) / om, (1 - cos(om)) / om) of the translation Jacobian [[a, -b], [b, a]]."""
-    if abs(om) < 1e-8:
-        # 2nd-order series: (1 - cos(om)) / om cancels badly near 0
-        return 1.0 - om * om / 6.0, 0.5 * om
-    return math.sin(om) / om, (1.0 - math.cos(om)) / om
+    """(a, b) = (sin(om) / om, (1 - cos(om)) / om) of the translation Jacobian [[a, -b], [b, a]].
+
+    b is computed as 2 sin(om/2)^2 / om, which does not cancel near 0.
+    """
+    if om == 0.0:
+        return 1.0, 0.0
+    s = math.sin(0.5 * om)
+    return math.sin(om) / om, 2.0 * s * s / om
 
 
 def exp_se2(x) -> Pose:

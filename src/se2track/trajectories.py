@@ -32,6 +32,13 @@ def require_finite(what: str, *values) -> None:
         raise ValueError(f"{what} must be finite, got {shown!r}")
 
 
+def _require_positive(what: str, value) -> None:
+    """Raise ValueError unless value is a finite real number above 0."""
+    require_finite(what, value)
+    if not value > 0:
+        raise ValueError(f"{what} must be positive, got {value!r}")
+
+
 def on_grid(F, ts) -> np.ndarray:
     """Values of a function of time at every time in ts, stacked on axis 0.
 
@@ -161,12 +168,17 @@ def line_trajectory(speed: float, heading: float = 0.0, start=(0.0, 0.0)) -> Des
 
 
 def trajectory_from_descriptor(desc: dict) -> DesiredTrajectory:
-    """Rebuild a trajectory from its descriptor dict (manifest round-trip)."""
+    """Rebuild a trajectory from its descriptor dict (manifest round-trip); ValueError if malformed."""
     family = desc.get("family")
-    if family == "ellipse":
-        return ellipse_trajectory(desc["a"], desc["b"], desc["h"], desc.get("origin", (0.0, 0.0)))
-    if family == "line":
-        return line_trajectory(desc.get("speed", 0.0), desc.get("heading", 0.0), desc.get("start", (0.0, 0.0)))
+    try:
+        if family == "ellipse":
+            return ellipse_trajectory(desc["a"], desc["b"], desc["h"], desc.get("origin", (0.0, 0.0)))
+        if family == "line":
+            return line_trajectory(desc.get("speed", 0.0), desc.get("heading", 0.0), desc.get("start", (0.0, 0.0)))
+    except KeyError as exc:
+        raise ValueError(f"{family} trajectory lacks the parameter {exc}") from None
+    except (TypeError, IndexError):
+        raise ValueError(f"{family} trajectory needs numbers and x,y pairs, got {desc!r}") from None
     raise ValueError(f"unknown trajectory family: {family!r}")
 
 

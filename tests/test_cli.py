@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from se2track.cli import main
+from se2track.engine import SimLog
 
 ELLIPSE_ARGS = ["--a", "1", "--b", "1", "--h", "1"]
 QUICK = ["--dt", "0.01", "--t-end", "2"]
@@ -247,6 +248,25 @@ def test_compare_writes_all_outputs(tmp_path, capsys):
     assert len(summary["csv_files"]) == 3
 
 
+def test_compare_long_table_holds_plain_floats_of_the_run_logs(tmp_path):
+    stem = tmp_path / "cmp"
+    run_ok(["compare", "--config", str(_compare_config(tmp_path)), "--out", str(stem)])
+    logs = [SimLog.from_csv(tmp_path / f"cmp_{i}_{name}.csv")
+            for i, name in enumerate(("spatial", "kanayama", "feedforward"))]
+    lines = (tmp_path / "cmp_long.csv").read_text().splitlines()[1:]
+    rows = [line.split(",") for line in lines]
+    for _, run, t, var, value in rows:
+        log = logs[int(run)]
+        series = {"px": log.column("px"), "py": log.column("py"),
+                  "pxd": log.column("pxd"), "pyd": log.column("pyd"),
+                  "position_error": log.position_error(),
+                  "heading_error": log.heading_error(), "lyapunov": log.lyap}[var]
+        k = int(round(float(t) / 0.02))
+        assert float(t) == log.t[k]
+        assert float(value) == series[k]
+    assert len(rows) == sum(7 * len(log) for log in logs)
+
+
 def test_compare_outputs_are_deterministic(tmp_path):
     cfg = _compare_config(tmp_path)
     stem = tmp_path / "cmp"
@@ -300,6 +320,8 @@ def test_basin_zero_samples_uses_sweep_defaults(tmp_path, capsys):
     assert doc["config"]["t_end"] == 60.0
     assert doc["config"]["dt"] == 5e-3
     assert doc["summary"]["fraction"] is None
+    # without --seed or a config, the sweep runs seed 0 and records none
+    assert doc["config"]["seed"] is None and doc["summary"]["seed"] == 0
 
 
 @pytest.mark.parametrize("config, flags, t_end, dt", [
@@ -391,3 +413,55 @@ def test_non_finite_trajectory_flags_are_usage_errors(tmp_path, capsys, argv):
     assert not out.exists()
     assert main(["pe-check"] + argv) == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+def test_basin_config_reproduces_the_seeded_summary(tmp_path, capsys):
+    first = tmp_path / "b5.json"
+    again = tmp_path / "again.json"
+    run_ok(["basin"] + ELLIPSE_ARGS + ["--samples", "2", "--t-end", "2", "--dt", "0.01",
+                                       "--seed", "5", "--out", str(first)])
+    run_ok(["basin", "--config", str(first), "--samples", "2", "--out", str(again)])
+    assert "seed 5" in capsys.readouterr().out.splitlines()[-2]
+    d1 = json.loads(first.read_text())
+    d2 = json.loads(again.read_text())
+    assert d2["config"]["seed"] == d2["summary"]["seed"] == 5
+    assert d2["summary"]["final_lyapunov"] == d1["summary"]["final_lyapunov"]
+
+
+_ELLIPSE = {"family": "ellipse", "a": 1.0, "b": 1.0, "h": 1.0}
+
+
+@pytest.mark.parametrize("command, content", [
+    ("simulate", [1, 2]),
+    ("compare", 5),
+    ("compare", {"trajectory": _ELLIPSE, "controllers": [5]}),
+    ("compare", {"trajectory": _ELLIPSE, "controllers": ["spatial"], "threshold": None}),
+    ("simulate", {"trajectory": {"family": "ellipse"}}),
+    ("simulate", {"trajectory": {"family": "line", "start": 5}}),
+    ("simulate", None),
+], ids=["array", "bare-number", "number-entry", "null-threshold", "ellipse-without-axes",
+        "scalar-line-start", "directory"])
+def test_malformed_config_files_are_usage_errors(tmp_path, capsys, command, content):
+    path = tmp_path / "config.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(json.dumps(content))
+    run = QUICK + ["--out", str(tmp_path / "x.csv")] if command == "simulate" else []
+    assert main([command, "--config", str(path)] + run) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["lin-check", "--dt", "0"], "dt must be positive, got 0.0"),
+    (["lin-check", "--t-end", "0"], "t_end must be positive, got 0.0"),
+    (["lin-check", "--t-end", "0.0004"], "got 0.0004"),
+    (["pe-check", "--window", "inf"], "window length T must be finite, got inf"),
+    (["pe-check", "--horizon", "nan"], "horizon must be finite, got nan"),
+    (["basin", "--threshold", "nan", "--samples", "0"], "threshold must be finite, got nan"),
+], ids=["lin-check-dt-0", "lin-check-t-end-0", "lin-check-one-step", "pe-check-window-inf",
+        "pe-check-horizon-nan", "basin-threshold-nan"])
+def test_bad_numeric_flags_are_usage_errors(capsys, argv, shown):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and shown in err

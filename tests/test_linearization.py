@@ -14,6 +14,7 @@ from se2track import (
     line_trajectory,
     stability_probe,
 )
+from se2track import linearization
 from se2track.se2 import B_SELECT, S_WEIGHT
 
 
@@ -128,6 +129,24 @@ def test_lin_check_on_exciting_ellipse():
     d = rep.to_dict()
     assert d["verdict"] == rep.verdict
     assert len(d["sample_times"]) == 10
+
+
+def test_lin_check_fits_once_as_stability_probe_does(monkeypatch):
+    # one window Gram and one integration, with the decay fit that the
+    # probe reports on the same flow
+    traj = ellipse_trajectory(3.0, 5.0, 2.0 * math.pi / 5.0)
+    grams = []
+    window_gram = linearization.window_gram
+    monkeypatch.setattr(linearization, "window_gram",
+                        lambda *args: grams.append(args) or window_gram(*args))
+    monkeypatch.setattr(linearization, "stability_probe", None)
+    rep = lin_check(traj, t_end=5.0)
+    monkeypatch.undo()
+    assert len(grams) == 1
+    probe = stability_probe(closed_loop_ltv(traj), np.ones(3) / math.sqrt(3.0), traj.period,
+                            0.9 * rep.pe_epsilon, t_end=5.0)
+    assert (rep.fitted_decay_rate, rep.r_squared, rep.fit_window) == \
+        (probe.fitted_rate, probe.r_squared, probe.fit_window)
 
 
 def test_lin_check_on_stationary_reference():
