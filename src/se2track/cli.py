@@ -35,6 +35,7 @@ from .engine import (
     simulate,
 )
 from .excitation import (
+    _default_window,
     controller_regressor,
     ellipse_pe_closed_form,
     pe_epsilon,
@@ -235,7 +236,7 @@ def cmd_simulate(args) -> int:
 def cmd_pe_check(args) -> int:
     desc = _trajectory_descriptor(args)
     traj = trajectory_from_descriptor(desc)
-    T = args.window if args.window is not None else (traj.period or 5.0)
+    T = args.window if args.window is not None else _default_window(traj)
     horizon = args.horizon if args.horizon is not None else 5.0 * T
     report = pe_epsilon(controller_regressor(traj), horizon, T,
                         windows=args.windows, n=args.points)
@@ -249,9 +250,8 @@ def cmd_pe_check(args) -> int:
     if desc["family"] == "ellipse":
         a, b, h = desc["a"], desc["b"], desc["h"]
         closed = ellipse_pe_closed_form(a, b, h)
-        period = 2.0 * math.pi / abs(h)
         quad = window_gram(uniform_heading_ellipse_regressor(a, b, h, desc["origin"]),
-                           0.0, period, args.points)
+                           0.0, traj.period, args.points)
         resid = float(np.max(np.abs(quad - closed)) / np.max(np.abs(closed)))
         doc["uniform_heading_convention"] = {
             "closed_form_diag": [float(closed[i, i]) for i in range(3)],

@@ -327,8 +327,8 @@ def simulate(cfg: SimConfig) -> SimLog:
     steps = cfg.steps
     grids = _reference_grids(traj, cfg.dt, steps)
     data = np.empty((steps + 1, len(CSV_COLUMNS)))
-    _integrate(_make_controller(cfg), _initial_state(traj.state_at(0.0), cfg.offset),
-               grids, cfg.dt, data)
+    ref0 = next(_ref_tuples(grids[0], 0, 1))
+    _integrate(_make_controller(cfg), _initial_state(ref0, cfg.offset), grids, cfg.dt, data)
     return SimLog(data=data, config=cfg)
 
 
@@ -370,7 +370,7 @@ def monte_carlo_basin(cfg: SimConfig, samples: int, seed: int,
     traj = trajectory_from_descriptor(cfg.trajectory)
     grids = _reference_grids(traj, cfg.dt, cfg.steps)
     control = _make_controller(cfg)
-    ref0 = traj.state_at(0.0)
+    ref0 = next(_ref_tuples(grids[0], 0, 1))
     _, pdx0, pdy0, _, _ = ref0
 
     finals = []
@@ -429,8 +429,10 @@ def compare_controllers(cfgs, threshold: float = 1e-2):
     """Run several controllers on the same scenario and tabulate metrics.
 
     All configs must share the trajectory and initial offset (that is
-    the point of the comparison). Returns (rows, logs) in input order.
+    the point of the comparison), and threshold must be positive.
+    Returns (rows, logs) in input order.
     """
+    _require_positive("threshold", threshold)
     cfgs = list(cfgs)
     if not cfgs:
         raise ValueError("need at least one config to compare")

@@ -19,8 +19,8 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .controller import regressor, regressor_on_grid
-from .se2 import Pose, cos_sin, wrap_angle
-from .trajectories import DesiredTrajectory, _require_positive, on_grid
+from .se2 import Pose, wrap_angle
+from .trajectories import DesiredTrajectory, _require_positive, ellipse_trajectory, on_grid
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,11 @@ class PEReport:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "certifies_pe": self.certifies_pe}
+
+
+def _default_window(traj: DesiredTrajectory) -> float:
+    """The PE window length of a reference: one period, or 5 s if aperiodic."""
+    return traj.period if traj.period is not None else 5.0
 
 
 def window_gram(F, t: float, T: float, n: int = 401) -> np.ndarray:
@@ -105,18 +110,19 @@ def ellipse_pe_closed_form(a: float, b: float, h: float) -> np.ndarray:
 def uniform_heading_ellipse_regressor(a: float, b: float, h: float, origin=(0.0, 0.0)):
     """Regressor t -> 2x3 matrix for the uniform-heading ellipse convention.
 
-    Pose: theta_d = ht, p_d = origin + (a cos(ht), b sin(ht)). This is
-    the convention under which ellipse_pe_closed_form is exact.
+    Pose: theta_d = ht, p_d that of ellipse_trajectory(a, b, h, origin),
+    which rejects degenerate axes and rates. This is the convention
+    under which ellipse_pe_closed_form is exact.
     """
-    ox, oy = float(origin[0]), float(origin[1])
+    traj = ellipse_trajectory(a, b, h, origin)
 
     def F(t: float) -> np.ndarray:
-        return regressor(Pose(h * t, np.array([ox + a * math.cos(h * t), oy + b * math.sin(h * t)])))
+        _, px, py, _, _ = traj.state_at(t)
+        return regressor(Pose(h * t, np.array([px, py])))
 
     def F_on_grid(ts: np.ndarray) -> np.ndarray:
-        ht = h * ts
-        c, s = cos_sin(ht)
-        return regressor_on_grid(wrap_angle(ht), ox + a * c, oy + b * s)
+        _, px, py, _, _ = traj.sample(ts)
+        return regressor_on_grid(wrap_angle(h * ts), px, py)
 
     F.array_form = F_on_grid
     return F

@@ -25,7 +25,8 @@ from typing import Callable
 import numpy as np
 
 from .controller import correction_scalars
-from .excitation import window_gram
+from .engine import SimulationDiverged
+from .excitation import _default_window, window_gram
 from .se2 import B_SELECT, S_WEIGHT, Pose, adjoint_matrix, cos_sin, stack_matrices, wrap_angle
 from .trajectories import DesiredTrajectory, _require_positive, on_grid
 
@@ -163,23 +164,27 @@ def _ltv_rk4(A: Callable[[float], np.ndarray], x0: np.ndarray, t_end: float, dt:
     """Classical RK4 on x_dot = -A(t) x from t = 0; returns (times, |x| at each).
 
     A is evaluated through on_grid on the stage grids k dt, k dt + dt/2
-    and k dt + dt, one block of _LTV_BLOCK steps at a time.
+    and k dt + dt, one block of _LTV_BLOCK steps at a time. Raises
+    SimulationDiverged, without numpy's overflow warnings, at the first non-finite |x|.
     """
     steps = int(round(t_end / dt))
     times = np.arange(steps + 1) * dt
     norms = np.empty(steps + 1)
     x = np.array(x0, dtype=float)
     norms[0] = math.sqrt(x.dot(x))
-    for start in range(0, steps, _LTV_BLOCK):
-        t = np.arange(start, min(start + _LTV_BLOCK, steps)) * dt
-        stages = zip(on_grid(A, t), on_grid(A, t + 0.5 * dt), on_grid(A, t + dt))
-        for k, (A1, A2, A3) in enumerate(stages, start + 1):
-            k1 = -(A1 @ x)
-            k2 = -(A2 @ (x + 0.5 * dt * k1))
-            k3 = -(A2 @ (x + 0.5 * dt * k2))
-            k4 = -(A3 @ (x + dt * k3))
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            norms[k] = math.sqrt(x.dot(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, steps, _LTV_BLOCK):
+            t = np.arange(start, min(start + _LTV_BLOCK, steps)) * dt
+            stages = zip(on_grid(A, t), on_grid(A, t + 0.5 * dt), on_grid(A, t + dt))
+            for k, (A1, A2, A3) in enumerate(stages, start + 1):
+                k1 = -(A1 @ x)
+                k2 = -(A2 @ (x + 0.5 * dt * k1))
+                k3 = -(A2 @ (x + 0.5 * dt * k2))
+                k4 = -(A3 @ (x + dt * k3))
+                x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                norms[k] = math.sqrt(x.dot(x))
+                if not math.isfinite(norms[k]):
+                    raise SimulationDiverged(k, k * dt)
     return times, norms
 
 
@@ -208,8 +213,8 @@ def stability_probe(A: Callable[[float], np.ndarray], x0, T: float, epsilon: flo
     the window Gram over [0, T] of the PSD square root of A must
     dominate epsilon * Id. Reports the decay rate fitted on the final
     60% of the horizon and whether |x| was monotone non-increasing.
-    A is evaluated through on_grid, so its array form is used when it
-    has one.
+    Raises SimulationDiverged if |x| stops being finite. A is evaluated
+    through on_grid, so its array form is used when it has one.
     """
     if epsilon <= 0.0:
         raise ValueError("excitation level epsilon must be positive")
@@ -267,6 +272,7 @@ def lin_check(traj: DesiredTrajectory, t_end: float = 25.0, dt: float = 1e-3) ->
     finite differences of the nonlinear loop, and (3) the decay rate of
     the LTV linearization, fitted as stability_probe fits it. The window
     Gram over one period (5 s if aperiodic) decides only the verdict.
+    Raises SimulationDiverged if the LTV flow does not stay finite.
     """
     _require_positive("t_end", t_end)
     _require_positive("dt", dt)
@@ -285,7 +291,7 @@ def lin_check(traj: DesiredTrajectory, t_end: float = 25.0, dt: float = 1e-3) ->
         fd = max(fd, float(np.max(np.abs(fd_closed_loop_jacobian(xd) - (-M @ S_WEIGHT)))))
 
     A_z = closed_loop_ltv(traj)
-    T = traj.period if traj.period is not None else 5.0
+    T = _default_window(traj)
     eps = float(np.linalg.eigvalsh(window_gram(_psd_sqrt_of(A_z), 0.0, T, _GRAM_POINTS))[0])
     times, norms = _ltv_rk4(A_z, np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0), t_end, dt)
     rate, r2, fit_window = _fit_log_norm(times, norms)

@@ -107,32 +107,21 @@ def ellipse_trajectory(a: float, b: float, h: float, origin=(0.0, 0.0)) -> Desir
     if h == 0.0:
         raise ValueError("ellipse rate h must be nonzero")
 
-    def state_at(t: float) -> tuple:
-        c = math.cos(h * t)
-        s = math.sin(h * t)
+    def rows(c, s) -> tuple:
+        """(dx, dy, px, py, Omega_d, |dp_d/dt|^2) at cos(ht) = c, sin(ht) = s; floats or arrays."""
         dx = -a * h * s
         dy = b * h * c
-        speed2 = dx * dx + dy * dy
-        return (
-            math.atan2(dy, dx),
-            ox + a * c,
-            oy + b * s,
-            a * b * h / (a * a * s * s + b * b * c * c),
-            math.sqrt(speed2),
-        )
+        return (dx, dy, ox + a * c, oy + b * s,
+                a * b * h / (a * a * s * s + b * b * c * c), dx * dx + dy * dy)
+
+    def state_at(t: float) -> tuple:
+        dx, dy, px, py, omega, speed2 = rows(math.cos(h * t), math.sin(h * t))
+        return math.atan2(dy, dx), px, py, omega, math.sqrt(speed2)
 
     def state_on_grid(ts: np.ndarray) -> np.ndarray:
-        c, s = cos_sin(h * ts)
-        dx = -a * h * s
-        dy = b * h * c
-        speed2 = dx * dx + dy * dy
-        return np.stack([
-            np.array(list(map(math.atan2, dy.tolist(), dx.tolist()))),
-            ox + a * c,
-            oy + b * s,
-            a * b * h / (a * a * s * s + b * b * c * c),
-            np.sqrt(speed2),
-        ], axis=-1)
+        dx, dy, px, py, omega, speed2 = rows(*cos_sin(h * ts))
+        theta = np.array(list(map(math.atan2, dy.tolist(), dx.tolist())))
+        return np.stack([theta, px, py, omega, np.sqrt(speed2)], axis=-1)
 
     state_at.array_form = state_on_grid
     return DesiredTrajectory(
@@ -154,12 +143,8 @@ def line_trajectory(speed: float, heading: float = 0.0, start=(0.0, 0.0)) -> Des
     def state_at(t: float) -> tuple:
         return (heading, sx + cx * t, sy + cy * t, 0.0, speed)
 
-    def state_on_grid(ts: np.ndarray) -> np.ndarray:
-        n = len(ts)
-        return np.stack([np.full(n, heading), sx + cx * ts, sy + cy * ts,
-                         np.zeros(n), np.full(n, speed)], axis=-1)
-
-    state_at.array_form = state_on_grid
+    # the expression above already works on an array of times
+    state_at.array_form = lambda ts: np.stack(np.broadcast_arrays(*state_at(ts)), axis=-1)
     return DesiredTrajectory(
         state_at,
         period=None,

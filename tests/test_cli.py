@@ -211,6 +211,17 @@ def test_lin_check_writes_report(tmp_path, capsys):
     assert rep["verdict"].startswith("PE")
 
 
+def test_lin_check_diverged_flow_exits_one_without_report(tmp_path, capsys):
+    # far from the origin A_z grows like |p_d|^2, so RK4 at dt = 1e-3
+    # blows up; a fit of the resulting NaNs must not certify decay
+    out = tmp_path / "x.json"
+    assert main(["lin-check", "--origin", "1000,0", "--t-end", "1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("simulation failed:")
+    assert "PE" not in captured.out
+    assert not out.exists()
+
+
 def _compare_config(tmp_path, **overrides):
     doc = {
         "trajectory": {"family": "ellipse", "a": 1.0, "b": 1.0, "h": 1.0,
@@ -436,11 +447,13 @@ _ELLIPSE = {"family": "ellipse", "a": 1.0, "b": 1.0, "h": 1.0}
     ("compare", 5),
     ("compare", {"trajectory": _ELLIPSE, "controllers": [5]}),
     ("compare", {"trajectory": _ELLIPSE, "controllers": ["spatial"], "threshold": None}),
+    ("compare", {"trajectory": _ELLIPSE, "controllers": ["spatial"], "threshold": -1}),
+    ("compare", {"trajectory": _ELLIPSE, "controllers": ["spatial"], "threshold": 0}),
     ("simulate", {"trajectory": {"family": "ellipse"}}),
     ("simulate", {"trajectory": {"family": "line", "start": 5}}),
     ("simulate", None),
-], ids=["array", "bare-number", "number-entry", "null-threshold", "ellipse-without-axes",
-        "scalar-line-start", "directory"])
+], ids=["array", "bare-number", "number-entry", "null-threshold", "negative-threshold",
+        "zero-threshold", "ellipse-without-axes", "scalar-line-start", "directory"])
 def test_malformed_config_files_are_usage_errors(tmp_path, capsys, command, content):
     path = tmp_path / "config.json"
     if content is None:

@@ -117,6 +117,12 @@ def test_ellipse_closed_form_rejects_zero_rate():
         ellipse_pe_closed_form(1.0, 2.0, 0.0)
 
 
+@pytest.mark.parametrize("a,b,h", [(0.0, 5.0, 1.0), (3.0, 5.0, 0.0)])
+def test_uniform_heading_regressor_rejects_degenerate_ellipses(a, b, h):
+    with pytest.raises(ValueError):
+        uniform_heading_ellipse_regressor(a, b, h)
+
+
 def test_excitation_transfers_to_actuation_gram():
     # If the 2x3 regressor F is PE with level eps, the 3x3 closed-loop
     # matrix M(t) = F(t)^T F(t) (the actuation Gram) satisfies a window

@@ -5,6 +5,7 @@ import pytest
 
 from se2track import (
     Pose,
+    SimulationDiverged,
     actuation_gram,
     adjoint_matrix,
     closed_loop_ltv,
@@ -101,6 +102,15 @@ def test_probe_rejects_bad_inputs():
     indef = lambda t: np.diag([1.0, -1.0])
     with pytest.raises(ValueError, match="semi-definite"):
         stability_probe(indef, [1.0, 0.0], T=1.0, epsilon=0.1, t_end=2.0)
+
+
+def test_probe_raises_when_rk4_cannot_hold_the_flow():
+    # dt * lambda = 10 lies far outside RK4's stability interval (about
+    # 2.785), so |x| grows by about 290 per step until it overflows
+    with pytest.raises(SimulationDiverged) as exc:
+        stability_probe(lambda t: 1e4 * np.eye(3), [1.0, 1.0, 1.0], T=1.0, epsilon=1.0,
+                        t_end=1.0, dt=1e-3)
+    assert 0 < exc.value.step < 1000
 
 
 def test_closed_loop_ltv_is_similar_to_raw_linearization():

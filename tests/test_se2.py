@@ -120,6 +120,23 @@ def test_adjoint_is_group_morphism(rng):
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
 
+poses = st.builds(Pose, st.floats(-math.pi, math.pi, exclude_max=True),
+                  st.tuples(finite, finite))
+
+
+@settings(max_examples=300, deadline=None)
+@given(poses, poses, poses)
+def test_compose_is_associative(f, g, h):
+    assert compose(compose(f, g), h).isclose(compose(f, compose(g, h)), tol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(poses)
+def test_inverse_cancels_on_both_sides(g):
+    assert compose(g, inverse(g)).isclose(Pose.identity(), tol=1e-12)
+    assert compose(inverse(g), g).isclose(Pose.identity(), tol=1e-12)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.floats(-math.pi + 1e-3, math.pi - 1e-3), finite, finite,
        st.floats(-math.pi, math.pi, exclude_max=True))
