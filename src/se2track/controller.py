@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ErrorKind, GroupError, right_error
-from .se2 import (B_SELECT, S_WEIGHT, ControlPair, Pose, adjoint_matrix, cos_sin,
-                  se2_project, stack_matrices)
+from .se2 import B_SELECT, S_WEIGHT, ControlPair, Pose, adjoint_matrix, pose_matrix, se2_project
 
 
 @dataclass(frozen=True)
@@ -102,19 +101,7 @@ def regressor(xd: Pose) -> np.ndarray:
     Rows: effect of (unit-scaled) gradient coordinates on (Omega, v).
     Equals B^T Ad(xd)^T S; its squared Frobenius norm is 5 + |p_d|^2.
     """
-    c, s = math.cos(xd.theta), math.sin(xd.theta)
-    px, py = xd.p
-    return np.array(_regressor_rows(c, s, px, py))
-
-
-def regressor_on_grid(theta: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """regressor at the poses (theta[i], (px[i], py[i])), stacked on axis 0.
-
-    theta must already be wrapped the way Pose wraps it; each slice
-    equals the scalar regressor bit for bit.
-    """
-    c, s = cos_sin(theta)
-    return stack_matrices(_regressor_rows(c, s, px, py))
+    return pose_matrix(_regressor_rows, xd.theta, *xd.p)
 
 
 def _regressor_rows(c, s, px, py) -> list:

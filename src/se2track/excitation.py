@@ -18,9 +18,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.integrate import simpson
 
-from .controller import regressor, regressor_on_grid
-from .se2 import Pose, wrap_angle
-from .trajectories import DesiredTrajectory, _require_positive, ellipse_trajectory, on_grid
+from .controller import _regressor_rows
+from .controller import regressor  # noqa: F401 -- kept importable: bench/tracing.py patches it
+from .trajectories import DesiredTrajectory, _require_positive, along, ellipse_trajectory, on_grid
+
+# Smallest Gram eigenvalue that counts as excitation: a reference with no
+# excitation in some direction reads a rounding-level epsilon, of either sign.
+PE_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -28,7 +32,7 @@ class PEReport:
     """Result of a sliding-window excitation scan.
 
     epsilon is the smallest eigenvalue of the window Gram seen over the
-    scanned horizon; epsilon > 0 certifies PE at this resolution.
+    scanned horizon; epsilon above PE_FLOOR certifies PE at this resolution.
     """
 
     window_T: float
@@ -38,7 +42,7 @@ class PEReport:
 
     @property
     def certifies_pe(self) -> bool:
-        return self.epsilon > 0.0
+        return self.epsilon > PE_FLOOR
 
     def to_dict(self) -> dict:
         return {**asdict(self), "certifies_pe": self.certifies_pe}
@@ -92,19 +96,22 @@ def ellipse_pe_closed_form(a: float, b: float, h: float) -> np.ndarray:
     """One-period window Gram of the uniform-heading ellipse regressor.
 
     For the centered ellipse p_d = (a cos(ht), b sin(ht)) traversed with
-    uniform heading theta_d = ht, the Gram over one full period 2*pi/h
-    is exactly diagonal:
+    uniform heading theta_d = ht, the Gram over one full period 2*pi/|h|
+    is exactly diagonal, in either direction of travel:
 
-        diag(8*pi/h, (b^2 + 1)*pi/h, (a^2 + 1)*pi/h).
+        diag(8*pi/|h|, (b^2 + 1)*pi/|h|, (a^2 + 1)*pi/|h|).
 
-    Note the uniform-heading convention: for a != b this heading law is
-    not the one a unicycle actually needs to follow the ellipse (see
+    Only the centred ellipse has this form: an offset centre adds its
+    coordinates to the regressor's position entries. Note the
+    uniform-heading convention: for a != b this heading law is not the
+    one a unicycle actually needs to follow the ellipse (see
     ellipse_trajectory), so this closed form pairs with
     uniform_heading_ellipse_regressor, not with the simulated reference.
     """
     if h == 0.0:
         raise ValueError("ellipse rate h must be nonzero")
-    return np.diag([8.0 * math.pi / h, (b * b + 1.0) * math.pi / h, (a * a + 1.0) * math.pi / h])
+    return np.diag([8.0 * math.pi / abs(h), (b * b + 1.0) * math.pi / abs(h),
+                    (a * a + 1.0) * math.pi / abs(h)])
 
 
 def uniform_heading_ellipse_regressor(a: float, b: float, h: float, origin=(0.0, 0.0)):
@@ -112,35 +119,17 @@ def uniform_heading_ellipse_regressor(a: float, b: float, h: float, origin=(0.0,
 
     Pose: theta_d = ht, p_d that of ellipse_trajectory(a, b, h, origin),
     which rejects degenerate axes and rates. This is the convention
-    under which ellipse_pe_closed_form is exact.
+    under which ellipse_pe_closed_form is exact for the centred ellipse.
+    Takes a time or an array of times.
     """
-    traj = ellipse_trajectory(a, b, h, origin)
-
-    def F(t: float) -> np.ndarray:
-        _, px, py, _, _ = traj.state_at(t)
-        return regressor(Pose(h * t, np.array([px, py])))
-
-    def F_on_grid(ts: np.ndarray) -> np.ndarray:
-        _, px, py, _, _ = traj.sample(ts)
-        return regressor_on_grid(wrap_angle(h * ts), px, py)
-
-    F.array_form = F_on_grid
-    return F
+    return along(ellipse_trajectory(a, b, h, origin), _regressor_rows, heading=lambda t: h * t)
 
 
 def controller_regressor(traj: DesiredTrajectory):
     """Regressor t -> 2x3 matrix along a reference trajectory.
 
     This is the map whose persistent excitation the convergence theory
-    requires; feed it to pe_epsilon or window_gram.
+    requires; feed it to pe_epsilon or window_gram. Takes a time or an
+    array of times.
     """
-
-    def F(t: float) -> np.ndarray:
-        return regressor(traj.pose_at(t))
-
-    def F_on_grid(ts: np.ndarray) -> np.ndarray:
-        theta, px, py, _, _ = traj.sample(ts)
-        return regressor_on_grid(wrap_angle(theta), px, py)
-
-    F.array_form = F_on_grid
-    return F
+    return along(traj, _regressor_rows)

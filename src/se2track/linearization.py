@@ -26,9 +26,9 @@ import numpy as np
 
 from .controller import correction_scalars
 from .engine import SimulationDiverged
-from .excitation import _default_window, window_gram
-from .se2 import B_SELECT, S_WEIGHT, Pose, adjoint_matrix, cos_sin, stack_matrices, wrap_angle
-from .trajectories import DesiredTrajectory, _require_positive, on_grid
+from .excitation import PE_FLOOR, _default_window, window_gram
+from .se2 import B_SELECT, S_WEIGHT, Pose, adjoint_matrix, pose_matrix
+from .trajectories import DesiredTrajectory, _require_positive, along, on_grid
 
 _SQRT_S = np.diag([math.sqrt(2.0), 1.0, 1.0])
 
@@ -96,15 +96,7 @@ def actuation_gram(xd: Pose) -> np.ndarray:
     and equal to adjoint_matrix(xd) @ B @ B^T @ adjoint_matrix(xd)^T.
     Symmetric, positive semi-definite, rank 2.
     """
-    c, s = math.cos(xd.theta), math.sin(xd.theta)
-    px, py = xd.p
-    return np.array(_actuation_gram_rows(c, s, px, py))
-
-
-def _actuation_gram_on_grid(theta: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """actuation_gram at the poses (theta[i], (px[i], py[i])); theta already wrapped."""
-    c, s = cos_sin(theta)
-    return stack_matrices(_actuation_gram_rows(c, s, px, py))
+    return pose_matrix(_actuation_gram_rows, xd.theta, *xd.p)
 
 
 def _actuation_gram_rows(c, s, px, py) -> list:
@@ -151,12 +143,12 @@ def _psd_sqrt(A: np.ndarray) -> np.ndarray:
 
 
 def _psd_sqrt_of(A: Callable[[float], np.ndarray]) -> Callable[[float], np.ndarray]:
-    """t -> PSD square root of A(t), with an array form for on_grid."""
+    """t -> PSD square root of A(t), for a time or an array of times (through on_grid)."""
 
-    def R(t: float) -> np.ndarray:
-        return _psd_sqrt(np.asarray(A(t), dtype=float))
+    def R(t) -> np.ndarray:
+        return _psd_sqrt(np.asarray(A(t), dtype=float) if np.ndim(t) == 0 else on_grid(A, t))
 
-    R.array_form = lambda ts: _psd_sqrt(on_grid(A, ts))
+    R.array_form = R
     return R
 
 
@@ -249,18 +241,14 @@ def closed_loop_ltv(traj: DesiredTrajectory) -> Callable[[float], np.ndarray]:
     The raw linearization mu_dot = -M(t) S mu is similar (via
     z = sqrt(S) mu) to z_dot = -A_z(t) z with A_z symmetric PSD, which
     is the form stability_probe accepts. Decay rates agree. The
-    returned callable carries its array form for on_grid.
+    returned callable takes a time or an array of times.
     """
+    M = along(traj, _actuation_gram_rows)
 
-    def A_z(t: float) -> np.ndarray:
-        M = actuation_gram(traj.pose_at(t))
-        return _SQRT_S @ M @ _SQRT_S
+    def A_z(t) -> np.ndarray:
+        return _SQRT_S @ M(t) @ _SQRT_S
 
-    def A_z_on_grid(ts: np.ndarray) -> np.ndarray:
-        theta, px, py, _, _ = traj.sample(ts)
-        return _SQRT_S @ _actuation_gram_on_grid(wrap_angle(theta), px, py) @ _SQRT_S
-
-    A_z.array_form = A_z_on_grid
+    A_z.array_form = A_z
     return A_z
 
 
@@ -295,7 +283,7 @@ def lin_check(traj: DesiredTrajectory, t_end: float = 25.0, dt: float = 1e-3) ->
     eps = float(np.linalg.eigvalsh(window_gram(_psd_sqrt_of(A_z), 0.0, T, _GRAM_POINTS))[0])
     times, norms = _ltv_rk4(A_z, np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0), t_end, dt)
     rate, r2, fit_window = _fit_log_norm(times, norms)
-    verdict = ("PE: linearization decays exponentially" if eps > 1e-9
+    verdict = ("PE: linearization decays exponentially" if eps > PE_FLOOR
                else "not PE: no exponential certificate")
 
     return LinCheckReport(

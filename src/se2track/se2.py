@@ -55,6 +55,17 @@ def stack_matrices(rows) -> np.ndarray:
     return out
 
 
+def pose_matrix(rows, theta, px, py) -> np.ndarray:
+    """The matrix rows(cos theta, sin theta, px, py) at one pose or at a stack of poses.
+
+    A float theta gives one matrix; an array of angles gives the matrices
+    stacked on axis 0, each equal to its float value bit for bit.
+    """
+    if np.ndim(theta) == 0:
+        return np.array(rows(math.cos(theta), math.sin(theta), px, py))
+    return stack_matrices(rows(*cos_sin(theta), px, py))
+
+
 def rot(theta: float) -> np.ndarray:
     """2x2 rotation matrix for angle theta (radians)."""
     c, s = math.cos(theta), math.sin(theta)

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .se2 import ControlPair, Pose, cos_sin, wedge
+from .se2 import ControlPair, Pose, cos_sin, pose_matrix, wedge, wrap_angle
 
 
 def require_finite(what: str, *values) -> None:
@@ -83,6 +83,24 @@ class DesiredTrajectory:
         Each equals calling state_at at every time, bit for bit.
         """
         return tuple(on_grid(self.state_at, ts).T)
+
+
+def along(traj: DesiredTrajectory, rows, heading=None):
+    """t -> pose_matrix(rows, ...) at the reference pose X_d(t), for a time or an array of times.
+
+    A float t reads the pose from state_at, an array from sample. heading,
+    when given, is a function of time that replaces theta_d. The angle is
+    wrapped as Pose wraps it. The returned function is its own array_form.
+    """
+
+    def F(t):
+        theta, px, py, _, _ = traj.state_at(t) if np.ndim(t) == 0 else traj.sample(t)
+        if heading is not None:
+            theta = heading(t)
+        return pose_matrix(rows, wrap_angle(theta), px, py)
+
+    F.array_form = F
+    return F
 
 
 def ellipse_trajectory(a: float, b: float, h: float, origin=(0.0, 0.0)) -> DesiredTrajectory:

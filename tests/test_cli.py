@@ -182,6 +182,29 @@ def test_pe_check_ellipse_reports_closed_form(tmp_path, capsys):
     assert doc["uniform_heading_convention"]["quadrature_residual_rel"] < 1e-9
 
 
+def test_pe_check_report_agrees_with_verdict_near_zero_epsilon(tmp_path, capsys):
+    # a stationary reference whose epsilon is rounding noise just above 0
+    out = tmp_path / "pe.json"
+    run_ok(["pe-check", "--traj", "line", "--speed", "0", "--heading", "1.5826",
+            "--origin=-2.1938,2.0846", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    assert 0.0 < doc["report"]["epsilon"] <= 1e-9
+    assert doc["verdict"] == "not PE on scanned horizon"
+    assert not doc["report"]["certifies_pe"]
+
+
+@pytest.mark.parametrize("h,origin", [("-1.3", "0,0"), ("1.3", "1.5,-0.7"), ("-1.3", "1.5,-0.7")])
+def test_pe_check_closed_form_matches_for_any_direction_and_centre(tmp_path, h, origin):
+    out = tmp_path / "pe.json"
+    run_ok(["pe-check", "--a", "2.7", "--b", "4.9", "--h", h, "--origin", origin,
+            "--windows", "4", "--points", "201", "--out", str(out)])
+    doc = json.loads(out.read_text())["uniform_heading_convention"]
+    scale = math.pi / 1.3
+    assert doc["closed_form_diag"] == pytest.approx(
+        [8.0 * scale, (4.9 ** 2 + 1.0) * scale, (2.7 ** 2 + 1.0) * scale], rel=1e-12)
+    assert doc["quadrature_residual_rel"] < 1e-9
+
+
 def test_pe_check_rejects_bad_quadrature_count(capsys):
     assert main(["pe-check", "--points", "400"]) == 2
     assert "odd" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from se2track import (
+    PEReport,
     actuation_gram,
     controller_regressor,
     ellipse_pe_closed_form,
@@ -13,6 +14,7 @@ from se2track import (
     uniform_heading_ellipse_regressor,
     window_gram,
 )
+from se2track.excitation import PE_FLOOR
 
 
 def test_window_gram_is_symmetric_psd(rng):
@@ -110,6 +112,24 @@ def test_ellipse_closed_form_matches_quadrature(a, b, h):
     # window-start invariance: one full period from anywhere gives the same Gram
     G2 = window_gram(F, 1.234, T, n=801)
     assert np.max(np.abs(G2 - exact)) < 1e-9
+
+
+@pytest.mark.parametrize("a,b,h", [(3.0, 5.0, -2.0 * math.pi / 5.0), (2.0, 1.0, -3.0)])
+def test_ellipse_closed_form_matches_quadrature_clockwise(a, b, h):
+    F = uniform_heading_ellipse_regressor(a, b, h)
+    T = 2.0 * math.pi / abs(h)
+    exact = ellipse_pe_closed_form(a, b, h)
+    assert np.max(np.abs(window_gram(F, 0.0, T, n=801) - exact)) < 1e-9
+    assert np.array_equal(exact, ellipse_pe_closed_form(a, b, -h))
+
+
+def test_certifies_pe_needs_epsilon_above_the_floor():
+    def report(eps):
+        return PEReport(window_T=1.0, epsilon=eps, horizon=2.0, grid_points_per_window=3)
+
+    assert not report(PE_FLOOR / 2.0).certifies_pe
+    assert not report(PE_FLOOR).certifies_pe
+    assert report(2.0 * PE_FLOOR).certifies_pe
 
 
 def test_ellipse_closed_form_rejects_zero_rate():

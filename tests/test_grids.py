@@ -13,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from se2track import (
+    actuation_gram,
     closed_loop_ltv,
     controller_regressor,
     ellipse_trajectory,
     line_trajectory,
+    regressor,
     stability_probe,
     uniform_heading_ellipse_regressor,
     window_gram,
@@ -78,6 +80,17 @@ def test_sample_equals_state_at(traj, ts):
 def test_trajectory_array_forms_equal_scalar_forms(traj, ts):
     for F in (controller_regressor(traj), closed_loop_ltv(traj)):
         assert same_bits(F.array_form(np.array(ts)), [F(t) for t in ts])
+
+
+@GRID
+@given(trajectories, times)
+def test_matrices_along_a_reference_equal_their_pose_forms(traj, ts):
+    sqrt_s = np.diag([math.sqrt(2.0), 1.0, 1.0])
+    F, A_z = controller_regressor(traj), closed_loop_ltv(traj)
+    for t in ts:
+        xd = traj.pose_at(t)
+        assert same_bits(F(t), regressor(xd))
+        assert same_bits(A_z(t), sqrt_s @ actuation_gram(xd) @ sqrt_s)
 
 
 @GRID
