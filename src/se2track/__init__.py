@@ -32,6 +32,7 @@ from .engine import (
     SimConfig,
     SimLog,
     SimulationDiverged,
+    StepTooLarge,
     compare_controllers,
     monte_carlo_basin,
     simulate,
@@ -109,7 +110,8 @@ __all__ = [
     "DecayReport", "LinCheckReport", "actuation_gram", "fd_closed_loop_jacobian",
     "stability_probe", "closed_loop_ltv", "lin_check",
     # engine
-    "SimConfig", "SimLog", "SimulationDiverged", "simulate", "monte_carlo_basin",
+    "SimConfig", "SimLog", "SimulationDiverged", "StepTooLarge", "simulate",
+    "monte_carlo_basin",
     "CSV_COLUMNS",
     "BasinSummary", "compare_controllers", "ComparisonRow",
 ]

@@ -8,8 +8,9 @@ Subcommands:
     compare    several controllers on one scenario (JSON config) -> CSVs + summary
     basin      Monte-Carlo convergence sweep -> JSON summary
 
-Exit codes: 0 success, 1 runtime failure (diverged simulation),
-2 usage or config error. Outputs are deterministic: re-running a
+Exit codes: 0 success, 1 runtime failure (a diverged simulation, L
+rising along a spatial run, a pe-check scan that is not finite), 2
+usage or config error. Outputs are deterministic: re-running a
 written manifest reproduces the CSV byte for byte.
 """
 
@@ -20,6 +21,7 @@ import json
 import math
 import sys
 import time
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,7 @@ from .engine import (
     CONTROLLERS,
     SimConfig,
     SimulationDiverged,
+    StepTooLarge,
     _write_csv,
     compare_controllers,
     monte_carlo_basin,
@@ -200,9 +203,10 @@ def _sim_config(d: dict) -> SimConfig:
 
 
 def _write_json(path, doc) -> None:
+    # NaN and Infinity are not JSON: a non-finite value raises before the file is opened
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _manifest_path(out_csv: str) -> Path:
@@ -238,8 +242,25 @@ def cmd_pe_check(args) -> int:
     traj = trajectory_from_descriptor(desc)
     T = args.window if args.window is not None else _default_window(traj)
     horizon = args.horizon if args.horizon is not None else 5.0 * T
-    report = pe_epsilon(controller_regressor(traj), horizon, T,
-                        windows=args.windows, n=args.points)
+    # a reference too large for floats gives inf or nan, checked below, not a warning
+    with np.errstate(all="ignore"):
+        report = pe_epsilon(controller_regressor(traj), horizon, T,
+                            windows=args.windows, n=args.points)
+        scalars = {"epsilon": report.epsilon}
+        if desc["family"] == "ellipse":
+            a, b, h = desc["a"], desc["b"], desc["h"]
+            closed = ellipse_pe_closed_form(a, b, h)
+            # the closed form holds for the centred ellipse, whatever the reference's origin
+            quad = window_gram(uniform_heading_ellipse_regressor(a, b, h), 0.0, traj.period,
+                               args.points)
+            resid = float(np.max(np.abs(quad - closed)) / np.max(np.abs(closed)))
+            scalars["quadrature residual"] = resid
+    if not all(map(math.isfinite, scalars.values())):
+        shown = ", ".join(f"{name} = {value}" for name, value in scalars.items())
+        print(f"pe-check failed: {shown}; a result that is not finite gives no verdict",
+              file=sys.stderr)
+        return 1
+
     doc = {"trajectory": desc, "report": report.to_dict()}
     verdict = "PE certified on scanned horizon" if report.certifies_pe \
         else "not PE on scanned horizon"
@@ -248,12 +269,6 @@ def cmd_pe_check(args) -> int:
           f"(window {T:g} s): {verdict}")
 
     if desc["family"] == "ellipse":
-        a, b, h = desc["a"], desc["b"], desc["h"]
-        closed = ellipse_pe_closed_form(a, b, h)
-        # the closed form holds for the centred ellipse, whatever the reference's origin
-        quad = window_gram(uniform_heading_ellipse_regressor(a, b, h), 0.0, traj.period,
-                           args.points)
-        resid = float(np.max(np.abs(quad - closed)) / np.max(np.abs(closed)))
         doc["uniform_heading_convention"] = {
             "closed_form_diag": [float(closed[i, i]) for i in range(3)],
             "quadrature_residual_rel": resid,
@@ -315,10 +330,10 @@ def _compare_config(path: str):
                           f"got {doc['threshold']!r}")
 
 
-def _long_rows(cfgs, logs):
-    """Rows (controller, run, t, variable, value) of the long-format table, one series at a time."""
+def _long_blocks(cfgs, logs):
+    """Columns (controller, run, t, variable, value) of the long-format table, one series a block."""
     for i, (cfg, log) in enumerate(zip(cfgs, logs)):
-        t = log.t.tolist()
+        t = list(map(str, log.t.tolist()))
         series = {
             "px": log.column("px"), "py": log.column("py"),
             "pxd": log.column("pxd"), "pyd": log.column("pyd"),
@@ -327,8 +342,7 @@ def _long_rows(cfgs, logs):
             "lyapunov": log.lyap,
         }
         for var, vals in series.items():
-            for tk, vk in zip(t, vals.tolist()):
-                yield cfg.controller, i, tk, var, vk
+            yield repeat(cfg.controller), repeat(str(i)), t, repeat(var), map(str, vals.tolist())
 
 
 def cmd_compare(args) -> int:
@@ -343,7 +357,7 @@ def cmd_compare(args) -> int:
         paths.append(str(path))
 
     long_path = Path(f"{stem}_long.csv")
-    _write_csv(long_path, ("controller", "run", "t", "variable", "value"), _long_rows(cfgs, logs))
+    _write_csv(long_path, ("controller", "run", "t", "variable", "value"), _long_blocks(cfgs, logs))
 
     summary = {
         "threshold": threshold,
@@ -387,7 +401,7 @@ def main(argv=None) -> int:
 
     try:
         return args.run(args)
-    except SimulationDiverged as exc:
+    except (SimulationDiverged, StepTooLarge) as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -15,7 +15,10 @@ for all of its runs.
 One kernel, _integrate, owns the RK4 loop, the divergence checks and
 the log-row formula. simulate passes it a log array to fill at every
 step; monte_carlo_basin passes none and reads the final Lyapunov value
-from the last row, which the kernel always returns.
+from the last row, which the kernel always returns. The samples of a
+sweep are independent, so they run in forked worker processes, one per
+CPU the process may use; each runs the same kernel on the same floats,
+so the summary does not depend on the worker count.
 
 The hot loop works on plain floats on purpose: a 60 s run at dt = 1e-3
 is 60k steps, and batch experiments multiply that by hundreds. Array
@@ -27,7 +30,10 @@ so a long run never holds tuples for all of its steps.
 from __future__ import annotations
 
 import math
+import os
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -54,6 +60,12 @@ GAINS = {"spatial": Gains, "kanayama": KanayamaGains}
 # steps per block of the reference grids turned into float tuples at a time
 _BLOCK = 512
 
+# largest step count of one run: its log would take 1.44 GB
+_MAX_STEPS = 10**7
+
+# per-step rise of L that a spatial run may show from rounding alone
+_LYAP_RISE_TOL = 1e-8
+
 # basin draws: |theta_E| <= pi - _THETA_MARGIN, p_E in [-_P_BOX, _P_BOX]^2
 _THETA_MARGIN = 0.05
 _P_BOX = 5.0
@@ -66,6 +78,18 @@ class SimulationDiverged(RuntimeError):
         self.step = step
         self.t = t
         super().__init__(f"non-finite state at step {step} (t = {t:.6g})")
+
+
+class StepTooLarge(RuntimeError):
+    """Raised when L rises along a spatial run, which the exact flow never does."""
+
+
+def _step_count(t_end: float, dt: float) -> int:
+    """round(t_end / dt); raises ValueError, before anything is allocated, above _MAX_STEPS."""
+    if not t_end / dt <= _MAX_STEPS:
+        raise ValueError(f"t_end / dt = {t_end / dt:.6g} steps is more than the limit "
+                         f"of {_MAX_STEPS} steps per run")
+    return int(round(t_end / dt))
 
 
 @dataclass(frozen=True)
@@ -96,6 +120,7 @@ class SimConfig:
         require_finite("t_end", self.t_end)
         if self.t_end < self.dt:
             raise ValueError("t_end must be at least one step long")
+        _step_count(self.t_end, self.dt)
         if len(self.offset) != 3:
             raise ValueError("offset must be (dx, dy, dtheta)")
         require_finite("offset", *self.offset)
@@ -112,7 +137,7 @@ class SimConfig:
     @property
     def steps(self) -> int:
         """Number of integration steps; the log has one more row."""
-        return int(round(self.t_end / self.dt))
+        return _step_count(self.t_end, self.dt)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -163,8 +188,9 @@ class SimLog:
         return np.hypot(dx, dy)
 
     def to_csv(self, path) -> None:
-        """Write the log with shortest round-trip decimals and LF endings."""
-        _write_csv(path, CSV_COLUMNS, (row.tolist() for row in self.data))
+        """Write the log with shortest round-trip decimals and LF endings, _BLOCK rows at a time."""
+        blocks = (self.data[start:start + _BLOCK].T.tolist() for start in range(0, len(self), _BLOCK))
+        _write_csv(path, CSV_COLUMNS, ([map(str, column) for column in block] for block in blocks))
 
     @classmethod
     def from_csv(cls, path) -> "SimLog":
@@ -177,15 +203,19 @@ class SimLog:
         return cls(data=data)
 
 
-def _write_csv(path, header, rows) -> None:
-    """Write rows of Python scalars (not numpy ones: see tolist) as CSV with LF endings.
+def _write_csv(path, header, blocks) -> None:
+    """Write a CSV with LF endings from blocks of rows, each given as its formatted columns.
 
-    A Python float prints as its shortest round-trip decimal.
+    A block is a sequence of columns of strings, one string per row, and
+    holds at least one row; a column may be endless, such as a
+    constant's itertools.repeat, when another column of its block ends.
+    str of a Python float (not a numpy one: see tolist) is its shortest
+    round-trip decimal.
     """
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(str, row)) + "\n")
+        for columns in blocks:
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def _make_controller(cfg: SimConfig):
@@ -321,7 +351,9 @@ def simulate(cfg: SimConfig) -> SimLog:
     """Integrate the closed loop and return the populated log.
 
     Deterministic for a fixed config. Raises SimulationDiverged (with
-    the offending step index) if the state leaves the finite range.
+    the offending step index) if the state leaves the finite range, and
+    StepTooLarge if L rises by more than _LYAP_RISE_TOL in one step of
+    a spatial run.
     """
     traj = trajectory_from_descriptor(cfg.trajectory)
     steps = cfg.steps
@@ -329,6 +361,13 @@ def simulate(cfg: SimConfig) -> SimLog:
     data = np.empty((steps + 1, len(CSV_COLUMNS)))
     ref0 = next(_ref_tuples(grids[0], 0, 1))
     _integrate(_make_controller(cfg), _initial_state(ref0, cfg.offset), grids, cfg.dt, data)
+    if cfg.controller == "spatial":
+        lyap = data[:, COL["lyap"]]
+        k = int(np.argmax(np.diff(lyap)))
+        if lyap[k + 1] - lyap[k] > _LYAP_RISE_TOL:
+            raise StepTooLarge(f"L rose from {lyap[k]:.6g} to {lyap[k + 1]:.6g} at step {k + 1} "
+                               f"(t = {data[k + 1, 0]:.6g}): dt = {cfg.dt:g} is too large a step "
+                               f"for this reference")
     return SimLog(data=data, config=cfg)
 
 
@@ -352,6 +391,31 @@ class BasinSummary:
         return {**asdict(self), "fraction": self.fraction}
 
 
+def _sample_final(run: tuple, state: tuple):
+    """Final L of one sweep sample, or (step, t) where it diverged; run is (control, grids, dt).
+
+    A marker, not the exception: SimulationDiverged does not unpickle.
+    """
+    control, grids, dt = run
+    try:
+        return _integrate(control, state, grids, dt)[COL["lyap"]]
+    except SimulationDiverged as exc:
+        return exc.step, exc.t
+
+
+# the run of the sweep a forked worker serves, set by the pool's initializer
+_worker_run = None
+
+
+def _init_worker(run: tuple) -> None:
+    global _worker_run
+    _worker_run = run
+
+
+def _worker_sample_final(state: tuple):
+    return _sample_final(_worker_run, state)
+
+
 def monte_carlo_basin(cfg: SimConfig, samples: int, seed: int,
                       threshold: float = 1e-6) -> BasinSummary:
     """Sweep random initial spatial errors and count convergences.
@@ -362,32 +426,64 @@ def monte_carlo_basin(cfg: SimConfig, samples: int, seed: int,
     counts final Lyapunov values below threshold. Deterministic for a
     fixed seed. The margin keeps draws away from the antipodal
     equilibrium, where escape times blow up.
+
+    The samples run in forked worker processes, one per CPU in
+    os.sched_getaffinity(0), and in this process where fork is missing
+    or one worker would do. Results are read in sample order: the
+    lowest-index sample that diverged raises SimulationDiverged, and
+    for the spatial controller the lowest-index one whose L ended
+    above its start raises StepTooLarge.
     """
     if samples < 0:
         raise ValueError(f"sample count must be non-negative, got {samples}")
     _require_positive("threshold", threshold)
     rng = np.random.default_rng(seed)
+    draws = [(rng.uniform(-math.pi + _THETA_MARGIN, math.pi - _THETA_MARGIN),
+              rng.uniform(-_P_BOX, _P_BOX), rng.uniform(-_P_BOX, _P_BOX))
+             for _ in range(samples)]
     traj = trajectory_from_descriptor(cfg.trajectory)
     grids = _reference_grids(traj, cfg.dt, cfg.steps)
-    control = _make_controller(cfg)
     ref0 = next(_ref_tuples(grids[0], 0, 1))
     _, pdx0, pdy0, _, _ = ref0
-
-    finals = []
-    failures = []
-    for i in range(samples):
-        thE = rng.uniform(-math.pi + _THETA_MARGIN, math.pi - _THETA_MARGIN)
-        pEx = rng.uniform(-_P_BOX, _P_BOX)
-        pEy = rng.uniform(-_P_BOX, _P_BOX)
+    states = []
+    for thE, pEx, pEy in draws:
         # invert E_R(0) = (thE, pE): p(0) = pE + R(thE) p_d(0)
         c, s = math.cos(thE), math.sin(thE)
         dx = pEx + (c * pdx0 - s * pdy0) - pdx0
         dy = pEy + (s * pdx0 + c * pdy0) - pdy0
-        state = _initial_state(ref0, (dx, dy, thE))
-        final = _integrate(control, state, grids, cfg.dt)[COL["lyap"]]
-        finals.append(final)
-        if not final < threshold:
-            failures.append({"index": i, "theta_E": thE, "p_E": [pEx, pEy], "final_lyapunov": final})
+        states.append(_initial_state(ref0, (dx, dy, thE)))
+
+    # imported here, so that only a sweep pays for the import
+    import multiprocessing
+
+    run = (_make_controller(cfg), grids, cfg.dt)
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    workers = min(samples, len(cpus))
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        # fork, not spawn: the control closure cannot be pickled, and a fresh
+        # import of the package takes longer than a dozen samples at the CLI's
+        # defaults. The workers call no BLAS routine, so the idle threads
+        # numpy starts hold no lock that a worker waits for.
+        pool = multiprocessing.get_context("fork").Pool(workers, _init_worker, (run,))
+        results = pool.imap(_worker_sample_final, states)
+    else:
+        pool = nullcontext()
+        results = map(partial(_sample_final, run), states)
+
+    finals = []
+    failures = []
+    with pool:
+        for i, ((thE, pEx, pEy), final) in enumerate(zip(draws, results)):
+            if isinstance(final, tuple):
+                raise SimulationDiverged(*final)
+            start = _lyapunov_scalars(thE, pEx, pEy)
+            if cfg.controller == "spatial" and final > start:
+                raise StepTooLarge(f"sample {i}: L rose from {start:.6g} to {final:.6g}: "
+                                   f"dt = {cfg.dt:g} is too large a step for this reference")
+            finals.append(final)
+            if not final < threshold:
+                failures.append({"index": i, "theta_E": thE, "p_E": [pEx, pEy],
+                                 "final_lyapunov": final})
 
     converged = sum(1 for L in finals if L < threshold)
     return BasinSummary(

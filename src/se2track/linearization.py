@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .controller import correction_scalars
-from .engine import SimulationDiverged
+from .engine import SimulationDiverged, _step_count
 from .excitation import PE_FLOOR, _default_window, window_gram
 from .se2 import B_SELECT, S_WEIGHT, Pose, adjoint_matrix, pose_matrix
 from .trajectories import DesiredTrajectory, _require_positive, along, on_grid
@@ -264,7 +264,7 @@ def lin_check(traj: DesiredTrajectory, t_end: float = 25.0, dt: float = 1e-3) ->
     """
     _require_positive("t_end", t_end)
     _require_positive("dt", dt)
-    if int(round(t_end / dt)) < 2:
+    if _step_count(t_end, dt) < 2:
         raise ValueError(f"t_end must span at least two steps of dt = {dt!r}, got {t_end!r}")
     horizon = traj.period if traj.period is not None else max(t_end, 10.0)
     sample_times = [float(t) for t in np.linspace(0.0, horizon, _N_SAMPLES)]

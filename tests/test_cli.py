@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from se2track.cli import main
+from se2track.cli import _write_json, main
 from se2track.engine import SimLog
 
 ELLIPSE_ARGS = ["--a", "1", "--b", "1", "--h", "1"]
@@ -501,3 +501,67 @@ def test_bad_numeric_flags_are_usage_errors(capsys, argv, shown):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and shown in err
+
+
+# centred at x = 50 the default ellipse makes the spatial loop too stiff
+# for RK4 at these steps: L rises, which the exact flow never does
+def test_simulate_exits_one_when_spatial_lyapunov_rises(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--origin", "50,0", "--offset", "1,1,0.5", "--dt", "1e-3",
+                 "--t-end", "5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("simulation failed: L rose from ")
+    assert "at step" in err and "too large a step for this reference" in err
+    assert not out.exists()
+    assert not (tmp_path / "x.manifest.json").exists()
+
+
+def test_basin_exits_one_when_a_spatial_sample_ends_above_its_start(tmp_path, capsys):
+    out = tmp_path / "b.json"
+    assert main(["basin", "--origin", "50,0", "--samples", "2", "--seed", "1",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("simulation failed: sample 0: L rose from 16.4823 to ")
+    assert "too large a step for this reference" in captured.err
+    assert "runs reached" not in captured.out
+    assert not out.exists()
+
+
+def test_compare_exits_one_when_its_spatial_run_lyapunov_rises(tmp_path, capsys):
+    cfg = _compare_config(tmp_path, trajectory={"family": "ellipse", "a": 3.0, "b": 5.0,
+                                                "h": 1.2566, "origin": [50.0, 0.0]},
+                          offset=[1.0, 1.0, 0.5], dt=1e-3, t_end=5.0)
+    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "cmp")]) == 1
+    assert "L rose from" in capsys.readouterr().err
+    assert not list(tmp_path.glob("cmp*"))
+
+
+def test_pe_check_without_finite_result_exits_one_without_verdict(tmp_path, capsys):
+    out = tmp_path / "p.json"
+    assert main(["pe-check", "--a", "1e200", "--b", "1", "--h", "1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("pe-check failed: epsilon = inf")
+    assert "PE" not in captured.out
+    assert not out.exists()
+
+
+def test_json_writer_refuses_non_finite_numbers(tmp_path):
+    out = tmp_path / "x.json"
+    with pytest.raises(ValueError):
+        _write_json(out, {"epsilon": math.inf})
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--out", "x.csv"],
+    ["basin", "--samples", "1"],
+    ["lin-check"],
+])
+@pytest.mark.parametrize("dt,t_end", [("1e-9", "100"), ("1e-320", "1e10")],
+                         ids=["1e11-steps", "inf-steps"])
+def test_step_count_over_the_limit_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                                    command, dt, t_end):
+    monkeypatch.chdir(tmp_path)
+    assert main(command + ["--dt", dt, "--t-end", t_end]) == 2
+    assert "limit of 10000000 steps" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

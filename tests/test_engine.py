@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from se2track import (
     SimConfig,
     SimLog,
     SimulationDiverged,
+    StepTooLarge,
     compare_controllers,
     kanayama_control,
     left_error,
@@ -23,7 +25,8 @@ from se2track import (
     trajectory_from_descriptor,
     wrap_angle,
 )
-from se2track.engine import _make_controller
+from se2track import engine
+from se2track.engine import _BLOCK, _MAX_STEPS, _make_controller
 
 CIRCLE = {"family": "ellipse", "a": 1.0, "b": 1.0, "h": 1.0, "origin": [0.0, 0.0]}
 
@@ -406,6 +409,74 @@ def test_basin_divergence_matches_simulate(ellipse_desc):
         simulate(first)
     assert basin_exc.value.step == sim_exc.value.step
     assert basin_exc.value.t == sim_exc.value.t
+
+
+@pytest.mark.parametrize("controller", ["spatial", "kanayama", "feedforward"])
+def test_basin_summary_does_not_depend_on_the_cpus(monkeypatch, controller):
+    # one CPU runs the samples in this process, more in forked workers,
+    # up to more workers than this host may have cores
+    cfg = SimConfig(trajectory=BIT_DESCS[0], controller=controller, t_end=4.0, dt=1e-2)
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0})
+    serial = monte_carlo_basin(cfg, samples=5, seed=21, threshold=1e-2)
+    assert len(serial.final_lyapunov) == 5
+    for cpus in ({0, 1}, {0, 1, 2, 3}):
+        monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: cpus)
+        assert monte_carlo_basin(cfg, samples=5, seed=21, threshold=1e-2) == serial
+
+
+def test_basin_reports_the_lowest_diverged_sample_when_it_finishes_last(monkeypatch):
+    cfg = SimConfig(trajectory=CIRCLE, t_end=1.0, dt=1e-2)
+    first = engine._initial_state(trajectory_from_descriptor(CIRCLE).state_at(0.0),
+                                  basin_offsets(CIRCLE, 1, 8)[0])
+
+    def diverge(control, state, *_):
+        # sample 0 diverges late in its run and returns after sample 1
+        if state == first:
+            time.sleep(0.5)
+            raise SimulationDiverged(70, 0.7)
+        raise SimulationDiverged(3, 0.03)
+
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(engine, "_integrate", diverge)
+    with pytest.raises(SimulationDiverged) as exc:
+        monte_carlo_basin(cfg, samples=2, seed=8)
+    assert (exc.value.step, exc.value.t) == (70, 0.7)
+
+
+def test_basin_stops_at_a_spatial_sample_whose_lyapunov_rose():
+    # far from the origin the loop is too stiff for RK4 at this dt
+    cfg = SimConfig(trajectory={**CIRCLE, "origin": [50.0, 0.0]}, t_end=5.0, dt=5e-3)
+    with pytest.raises(StepTooLarge, match="sample 0: L rose from"):
+        monte_carlo_basin(cfg, samples=2, seed=1)
+    # the Kanayama law is not checked: its L need not descend
+    summary = monte_carlo_basin(SimConfig(trajectory=cfg.trajectory, controller="kanayama",
+                                          t_end=5.0, dt=5e-3), samples=2, seed=1)
+    assert summary.samples == 2
+
+
+def test_simulate_stops_when_spatial_lyapunov_rises_in_a_step():
+    cfg = SimConfig(trajectory={"family": "ellipse", "a": 3.0, "b": 5.0,
+                                "h": 2.0 * math.pi / 5.0, "origin": [50.0, 0.0]},
+                    offset=(1.0, 1.0, 0.5), dt=1e-3, t_end=5.0)
+    with pytest.raises(StepTooLarge, match=r"at step \d+ .*too large a step"):
+        simulate(cfg)
+
+
+@pytest.mark.parametrize("dt,t_end", [(1e-9, 100.0), (5e-324, 1.0)],
+                         ids=["1e11-steps", "inf-steps"])
+def test_step_count_is_capped_before_allocation(ellipse_desc, dt, t_end):
+    with pytest.raises(ValueError, match=f"limit of {_MAX_STEPS} steps"):
+        SimConfig(trajectory=ellipse_desc, dt=dt, t_end=t_end)
+
+
+def test_csv_bytes_are_the_rows_shortest_decimals_across_blocks(tmp_path, ellipse_desc):
+    log = simulate(SimConfig(trajectory=ellipse_desc, offset=(0.4, -0.2, 0.5),
+                             dt=1e-2, t_end=(2 * _BLOCK + 3) * 1e-2))
+    assert len(log) > 2 * _BLOCK + 1
+    path = tmp_path / "run.csv"
+    log.to_csv(path)
+    rows = (",".join(map(repr, row)) for row in log.data.tolist())
+    assert path.read_text() == ",".join(CSV_COLUMNS) + "\n" + "".join(r + "\n" for r in rows)
 
 
 def test_basin_counts_and_determinism():
