@@ -378,13 +378,11 @@ def cmd_compare(args) -> int:
 def cmd_basin(args) -> int:
     # draws far from the reference need longer to settle than one run
     cfg = _resolve_sim_config(args, defaults={"t_end": 60.0, "dt": 5e-3})
-    seed = cfg.seed if cfg.seed is not None else 0
-    summary = monte_carlo_basin(cfg, samples=args.samples, seed=seed,
-                                threshold=args.threshold)
+    summary = monte_carlo_basin(cfg, samples=args.samples, threshold=args.threshold)
     frac = "n/a" if summary.fraction is None else f"{summary.fraction:.3f}"
     print(f"{summary.converged}/{summary.samples} runs reached "
           f"Lyapunov < {args.threshold:g} by t = {cfg.t_end:g} s "
-          f"(fraction {frac}, seed {seed})")
+          f"(fraction {frac}, seed {summary.seed})")
     doc = {"config": cfg.to_dict(), "summary": summary.to_dict()}
     if args.out:
         _write_json(args.out, doc)

@@ -12,13 +12,17 @@ stage grids k dt, k dt + dt/2 and k dt + dt. The values equal the
 per-stage state_at calls bit for bit. A basin sweep samples it once
 for all of its runs.
 
-One kernel, _integrate, owns the RK4 loop, the divergence checks and
-the log-row formula. simulate passes it a log array to fill at every
+One setup, _setup, turns a SimConfig into what a run needs: the
+control law, the reference on the stage grids and the reference at
+t = 0. One kernel, _integrate, owns the RK4 loop, the divergence checks
+and the log-row formula. simulate passes it a log array to fill at every
 step; monte_carlo_basin passes none and reads the final Lyapunov value
 from the last row, which the kernel always returns. The samples of a
 sweep are independent, so they run in forked worker processes, one per
 CPU the process may use; each runs the same kernel on the same floats,
-so the summary does not depend on the worker count.
+so the summary does not depend on the worker count. SimulationDiverged
+pickles, so a worker's divergence reaches the parent as itself, at its
+own sample index.
 
 The hot loop works on plain floats on purpose: a 60 s run at dt = 1e-3
 is 60k steps, and batch experiments multiply that by hundreds. Array
@@ -33,7 +37,6 @@ import math
 import os
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -72,12 +75,15 @@ _P_BOX = 5.0
 
 
 class SimulationDiverged(RuntimeError):
-    """Raised when the integrated state stops being finite."""
+    """Raised when the integrated state stops being finite; its args (step, t) let it unpickle."""
 
     def __init__(self, step: int, t: float):
+        super().__init__(step, t)
         self.step = step
         self.t = t
-        super().__init__(f"non-finite state at step {step} (t = {t:.6g})")
+
+    def __str__(self) -> str:
+        return f"non-finite state at step {self.step} (t = {self.t:.6g})"
 
 
 class StepTooLarge(RuntimeError):
@@ -100,7 +106,8 @@ class SimConfig:
     a controller-specific tuple: (k_omega, k_v) for spatial, (k_x, k_y,
     k_theta) for kanayama, ignored for feedforward; None picks the
     defaults. offset = (dx, dy, dtheta) perturbs the initial state to
-    p(0) = p_d(0) + (dx, dy), theta(0) = theta_d(0) + dtheta. Every
+    p(0) = p_d(0) + (dx, dy), theta(0) = theta_d(0) + dtheta. seed, None
+    or an int >= 0, picks a basin sweep's draws (None draws 0). Every
     number must be finite, and the gains must fit the controller;
     anything else raises ValueError on construction.
     """
@@ -133,6 +140,8 @@ class SimConfig:
                     raise ValueError(f"{self.controller} gains are ({', '.join(names)}): "
                                      f"expected {len(names)} numbers, got {len(self.gains)}")
                 gains_type(*self.gains)
+        if self.seed is not None and not (type(self.seed) is int and self.seed >= 0):
+            raise ValueError(f"seed must be None or a non-negative integer, got {self.seed!r}")
 
     @property
     def steps(self) -> int:
@@ -274,6 +283,12 @@ def _ref_tuples(grid: tuple, start: int, stop: int):
     return zip(*(column[start:stop].tolist() for column in grid))
 
 
+def _setup(cfg: SimConfig) -> tuple:
+    """(control, grids, ref0) of a run: its control law, _reference_grids and ref at t = 0."""
+    grids = _reference_grids(trajectory_from_descriptor(cfg.trajectory), cfg.dt, cfg.steps)
+    return _make_controller(cfg), grids, next(_ref_tuples(grids[0], 0, 1))
+
+
 def _initial_state(ref0: tuple, offset) -> tuple:
     """(theta, px, py) at t = 0: the reference pose ref0 moved by offset = (dx, dy, dtheta)."""
     thd0, pdx0, pdy0, _, _ = ref0
@@ -355,12 +370,9 @@ def simulate(cfg: SimConfig) -> SimLog:
     StepTooLarge if L rises by more than _LYAP_RISE_TOL in one step of
     a spatial run.
     """
-    traj = trajectory_from_descriptor(cfg.trajectory)
-    steps = cfg.steps
-    grids = _reference_grids(traj, cfg.dt, steps)
-    data = np.empty((steps + 1, len(CSV_COLUMNS)))
-    ref0 = next(_ref_tuples(grids[0], 0, 1))
-    _integrate(_make_controller(cfg), _initial_state(ref0, cfg.offset), grids, cfg.dt, data)
+    control, grids, ref0 = _setup(cfg)
+    data = np.empty((cfg.steps + 1, len(CSV_COLUMNS)))
+    _integrate(control, _initial_state(ref0, cfg.offset), grids, cfg.dt, data)
     if cfg.controller == "spatial":
         lyap = data[:, COL["lyap"]]
         k = int(np.argmax(np.diff(lyap)))
@@ -391,41 +403,25 @@ class BasinSummary:
         return {**asdict(self), "fraction": self.fraction}
 
 
-def _sample_final(run: tuple, state: tuple):
-    """Final L of one sweep sample, or (step, t) where it diverged; run is (control, grids, dt).
-
-    A marker, not the exception: SimulationDiverged does not unpickle.
-    """
-    control, grids, dt = run
-    try:
-        return _integrate(control, state, grids, dt)[COL["lyap"]]
-    except SimulationDiverged as exc:
-        return exc.step, exc.t
+# (control, grids, dt) of the sweep in progress, set for its duration; forked workers inherit it
+_sweep = None
 
 
-# the run of the sweep a forked worker serves, set by the pool's initializer
-_worker_run = None
+def _sample_final(state: tuple) -> float:
+    """Final L of the sample of the sweep in progress that starts from state = (theta, px, py)."""
+    control, grids, dt = _sweep
+    return _integrate(control, state, grids, dt)[COL["lyap"]]
 
 
-def _init_worker(run: tuple) -> None:
-    global _worker_run
-    _worker_run = run
-
-
-def _worker_sample_final(state: tuple):
-    return _sample_final(_worker_run, state)
-
-
-def monte_carlo_basin(cfg: SimConfig, samples: int, seed: int,
-                      threshold: float = 1e-6) -> BasinSummary:
+def monte_carlo_basin(cfg: SimConfig, samples: int, threshold: float = 1e-6) -> BasinSummary:
     """Sweep random initial spatial errors and count convergences.
 
     Draws theta_E uniform on [-pi + _THETA_MARGIN, pi - _THETA_MARGIN]
     and p_E uniform on [-_P_BOX, _P_BOX]^2, places the vehicle so the
     initial spatial error is exactly the draw, runs each case, and
     counts final Lyapunov values below threshold. Deterministic for a
-    fixed seed. The margin keeps draws away from the antipodal
-    equilibrium, where escape times blow up.
+    fixed cfg.seed (None draws as 0). The margin keeps draws away from
+    the antipodal equilibrium, where escape times blow up.
 
     The samples run in forked worker processes, one per CPU in
     os.sched_getaffinity(0), and in this process where fork is missing
@@ -434,16 +430,16 @@ def monte_carlo_basin(cfg: SimConfig, samples: int, seed: int,
     for the spatial controller the lowest-index one whose L ended
     above its start raises StepTooLarge.
     """
+    global _sweep
     if samples < 0:
         raise ValueError(f"sample count must be non-negative, got {samples}")
     _require_positive("threshold", threshold)
+    seed = 0 if cfg.seed is None else cfg.seed
     rng = np.random.default_rng(seed)
     draws = [(rng.uniform(-math.pi + _THETA_MARGIN, math.pi - _THETA_MARGIN),
               rng.uniform(-_P_BOX, _P_BOX), rng.uniform(-_P_BOX, _P_BOX))
              for _ in range(samples)]
-    traj = trajectory_from_descriptor(cfg.trajectory)
-    grids = _reference_grids(traj, cfg.dt, cfg.steps)
-    ref0 = next(_ref_tuples(grids[0], 0, 1))
+    control, grids, ref0 = _setup(cfg)
     _, pdx0, pdy0, _, _ = ref0
     states = []
     for thE, pEx, pEy in draws:
@@ -456,7 +452,7 @@ def monte_carlo_basin(cfg: SimConfig, samples: int, seed: int,
     # imported here, so that only a sweep pays for the import
     import multiprocessing
 
-    run = (_make_controller(cfg), grids, cfg.dt)
+    _sweep = (control, grids, cfg.dt)
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
     workers = min(samples, len(cpus))
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
@@ -464,30 +460,30 @@ def monte_carlo_basin(cfg: SimConfig, samples: int, seed: int,
         # import of the package takes longer than a dozen samples at the CLI's
         # defaults. The workers call no BLAS routine, so the idle threads
         # numpy starts hold no lock that a worker waits for.
-        pool = multiprocessing.get_context("fork").Pool(workers, _init_worker, (run,))
-        results = pool.imap(_worker_sample_final, states)
+        pool = multiprocessing.get_context("fork").Pool(workers)
+        results = pool.imap(_sample_final, states)
     else:
         pool = nullcontext()
-        results = map(partial(_sample_final, run), states)
+        results = map(_sample_final, states)
 
     finals = []
     failures = []
-    with pool:
-        for i, ((thE, pEx, pEy), final) in enumerate(zip(draws, results)):
-            if isinstance(final, tuple):
-                raise SimulationDiverged(*final)
-            start = _lyapunov_scalars(thE, pEx, pEy)
-            if cfg.controller == "spatial" and final > start:
-                raise StepTooLarge(f"sample {i}: L rose from {start:.6g} to {final:.6g}: "
-                                   f"dt = {cfg.dt:g} is too large a step for this reference")
-            finals.append(final)
-            if not final < threshold:
-                failures.append({"index": i, "theta_E": thE, "p_E": [pEx, pEy],
-                                 "final_lyapunov": final})
+    try:
+        with pool:
+            for i, ((thE, pEx, pEy), final) in enumerate(zip(draws, results)):
+                start = _lyapunov_scalars(thE, pEx, pEy)
+                if cfg.controller == "spatial" and final > start:
+                    raise StepTooLarge(f"sample {i}: L rose from {start:.6g} to {final:.6g}: "
+                                       f"dt = {cfg.dt:g} is too large a step for this reference")
+                finals.append(final)
+                if not final < threshold:
+                    failures.append({"index": i, "theta_E": thE, "p_E": [pEx, pEy],
+                                     "final_lyapunov": final})
+    finally:
+        _sweep = None
 
-    converged = sum(1 for L in finals if L < threshold)
     return BasinSummary(
-        samples=samples, converged=converged, threshold=threshold,
+        samples=samples, converged=samples - len(failures), threshold=threshold,
         t_end=cfg.t_end, seed=seed, final_lyapunov=finals, failures=failures,
     )
 

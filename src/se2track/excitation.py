@@ -101,8 +101,8 @@ def ellipse_pe_closed_form(a: float, b: float, h: float) -> np.ndarray:
 
         diag(8*pi/|h|, (b^2 + 1)*pi/|h|, (a^2 + 1)*pi/|h|).
 
-    Only the centred ellipse has this form: an offset centre adds its
-    coordinates to the regressor's position entries. Note the
+    The form holds for the centred ellipse only, which is the one
+    uniform_heading_ellipse_regressor follows. Note the
     uniform-heading convention: for a != b this heading law is not the
     one a unicycle actually needs to follow the ellipse (see
     ellipse_trajectory), so this closed form pairs with
@@ -114,15 +114,15 @@ def ellipse_pe_closed_form(a: float, b: float, h: float) -> np.ndarray:
                     (a * a + 1.0) * math.pi / abs(h)])
 
 
-def uniform_heading_ellipse_regressor(a: float, b: float, h: float, origin=(0.0, 0.0)):
+def uniform_heading_ellipse_regressor(a: float, b: float, h: float):
     """Regressor t -> 2x3 matrix for the uniform-heading ellipse convention.
 
-    Pose: theta_d = ht, p_d that of ellipse_trajectory(a, b, h, origin),
+    Pose: theta_d = ht, p_d that of the centred ellipse_trajectory(a, b, h),
     which rejects degenerate axes and rates. This is the convention
-    under which ellipse_pe_closed_form is exact for the centred ellipse.
-    Takes a time or an array of times.
+    under which ellipse_pe_closed_form is exact. Takes a time or an
+    array of times.
     """
-    return along(ellipse_trajectory(a, b, h, origin), _regressor_rows, heading=lambda t: h * t)
+    return along(ellipse_trajectory(a, b, h), _regressor_rows, heading=lambda t: h * t)
 
 
 def controller_regressor(traj: DesiredTrajectory):

@@ -152,6 +152,14 @@ def _psd_sqrt_of(A: Callable[[float], np.ndarray]) -> Callable[[float], np.ndarr
     return R
 
 
+def _check_horizon(t_end: float, dt: float) -> None:
+    """Raise ValueError unless t_end and dt are positive and t_end spans 2 to _MAX_STEPS steps."""
+    _require_positive("t_end", t_end)
+    _require_positive("dt", dt)
+    if _step_count(t_end, dt) < 2:
+        raise ValueError(f"t_end must span at least two steps of dt = {dt!r}, got {t_end!r}")
+
+
 def _ltv_rk4(A: Callable[[float], np.ndarray], x0: np.ndarray, t_end: float, dt: float):
     """Classical RK4 on x_dot = -A(t) x from t = 0; returns (times, |x| at each).
 
@@ -159,7 +167,7 @@ def _ltv_rk4(A: Callable[[float], np.ndarray], x0: np.ndarray, t_end: float, dt:
     and k dt + dt, one block of _LTV_BLOCK steps at a time. Raises
     SimulationDiverged, without numpy's overflow warnings, at the first non-finite |x|.
     """
-    steps = int(round(t_end / dt))
+    steps = _step_count(t_end, dt)
     times = np.arange(steps + 1) * dt
     norms = np.empty(steps + 1)
     x = np.array(x0, dtype=float)
@@ -200,14 +208,16 @@ def stability_probe(A: Callable[[float], np.ndarray], x0, T: float, epsilon: flo
                     t_end: float, dt: float = 1e-3, gram_points: int = _GRAM_POINTS) -> DecayReport:
     """Integrate x_dot = -A(t) x and certify exponential decay of |x|.
 
-    Preconditions are checked, not assumed: A(t) must be symmetric PSD
-    at sampled times (tolerance 1e-9), epsilon must be positive, and
-    the window Gram over [0, T] of the PSD square root of A must
-    dominate epsilon * Id. Reports the decay rate fitted on the final
-    60% of the horizon and whether |x| was monotone non-increasing.
-    Raises SimulationDiverged if |x| stops being finite. A is evaluated
-    through on_grid, so its array form is used when it has one.
+    Preconditions are checked, not assumed: the horizon as lin_check
+    checks it, A(t) symmetric PSD at sampled times (tolerance 1e-9),
+    epsilon positive, and the window Gram over [0, T] of the PSD square
+    root of A dominating epsilon * Id. Reports the decay rate fitted on
+    the final 60% of the horizon and whether |x| was monotone
+    non-increasing. Raises SimulationDiverged if |x| stops being
+    finite. A is evaluated through on_grid, so its array form is used
+    when it has one.
     """
+    _check_horizon(t_end, dt)
     if epsilon <= 0.0:
         raise ValueError("excitation level epsilon must be positive")
     x0 = np.array(x0, dtype=float)
@@ -262,10 +272,7 @@ def lin_check(traj: DesiredTrajectory, t_end: float = 25.0, dt: float = 1e-3) ->
     Gram over one period (5 s if aperiodic) decides only the verdict.
     Raises SimulationDiverged if the LTV flow does not stay finite.
     """
-    _require_positive("t_end", t_end)
-    _require_positive("dt", dt)
-    if _step_count(t_end, dt) < 2:
-        raise ValueError(f"t_end must span at least two steps of dt = {dt!r}, got {t_end!r}")
+    _check_horizon(t_end, dt)
     horizon = traj.period if traj.period is not None else max(t_end, 10.0)
     sample_times = [float(t) for t in np.linspace(0.0, horizon, _N_SAMPLES)]
 

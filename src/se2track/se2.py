@@ -26,9 +26,6 @@ S_WEIGHT = np.diag([2.0, 1.0, 1.0])
 # Embeds a control (Omega, v) into algebra coordinates (Omega, v, 0).
 B_SELECT = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
-# Quarter-turn generator of so(2).
-ONE_CROSS = np.array([[0.0, -1.0], [1.0, 0.0]])
-
 
 def wrap_angle(theta: float) -> float:
     """Normalize an angle (or an array of angles) to [-pi, pi)."""

@@ -239,8 +239,8 @@ def test_08_linearization_structure_and_jacobian(ellipse_desc):
 
 def test_09_monte_carlo_basin(ellipse_desc):
     cfg = SimConfig(trajectory=ellipse_desc, controller="spatial",
-                    dt=5e-3, t_end=60.0)
-    summary = monte_carlo_basin(cfg, samples=100, seed=0, threshold=1e-6)
+                    dt=5e-3, t_end=60.0, seed=0)
+    summary = monte_carlo_basin(cfg, samples=100, threshold=1e-6)
     worst = float(np.max(summary.final_lyapunov))
     report(
         "9", "all sampled initial errors converge",

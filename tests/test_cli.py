@@ -503,6 +503,22 @@ def test_bad_numeric_flags_are_usage_errors(capsys, argv, shown):
     assert err.startswith("error:") and shown in err
 
 
+@pytest.mark.parametrize("command, seed, flag", [
+    ("basin", "x", None), ("basin", 1.5, None), ("basin", True, None), ("basin", [1], None),
+    ("basin", -1, None), ("simulate", None, "-5"),
+], ids=["text", "fraction", "bool", "list", "negative", "simulate-negative-flag"])
+def test_bad_seeds_are_usage_errors(tmp_path, capsys, command, seed, flag):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"trajectory": _ELLIPSE, "seed": seed}))
+    argv = [command, "--config", str(config), *QUICK, "--out", str(tmp_path / "x.csv")]
+    if flag is not None:
+        argv += ["--seed", flag]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed must be None or a non-negative integer" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 # centred at x = 50 the default ellipse makes the spatial loop too stiff
 # for RK4 at these steps: L rises, which the exact flow never does
 def test_simulate_exits_one_when_spatial_lyapunov_rises(tmp_path, capsys):

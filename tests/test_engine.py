@@ -1,5 +1,7 @@
 import math
+import pickle
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -306,6 +308,14 @@ def test_divergence_is_reported_with_step(ellipse_desc):
     assert "step" in str(exc.value)
 
 
+def test_divergence_unpickles_as_itself():
+    # a forked basin worker hands its divergence to the parent through pickle
+    exc = pickle.loads(pickle.dumps(SimulationDiverged(3, 0.03)))
+    assert type(exc) is SimulationDiverged
+    assert (exc.step, exc.t) == (3, 0.03)
+    assert str(exc) == "non-finite state at step 3 (t = 0.03)"
+
+
 def test_basin_draw_mapping_hits_requested_error():
     # place the vehicle so the initial spatial error equals the draw: a
     # single-sample sweep started from a known seed must report exactly
@@ -314,8 +324,8 @@ def test_basin_draw_mapping_hits_requested_error():
 
     desc = {"family": "ellipse", "a": 3.0, "b": 5.0, "h": 2.0 * math.pi / 5.0,
             "origin": [3.0, 3.0]}
-    cfg = SimConfig(trajectory=desc, t_end=2.0, dt=1e-2)
-    summary = monte_carlo_basin(cfg, samples=1, seed=42, threshold=1e-6)
+    cfg = SimConfig(trajectory=desc, t_end=2.0, dt=1e-2, seed=42)
+    summary = monte_carlo_basin(cfg, samples=1, threshold=1e-6)
 
     rng = npr.default_rng(42)
     thE = rng.uniform(-math.pi + 0.05, math.pi - 0.05)
@@ -352,8 +362,8 @@ def basin_offsets(desc, samples, seed):
 @pytest.mark.parametrize("desc", BIT_DESCS, ids=["ellipse", "line"])
 def test_basin_finals_equal_simulate_bit_for_bit(desc, controller):
     # a basin sample skips the log but must end on the very same state
-    cfg = SimConfig(trajectory=desc, controller=controller, t_end=3.0, dt=1e-2)
-    summary = monte_carlo_basin(cfg, samples=3, seed=11)
+    cfg = SimConfig(trajectory=desc, controller=controller, t_end=3.0, dt=1e-2, seed=11)
+    summary = monte_carlo_basin(cfg, samples=3)
     for final, offset in zip(summary.final_lyapunov, basin_offsets(desc, 3, 11)):
         log = simulate(SimConfig(trajectory=desc, controller=controller, offset=offset,
                                  t_end=3.0, dt=1e-2))
@@ -400,9 +410,9 @@ def test_sampled_reference_log_equals_per_step_loop(desc, controller):
 
 
 def test_basin_divergence_matches_simulate(ellipse_desc):
-    cfg = SimConfig(trajectory=ellipse_desc, dt=100.0, t_end=10000.0)
+    cfg = SimConfig(trajectory=ellipse_desc, dt=100.0, t_end=10000.0, seed=5)
     with pytest.raises(SimulationDiverged) as basin_exc:
-        monte_carlo_basin(cfg, samples=2, seed=5)
+        monte_carlo_basin(cfg, samples=2)
     first = SimConfig(trajectory=ellipse_desc, dt=100.0, t_end=10000.0,
                       offset=basin_offsets(ellipse_desc, 1, 5)[0])
     with pytest.raises(SimulationDiverged) as sim_exc:
@@ -415,17 +425,18 @@ def test_basin_divergence_matches_simulate(ellipse_desc):
 def test_basin_summary_does_not_depend_on_the_cpus(monkeypatch, controller):
     # one CPU runs the samples in this process, more in forked workers,
     # up to more workers than this host may have cores
-    cfg = SimConfig(trajectory=BIT_DESCS[0], controller=controller, t_end=4.0, dt=1e-2)
+    cfg = SimConfig(trajectory=BIT_DESCS[0], controller=controller, t_end=4.0, dt=1e-2,
+                    seed=21)
     monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0})
-    serial = monte_carlo_basin(cfg, samples=5, seed=21, threshold=1e-2)
+    serial = monte_carlo_basin(cfg, samples=5, threshold=1e-2)
     assert len(serial.final_lyapunov) == 5
     for cpus in ({0, 1}, {0, 1, 2, 3}):
         monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: cpus)
-        assert monte_carlo_basin(cfg, samples=5, seed=21, threshold=1e-2) == serial
+        assert monte_carlo_basin(cfg, samples=5, threshold=1e-2) == serial
 
 
 def test_basin_reports_the_lowest_diverged_sample_when_it_finishes_last(monkeypatch):
-    cfg = SimConfig(trajectory=CIRCLE, t_end=1.0, dt=1e-2)
+    cfg = SimConfig(trajectory=CIRCLE, t_end=1.0, dt=1e-2, seed=8)
     first = engine._initial_state(trajectory_from_descriptor(CIRCLE).state_at(0.0),
                                   basin_offsets(CIRCLE, 1, 8)[0])
 
@@ -439,18 +450,17 @@ def test_basin_reports_the_lowest_diverged_sample_when_it_finishes_last(monkeypa
     monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(engine, "_integrate", diverge)
     with pytest.raises(SimulationDiverged) as exc:
-        monte_carlo_basin(cfg, samples=2, seed=8)
+        monte_carlo_basin(cfg, samples=2)
     assert (exc.value.step, exc.value.t) == (70, 0.7)
 
 
 def test_basin_stops_at_a_spatial_sample_whose_lyapunov_rose():
     # far from the origin the loop is too stiff for RK4 at this dt
-    cfg = SimConfig(trajectory={**CIRCLE, "origin": [50.0, 0.0]}, t_end=5.0, dt=5e-3)
+    cfg = SimConfig(trajectory={**CIRCLE, "origin": [50.0, 0.0]}, t_end=5.0, dt=5e-3, seed=1)
     with pytest.raises(StepTooLarge, match="sample 0: L rose from"):
-        monte_carlo_basin(cfg, samples=2, seed=1)
+        monte_carlo_basin(cfg, samples=2)
     # the Kanayama law is not checked: its L need not descend
-    summary = monte_carlo_basin(SimConfig(trajectory=cfg.trajectory, controller="kanayama",
-                                          t_end=5.0, dt=5e-3), samples=2, seed=1)
+    summary = monte_carlo_basin(replace(cfg, controller="kanayama"), samples=2)
     assert summary.samples == 2
 
 
@@ -480,14 +490,14 @@ def test_csv_bytes_are_the_rows_shortest_decimals_across_blocks(tmp_path, ellips
 
 
 def test_basin_counts_and_determinism():
-    cfg = SimConfig(trajectory=CIRCLE, t_end=5.0, dt=5e-3)
-    s1 = monte_carlo_basin(cfg, samples=4, seed=3, threshold=1e-2)
-    s2 = monte_carlo_basin(cfg, samples=4, seed=3, threshold=1e-2)
+    cfg = SimConfig(trajectory=CIRCLE, t_end=5.0, dt=5e-3, seed=3)
+    s1 = monte_carlo_basin(cfg, samples=4, threshold=1e-2)
+    s2 = monte_carlo_basin(cfg, samples=4, threshold=1e-2)
     assert s1.final_lyapunov == s2.final_lyapunov
     assert s1.converged == sum(1 for L in s1.final_lyapunov if L < 1e-2)
     assert s1.fraction == s1.converged / 4
     assert len(s1.failures) == 4 - s1.converged
-    s3 = monte_carlo_basin(cfg, samples=4, seed=4, threshold=1e-2)
+    s3 = monte_carlo_basin(replace(cfg, seed=4), samples=4, threshold=1e-2)
     assert s3.final_lyapunov != s1.final_lyapunov
     d = s1.to_dict()
     assert d["samples"] == 4 and d["seed"] == 3

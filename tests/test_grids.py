@@ -94,9 +94,9 @@ def test_matrices_along_a_reference_equal_their_pose_forms(traj, ts):
 
 
 @GRID
-@given(axes, axes, rates, points, times)
-def test_uniform_heading_array_form_equals_scalar_form(a, b, h, origin, ts):
-    F = uniform_heading_ellipse_regressor(a, b, h, origin)
+@given(axes, axes, rates, times)
+def test_uniform_heading_array_form_equals_scalar_form(a, b, h, ts):
+    F = uniform_heading_ellipse_regressor(a, b, h)
     assert same_bits(F.array_form(np.array(ts)), [F(t) for t in ts])
 
 

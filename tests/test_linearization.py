@@ -92,6 +92,19 @@ def test_probe_gate_rejects_unexcited_direction():
         stability_probe(A, [1.0, 1.0, 1.0], T=2.0, epsilon=0.5, t_end=5.0)
 
 
+@pytest.mark.parametrize("t_end, dt, shown", [
+    (0.0, 1e-3, "t_end must be positive"),
+    (1.0, 0.0, "dt must be positive"),
+    (1e12, 1e-3, "limit of"),
+    (1.4e-3, 1e-3, "at least two steps"),
+], ids=["t-end-0", "dt-0", "1e15-steps", "one-step"])
+def test_probe_checks_its_horizon_before_any_work(t_end, dt, shown):
+    # the same checks as lin_check, before A is evaluated or anything allocated
+    with pytest.raises(ValueError, match=shown):
+        stability_probe(lambda t: np.eye(2), [1.0, 0.0], T=1.0, epsilon=0.5,
+                        t_end=t_end, dt=dt)
+
+
 def test_probe_rejects_bad_inputs():
     with pytest.raises(ValueError, match="epsilon"):
         stability_probe(lambda t: np.eye(2), [1.0, 0.0], T=1.0, epsilon=0.0,

@@ -1,0 +1,266 @@
+"""Check that the CLI's outputs did not move against a base commit.
+
+    python tools/same_outputs.py BASE
+
+BASE is any git revision of this repository (HEAD, a branch, a hash).
+The script extracts BASE with ``git archive`` into a temporary
+directory and runs one fixed corpus of CLI invocations on two trees:
+BASE and the working tree the script lives in, uncommitted changes
+included. For each invocation it compares the exit code, stdout, stderr
+and every file written. A JSON file is compared as its document with
+every ``wall_clock_s`` and ``timings`` key removed, and by whether it
+is written in the CLI's JSON format; everything else byte for byte.
+Tracebacks are compared with each tree's path replaced by ``<tree>``.
+
+It prints one line per invocation that differs and a summary line, and
+exits 1 if any differs, 0 if none does. It needs git and a second tree,
+so it is not part of the test suite.
+
+Each tree runs in one process that imports the package once and forks
+a child per invocation, so the corpus costs two imports; the two trees
+run side by side.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+import traceback
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+ELLIPSE = ["--a", "3", "--b", "5", "--h", str(2.0 * math.pi / 5.0)]
+REFERENCES = {
+    "centred": ELLIPSE,
+    "offcentre": ELLIPSE + ["--origin", "3,3"],
+    "line": ["--traj", "line", "--speed", "1.3", "--heading", "0.7", "--origin", "0.5,0.2"],
+}
+QUICK = ["--dt", "0.01", "--t-end", "10"]
+COMPARE = {
+    "trajectory": {"family": "ellipse", "a": 3.0, "b": 5.0, "h": 1.2566, "origin": [0.0, 0.0]},
+    "controllers": ["spatial", {"name": "kanayama", "gains": [2, 8, 4]}, "feedforward"],
+    "offset": [3.0, -2.0, 1.5708], "dt": 0.01, "t_end": 20.0, "threshold": 0.01,
+}
+CIRCLE = {"family": "ellipse", "a": 1.0, "b": 1.0, "h": 1.0}
+
+
+def _corpus() -> list:
+    """(name, config files, invocations) of every case; a case's invocations share a directory."""
+    cases = []
+    for ref, flags in REFERENCES.items():
+        for controller, offset in (("spatial", "1,-0.5,3.0"), ("kanayama", "1,-0.5,-3.0"),
+                                   ("feedforward", "0.4,0.3,2.5")):
+            run = ["simulate", *flags, "--controller", controller, "--offset", offset, *QUICK]
+            cases.append((f"simulate-{controller}-{ref}", {}, [
+                run + ["--out", "run.csv"],
+                ["simulate", "--config", "run.manifest.json", "--out", "again.csv"],
+            ]))
+    cases += [
+        ("simulate-readme", {}, [["simulate", *ELLIPSE, "--controller", "spatial",
+                                  "--offset", "3,-2,1.5708", "--dt", "0.001", "--t-end", "40",
+                                  "--out", "run.csv"]]),
+        ("simulate-seeded", {}, [["simulate", "--seed", "7", *QUICK, "--out", "run.csv"]]),
+        ("compare", {"compare.json": COMPARE}, [["compare", "--config", "compare.json",
+                                                 "--out", "cmp"]]),
+        ("basin-seeded", {}, [
+            ["basin", *ELLIPSE, "--samples", "4", "--seed", "3", *QUICK, "--out", "b.json"],
+            ["basin", "--config", "b.json", "--samples", "4", "--out", "again.json"],
+        ]),
+        ("basin-unseeded", {}, [["basin", *REFERENCES["line"], "--controller", "kanayama",
+                                 "--samples", "3", *QUICK, "--out", "b.json"]]),
+        ("basin-defaults", {}, [["basin", "--samples", "2", "--threshold", "1e-3",
+                                 "--out", "b.json"]]),
+        ("basin-0-samples", {}, [["basin", "--samples", "0", "--out", "b.json"]]),
+        ("basin-1-sample", {}, [["basin", "--samples", "1", "--seed", "9", *QUICK]]),
+        ("pe-check-ellipse", {}, [["pe-check", *ELLIPSE, "--out", "pe.json"]]),
+        ("pe-check-offcentre", {}, [["pe-check", *REFERENCES["offcentre"], "--windows", "8"]]),
+        ("pe-check-stationary", {}, [["pe-check", "--traj", "line", "--speed", "0",
+                                      "--out", "pe.json"]]),
+        ("lin-check-ellipse", {}, [["lin-check", *ELLIPSE, "--t-end", "5", "--out", "lin.json"]]),
+        ("lin-check-stationary", {}, [["lin-check", "--traj", "line", "--speed", "0",
+                                       "--t-end", "5", "--dt", "0.002"]]),
+    ]
+    # exit 1: a run that failed
+    cases += [
+        ("simulate-lyapunov-rises", {}, [["simulate", "--origin", "50,0", "--offset", "1,1,0.5",
+                                          "--dt", "1e-3", "--t-end", "5", "--out", "x.csv"]]),
+        ("simulate-diverges", {}, [["simulate", "--offset", "3,-2,1.5", "--dt", "100",
+                                    "--t-end", "10000", "--out", "x.csv"]]),
+        ("compare-lyapunov-rises", {"c.json": {**COMPARE, "trajectory": {
+            **COMPARE["trajectory"], "origin": [50.0, 0.0]}, "controllers": ["spatial"],
+            "offset": [1.0, 1.0, 0.5], "dt": 1e-3, "t_end": 5.0}},
+         [["compare", "--config", "c.json", "--out", "cmp"]]),
+        ("basin-lyapunov-rises", {}, [["basin", "--origin", "50,0", "--samples", "2", "--seed",
+                                       "1", "--t-end", "5", "--out", "b.json"]]),
+        ("basin-diverges", {}, [["basin", "--dt", "100", "--t-end", "10000", "--samples", "2",
+                                 "--out", "b.json"]]),
+        ("pe-check-not-finite", {}, [["pe-check", "--a", "1e200", "--b", "1", "--h", "1",
+                                      "--out", "pe.json"]]),
+        ("lin-check-diverges", {}, [["lin-check", "--origin", "1000,0", "--t-end", "1",
+                                     "--out", "lin.json"]]),
+    ]
+    # exit 2: a usage or configuration error
+    usage = [
+        ("simulate-3-gains", ["simulate", "--gains", "1,2,3", *QUICK, "--out", "x.csv"]),
+        ("simulate-inf-t-end", ["simulate", "--t-end", "inf", "--out", "x.csv"]),
+        ("simulate-nan-a", ["simulate", "--a", "nan", *QUICK, "--out", "x.csv"]),
+        ("simulate-bad-controller", ["simulate", "--controller", "pid", "--out", "x.csv"]),
+        ("simulate-step-limit", ["simulate", "--dt", "1e-9", "--t-end", "100", "--out", "x.csv"]),
+        ("simulate-missing-config", ["simulate", "--config", "none.json", "--out", "x.csv"]),
+        ("simulate-negative-seed", ["simulate", "--seed", "-5", *QUICK, "--out", "x.csv"]),
+        ("basin-3-gains", ["basin", "--gains", "1,2,3", "--samples", "1"]),
+        ("basin-negative-samples", ["basin", "--samples", "-3", "--out", "b.json"]),
+        ("basin-nan-threshold", ["basin", "--threshold", "nan", "--samples", "0"]),
+        ("basin-step-limit", ["basin", "--dt", "1e-9", "--t-end", "100", "--samples", "1"]),
+        ("lin-check-dt-0", ["lin-check", "--dt", "0"]),
+        ("lin-check-t-end-0", ["lin-check", "--t-end", "0"]),
+        ("lin-check-one-step", ["lin-check", "--t-end", "0.0004"]),
+        ("lin-check-step-limit", ["lin-check", "--dt", "1e-9", "--t-end", "100"]),
+        ("pe-check-inf-window", ["pe-check", "--window", "inf"]),
+        ("pe-check-nan-horizon", ["pe-check", "--horizon", "nan"]),
+        ("pe-check-even-points", ["pe-check", "--points", "4"]),
+    ]
+    cases += [(name, {}, [argv]) for name, argv in usage]
+    configs = {
+        "config-array": ("simulate", [1, 2]),
+        "config-no-axes": ("simulate", {"trajectory": {"family": "ellipse"}}),
+        "config-scalar-start": ("simulate", {"trajectory": {"family": "line", "start": 5}}),
+        "compare-number-entry": ("compare", {"trajectory": CIRCLE, "controllers": [5]}),
+        "compare-null-threshold": ("compare", {"trajectory": CIRCLE, "controllers": ["spatial"],
+                                               "threshold": None}),
+        "compare-negative-threshold": ("compare", {"trajectory": CIRCLE,
+                                                   "controllers": ["spatial"], "threshold": -1}),
+    }
+    for seed, label in (("x", "text"), (1.5, "fraction"), (True, "bool"), ([1], "list"),
+                        (-1, "negative")):
+        configs[f"basin-seed-{label}"] = ("basin", {"trajectory": CIRCLE, "seed": seed})
+    run = {"simulate": [*QUICK, "--out", "x.csv"], "compare": [],
+           "basin": [*QUICK, "--samples", "2"]}
+    for name, (command, doc) in configs.items():
+        cases.append((name, {"c.json": doc}, [[command, "--config", "c.json", *run[command]]]))
+    return cases
+
+
+def _run_corpus(work: Path) -> None:
+    """Run every invocation of the corpus under work, each in a forked child of this process."""
+    from se2track.cli import main
+
+    for name, files, invocations in _corpus():
+        case = work / name
+        case.mkdir(parents=True)
+        for fname, doc in files.items():
+            (case / fname).write_text(json.dumps(doc))
+        for k, argv in enumerate(invocations):
+            sys.stdout.flush()
+            sys.stderr.flush()
+            pid = os.fork()
+            if pid == 0:
+                os.chdir(case)
+                for fd, suffix in ((1, "out"), (2, "err")):
+                    os.dup2(os.open(work / f"{name}.{k}.{suffix}",
+                                    os.O_WRONLY | os.O_CREAT | os.O_TRUNC), fd)
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code if isinstance(exc.code, int) else 1
+                except BaseException:
+                    traceback.print_exc()
+                    code = 1
+                sys.stdout.flush()
+                sys.stderr.flush()
+                os._exit(code)
+            _, status = os.waitpid(pid, 0)
+            (work / f"{name}.{k}.code").write_text(str(os.waitstatus_to_exitcode(status)))
+
+
+def _drop_timings(doc):
+    if isinstance(doc, dict):
+        return {k: _drop_timings(v) for k, v in doc.items() if k not in ("wall_clock_s", "timings")}
+    if isinstance(doc, list):
+        return [_drop_timings(v) for v in doc]
+    return doc
+
+
+def _comparable(path: Path, trees):
+    """What of one output must not move: a JSON document without timings, or the bytes."""
+    data = path.read_bytes()
+    for tree in trees:
+        data = data.replace(os.fsencode(tree), b"<tree>")
+    if path.suffix == ".json":
+        try:
+            doc = json.loads(data)
+        except ValueError:
+            return data
+        written = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return written.encode() == data, _drop_timings(doc)
+    return data
+
+
+def _outputs(work: Path, trees, name: str, k: int, last: bool) -> dict:
+    """Exit code, stdout and stderr of invocation k; the last one of its case also has the files."""
+    out = {what: _comparable(work / f"{name}.{k}.{what}", trees) for what in ("code", "out", "err")}
+    for path in sorted((work / name).iterdir()) if last else ():
+        out[path.name] = _comparable(path, trees)
+    return out
+
+
+def _differences(base: dict, head: dict) -> list:
+    names = {"code": "exit code", "out": "stdout", "err": "stderr"}
+    return [names.get(key, key) for key in sorted(base.keys() | head.keys())
+            if base.get(key) != head.get(key)]
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 2 and argv[0] == "--run":
+        _run_corpus(Path(argv[1]))
+        return 0
+    if len(argv) != 1 or argv[0].startswith("-"):
+        print("usage: python tools/same_outputs.py BASE", file=sys.stderr)
+        return 2
+    base_rev = argv[0]
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        tmp = Path(tmp)
+        archive = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", base_rev],
+                                 capture_output=True)
+        if archive.returncode != 0:
+            print(f"error: git archive {base_rev}: {archive.stderr.decode().strip()}",
+                  file=sys.stderr)
+            return 2
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+            tar.extractall(tmp / "base", **safe)
+        trees = {"base": tmp / "base", "head": REPO}
+        runs = {}
+        for side, tree in trees.items():
+            env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+            runs[side] = subprocess.Popen([sys.executable, __file__, "--run", str(tmp / side)],
+                                          env=env, cwd=tmp)
+        for side, run in runs.items():
+            if run.wait() != 0:
+                print(f"error: the {side} corpus run exited {run.returncode}", file=sys.stderr)
+                return 2
+        count = 0
+        differing = 0
+        for name, _, invocations in _corpus():
+            for k in range(len(invocations)):
+                count += 1
+                last = k == len(invocations) - 1
+                diff = _differences(*(_outputs(tmp / side, trees.values(), name, k, last)
+                                      for side in trees))
+                if diff:
+                    differing += 1
+                    print(f"DIFF {name}#{k}: {', '.join(diff)}")
+    print(f"{differing} of {count} invocations differ between {base_rev} and the working tree")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
