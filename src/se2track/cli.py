@@ -9,9 +9,10 @@ Subcommands:
     basin      Monte-Carlo convergence sweep -> JSON summary
 
 Exit codes: 0 success, 1 runtime failure (a diverged simulation, L
-rising along a spatial run, a pe-check scan that is not finite), 2
-usage or config error. Outputs are deterministic: re-running a
-written manifest reproduces the CSV byte for byte.
+rising along a spatial run, a lin-check step too large for its
+reference, a pe-check scan that is not finite), 2 usage or config
+error, an unknown config key included. Outputs are deterministic:
+re-running a written manifest reproduces the CSV byte for byte.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .excitation import (
     window_gram,
 )
 from .linearization import lin_check
-from .trajectories import trajectory_from_descriptor
+from .trajectories import require_known_keys, trajectory_from_descriptor
 
 
 class ConfigError(ValueError):
@@ -298,8 +299,14 @@ def cmd_lin_check(args) -> int:
     return 0
 
 
+# keys of a compare config, and of an object in its controllers list
+_COMPARE_KEYS = ("trajectory", "controllers", "offset", "dt", "t_end", "threshold")
+_COMPARE_ENTRY_KEYS = ("name", "gains")
+
+
 def _compare_config(path: str):
     doc = _load_json(path)
+    require_known_keys(f"compare config {path}", doc, _COMPARE_KEYS)
     missing = [k for k in ("trajectory", "controllers") if k not in doc]
     if missing:
         raise ConfigError(f"compare config {path}: missing keys {missing}")
@@ -315,6 +322,7 @@ def _compare_config(path: str):
         if not isinstance(entry, dict):
             bad.append(f"controllers[{i}]={entry!r}")
             continue
+        require_known_keys(f"compare config {path}, controllers[{i}]", entry, _COMPARE_ENTRY_KEYS)
         name = entry.get("name")
         if name not in CONTROLLERS:
             bad.append(f"controllers[{i}].name={name!r}")

@@ -7,10 +7,11 @@ orthogonal. The control law is algebraic and is re-evaluated at every
 integration substage.
 
 The reference does not depend on the vehicle state, so a run samples
-it once, up front, with DesiredTrajectory.sample on the three RK4
-stage grids k dt, k dt + dt/2 and k dt + dt. The values equal the
-per-stage state_at calls bit for bit. A basin sweep samples it once
-for all of its runs.
+it once, up front, on the three RK4 stage grids k dt, k dt + dt/2 and
+k dt + dt. _stage_grids is the one definition of those times, for this
+loop and the linearization's LTV loop alike; its values equal the
+per-stage state_at calls bit for bit. A basin sweep samples the
+reference once for all of its runs.
 
 One setup, _setup, turns a SimConfig into what a run needs: the
 control law, the reference on the stage grids and the reference at
@@ -27,8 +28,8 @@ own sample index.
 The hot loop works on plain floats on purpose: a 60 s run at dt = 1e-3
 is 60k steps, and batch experiments multiply that by hundreds. Array
 allocation per substage would dominate the runtime. The sampled
-reference is turned into float tuples one block of steps at a time,
-so a long run never holds tuples for all of its steps.
+reference is turned into Python floats one block of _BLOCK steps at a
+time, so a long run never holds floats for all of its steps.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 from .controller import Gains, KanayamaGains, _kanayama_scalars, correction_scalars
 from .errors import _lyapunov_scalars, _spatial_position
 from .se2 import wrap_angle
-from .trajectories import (DesiredTrajectory, _require_positive, require_finite,
+from .trajectories import (_require_positive, on_grid, require_finite, require_known_keys,
                            trajectory_from_descriptor)
 
 CONTROLLERS = ("spatial", "kanayama", "feedforward")
@@ -60,7 +61,7 @@ COL = {name: i for i, name in enumerate(CSV_COLUMNS)}
 # gain type of each controller that takes gains (feedforward ignores them)
 GAINS = {"spatial": Gains, "kanayama": KanayamaGains}
 
-# steps per block of the reference grids turned into float tuples at a time
+# steps per block of the stage grids that an RK4 loop takes at a time
 _BLOCK = 512
 
 # largest step count of one run: its log would take 1.44 GB
@@ -153,7 +154,11 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
-        """Inverse of to_dict; a key that d lacks takes the field's default."""
+        """Inverse of to_dict; a key that d lacks takes the field's default.
+
+        A key that names no field raises ValueError.
+        """
+        require_known_keys("config", d, [f.name for f in fields(cls)])
         return cls(
             trajectory=dict(d["trajectory"]),
             controller=d.get("controller", cls.controller),
@@ -230,8 +235,9 @@ def _write_csv(path, header, blocks) -> None:
 def _make_controller(cfg: SimConfig):
     """Build control(ref, th, px, py) -> (omega, v, omega_tilde, v_tilde).
 
-    ref is the tuple (theta_d, pdx, pdy, omega_d, v_d) that the
-    reference's state_at returns at the stage time.
+    ref is (theta_d, pdx, pdy, omega_d, v_d), the values that the
+    reference's state_at returns at the stage time: a row of its
+    _stage_grids as plain floats.
     """
     if cfg.controller == "feedforward":
 
@@ -266,37 +272,32 @@ def _make_controller(cfg: SimConfig):
     return control
 
 
-def _reference_grids(traj: DesiredTrajectory, dt: float, steps: int) -> tuple:
-    """The reference sampled on the RK4 stage grids, as DesiredTrajectory.sample arrays.
+def _stage_grids(F, dt: float, start: int, stop: int) -> tuple:
+    """F, through on_grid, on the RK4 stage times of steps start..stop-1.
 
-    The grids are k dt for k = 0..steps (grid points and stage 1), then
-    k dt + dt/2 (stages 2 and 3) and k dt + dt (stage 4) for k < steps.
-    The last is not (k + 1) dt: the two differ in the last bit in about
-    a third of the steps.
+    The three grids are k dt for k = start..stop (grid points and stage
+    1), then k dt + dt/2 (stages 2 and 3) and k dt + dt (stage 4) for
+    k < stop. The last is not (k + 1) dt: the two differ in the last
+    bit in about a third of the steps.
     """
-    t = np.arange(steps + 1) * dt
-    return traj.sample(t), traj.sample(t[:-1] + 0.5 * dt), traj.sample(t[:-1] + dt)
-
-
-def _ref_tuples(grid: tuple, start: int, stop: int):
-    """Reference tuples of plain floats for grid rows start..stop-1."""
-    return zip(*(column[start:stop].tolist() for column in grid))
+    t = np.arange(start, stop + 1) * dt
+    return on_grid(F, t), on_grid(F, t[:-1] + 0.5 * dt), on_grid(F, t[:-1] + dt)
 
 
 def _setup(cfg: SimConfig) -> tuple:
-    """(control, grids, ref0) of a run: its control law, _reference_grids and ref at t = 0."""
-    grids = _reference_grids(trajectory_from_descriptor(cfg.trajectory), cfg.dt, cfg.steps)
-    return _make_controller(cfg), grids, next(_ref_tuples(grids[0], 0, 1))
+    """(control, grids, ref0) of a run: its control law, its reference's _stage_grids and t = 0 row."""
+    grids = _stage_grids(trajectory_from_descriptor(cfg.trajectory).state_at, cfg.dt, 0, cfg.steps)
+    return _make_controller(cfg), grids, grids[0][0].tolist()
 
 
-def _initial_state(ref0: tuple, offset) -> tuple:
+def _initial_state(ref0, offset) -> tuple:
     """(theta, px, py) at t = 0: the reference pose ref0 moved by offset = (dx, dy, dtheta)."""
     thd0, pdx0, pdy0, _, _ = ref0
     dx0, dy0, dth0 = offset
     return wrap_angle(thd0 + dth0), pdx0 + dx0, pdy0 + dy0
 
 
-def _log_row(t: float, th: float, px: float, py: float, ref: tuple, u: tuple) -> tuple:
+def _log_row(t: float, th: float, px: float, py: float, ref, u: tuple) -> tuple:
     """The CSV_COLUMNS row at time t: state, reference, both errors, L and the control u."""
     thd, pdx, pdy, _, _ = ref
     thE = wrap_angle(th - thd)
@@ -313,7 +314,7 @@ def _log_row(t: float, th: float, px: float, py: float, ref: tuple, u: tuple) ->
 def _integrate(control, state: tuple, grids: tuple, dt: float, data=None) -> tuple:
     """Integrate the closed loop from state = (theta, px, py) at t = 0.
 
-    grids is the output of _reference_grids. When data is given, a
+    grids is the reference's _stage_grids over the run. When data is given, a
     (steps + 1, len(CSV_COLUMNS)) array, row k of the log is written
     into it at every step; either way the last row is returned. Raises
     SimulationDiverged (with the offending step index) if the state
@@ -321,14 +322,14 @@ def _integrate(control, state: tuple, grids: tuple, dt: float, data=None) -> tup
     """
     th, px, py = state
     on_k, on_mid, on_end = grids
-    steps = len(on_mid[0])
+    steps = len(on_mid)
     half = 0.5 * dt
     sixth = dt / 6.0
 
     for start in range(0, steps, _BLOCK):
         stop = min(start + _BLOCK, steps)
-        block = zip(range(start, stop), _ref_tuples(on_k, start, stop),
-                    _ref_tuples(on_mid, start, stop), _ref_tuples(on_end, start, stop))
+        block = zip(range(start, stop), on_k[start:stop].tolist(),
+                    on_mid[start:stop].tolist(), on_end[start:stop].tolist())
         for k, ref, ref_mid, ref_end in block:
             u = control(ref, th, px, py)
             if data is not None:
@@ -355,7 +356,7 @@ def _integrate(control, state: tuple, grids: tuple, dt: float, data=None) -> tup
             if not (math.isfinite(th) and math.isfinite(px) and math.isfinite(py)):
                 raise SimulationDiverged(k + 1, k * dt + dt)
 
-    ref = next(_ref_tuples(on_k, steps, steps + 1))
+    ref = on_k[steps].tolist()
     row = _log_row(steps * dt, th, px, py, ref, control(ref, th, px, py))
     if data is not None:
         data[steps] = row

@@ -14,6 +14,13 @@ mechanism numerically on any symmetric-PSD A(t).
 
 A finite-difference Jacobian of the genuine nonlinear loop is the
 ground truth the -M S structure is verified against.
+
+The LTV flow is integrated by classical RK4 on the engine's stage
+grids, _stage_grids, which also serve the closed-loop integrator. Before
+it integrates, lin_check bounds its step on those grids: trace(A_z) =
+3 + |p_d|^2 bounds the stiffness of the flow, and where dt times it
+passes RK4's stability limit the flow may stay finite yet be wrong, so
+lin_check raises StepTooLarge rather than fit it.
 """
 
 from __future__ import annotations
@@ -25,17 +32,15 @@ from typing import Callable
 import numpy as np
 
 from .controller import correction_scalars
-from .engine import SimulationDiverged, _step_count
+from .engine import _BLOCK, SimulationDiverged, StepTooLarge, _stage_grids, _step_count
 from .excitation import PE_FLOOR, _default_window, window_gram
 from .se2 import B_SELECT, S_WEIGHT, Pose, adjoint_matrix, pose_matrix
 from .trajectories import DesiredTrajectory, _require_positive, along, on_grid
 
 _SQRT_S = np.diag([math.sqrt(2.0), 1.0, 1.0])
 
-# LTV steps whose A(t) values are evaluated together: enough to amortize
-# the grid evaluation, few enough that memory does not grow with the
-# horizon (three full-length stage grids raised peak RSS by about 10%).
-_LTV_BLOCK = 512
+# largest dt * lambda at which classical RK4 holds x_dot = -lambda x, lambda >= 0
+_RK4_LIMIT = 2.785
 
 # trailing fraction of the horizon that the decay rate is fitted on
 _TAIL_FRACTION = 0.6
@@ -152,6 +157,37 @@ def _psd_sqrt_of(A: Callable[[float], np.ndarray]) -> Callable[[float], np.ndarr
     return R
 
 
+def _trace_A_z(px, py):
+    """trace(A_z) at the reference position (px, py), floats or arrays: 3 + |p_d|^2.
+
+    It is 2 M[0, 0] + M[1, 1] + M[2, 2] of _actuation_gram_rows. A_z is
+    symmetric PSD, so the trace bounds its largest eigenvalue from above.
+    """
+    return 3.0 + px * px + py * py
+
+
+def _check_step(traj: DesiredTrajectory, t_end: float, dt: float) -> None:
+    """Raise StepTooLarge unless dt * trace(A_z) stays within _RK4_LIMIT on every stage time.
+
+    The reference is sampled on the RK4 stage grids one block of _BLOCK
+    steps at a time, as _ltv_rk4 samples A_z.
+    """
+    steps = _step_count(t_end, dt)
+    peak = 0.0
+    with np.errstate(over="ignore"):
+        for start in range(0, steps, _BLOCK):
+            for grid in _stage_grids(traj.state_at, dt, start, min(start + _BLOCK, steps)):
+                peak = max(peak, float(np.max(_trace_A_z(grid[:, 1], grid[:, 2]))))
+    if not dt * peak <= _RK4_LIMIT:
+        fits = "no dt fits"
+        if math.isfinite(peak):
+            # rounded down to four digits, so that the step named does fit
+            unit = 10.0 ** (math.floor(math.log10(_RK4_LIMIT / peak)) - 3)
+            fits = f"dt <= {math.floor(_RK4_LIMIT / peak / unit) * unit:.4g} fits"
+        raise StepTooLarge(f"dt * trace(A_z) reaches {dt * peak:.4g} > {_RK4_LIMIT}: "
+                           f"dt = {dt:g} is too large a step for this reference; {fits}")
+
+
 def _check_horizon(t_end: float, dt: float) -> None:
     """Raise ValueError unless t_end and dt are positive and t_end spans 2 to _MAX_STEPS steps."""
     _require_positive("t_end", t_end)
@@ -163,8 +199,8 @@ def _check_horizon(t_end: float, dt: float) -> None:
 def _ltv_rk4(A: Callable[[float], np.ndarray], x0: np.ndarray, t_end: float, dt: float):
     """Classical RK4 on x_dot = -A(t) x from t = 0; returns (times, |x| at each).
 
-    A is evaluated through on_grid on the stage grids k dt, k dt + dt/2
-    and k dt + dt, one block of _LTV_BLOCK steps at a time. Raises
+    A is evaluated on the engine's _stage_grids one block of _BLOCK
+    steps at a time, so memory does not grow with the horizon. Raises
     SimulationDiverged, without numpy's overflow warnings, at the first non-finite |x|.
     """
     steps = _step_count(t_end, dt)
@@ -173,9 +209,8 @@ def _ltv_rk4(A: Callable[[float], np.ndarray], x0: np.ndarray, t_end: float, dt:
     x = np.array(x0, dtype=float)
     norms[0] = math.sqrt(x.dot(x))
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, steps, _LTV_BLOCK):
-            t = np.arange(start, min(start + _LTV_BLOCK, steps)) * dt
-            stages = zip(on_grid(A, t), on_grid(A, t + 0.5 * dt), on_grid(A, t + dt))
+        for start in range(0, steps, _BLOCK):
+            stages = zip(*_stage_grids(A, dt, start, min(start + _BLOCK, steps)))
             for k, (A1, A2, A3) in enumerate(stages, start + 1):
                 k1 = -(A1 @ x)
                 k2 = -(A2 @ (x + 0.5 * dt * k1))
@@ -270,9 +305,12 @@ def lin_check(traj: DesiredTrajectory, t_end: float = 25.0, dt: float = 1e-3) ->
     finite differences of the nonlinear loop, and (3) the decay rate of
     the LTV linearization, fitted as stability_probe fits it. The window
     Gram over one period (5 s if aperiodic) decides only the verdict.
-    Raises SimulationDiverged if the LTV flow does not stay finite.
+    Raises StepTooLarge, before any of these, if dt * trace(A_z) exceeds
+    RK4's stability limit _RK4_LIMIT at a stage time, and
+    SimulationDiverged if the LTV flow does not stay finite.
     """
     _check_horizon(t_end, dt)
+    _check_step(traj, t_end, dt)
     horizon = traj.period if traj.period is not None else max(t_end, 10.0)
     sample_times = [float(t) for t in np.linspace(0.0, horizon, _N_SAMPLES)]
 

@@ -39,6 +39,13 @@ def _require_positive(what: str, value) -> None:
         raise ValueError(f"{what} must be positive, got {value!r}")
 
 
+def require_known_keys(what: str, d: dict, known) -> None:
+    """Raise ValueError naming every key of d that is not in known."""
+    unknown = [key for key in d if key not in known]
+    if unknown:
+        raise ValueError(f"unknown keys {unknown} in {what}; the known keys are {list(known)}")
+
+
 def on_grid(F, ts) -> np.ndarray:
     """Values of a function of time at every time in ts, stacked on axis 0.
 
@@ -170,9 +177,16 @@ def line_trajectory(speed: float, heading: float = 0.0, start=(0.0, 0.0)) -> Des
     )
 
 
+# the keys of each family's descriptor
+_DESCRIPTOR_KEYS = {"ellipse": ("family", "a", "b", "h", "origin"),
+                    "line": ("family", "speed", "heading", "start")}
+
+
 def trajectory_from_descriptor(desc: dict) -> DesiredTrajectory:
     """Rebuild a trajectory from its descriptor dict (manifest round-trip); ValueError if malformed."""
     family = desc.get("family")
+    if family in _DESCRIPTOR_KEYS:
+        require_known_keys(f"{family} trajectory", desc, _DESCRIPTOR_KEYS[family])
     try:
         if family == "ellipse":
             return ellipse_trajectory(desc["a"], desc["b"], desc["h"], desc.get("origin", (0.0, 0.0)))

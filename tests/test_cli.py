@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -245,6 +246,22 @@ def test_lin_check_diverged_flow_exits_one_without_report(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_lin_check_refuses_a_step_its_flow_cannot_hold(tmp_path, capsys):
+    # at (50, 0) dt * trace(A_z) reaches 2.812, past RK4's stability limit
+    # of 2.785: the flow stays finite but wrong, so it must certify nothing
+    out = tmp_path / "x.json"
+    argv = ["lin-check", "--origin", "50,0", "--t-end", "1", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("simulation failed: dt * trace(A_z) reaches 2.812 > 2.785")
+    assert captured.out == ""
+    assert not out.exists()
+    # the step that the message names fits
+    fits = re.search(r"dt <= (\S+) fits", captured.err).group(1)
+    run_ok(argv + ["--dt", fits])
+    assert "decay rate" in capsys.readouterr().out
+
+
 def _compare_config(tmp_path, **overrides):
     doc = {
         "trajectory": {"family": "ellipse", "a": 1.0, "b": 1.0, "h": 1.0,
@@ -486,6 +503,32 @@ def test_malformed_config_files_are_usage_errors(tmp_path, capsys, command, cont
     run = QUICK + ["--out", str(tmp_path / "x.csv")] if command == "simulate" else []
     assert main([command, "--config", str(path)] + run) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command, content, shown", [
+    ("simulate", {"trajectory": _ELLIPSE, "tend": 5, "controler": "kanayama"},
+     "['tend', 'controler'] in config"),
+    ("basin", {"trajectory": _ELLIPSE, "sed": 3}, "['sed'] in config"),
+    ("simulate", {"trajectory": {**_ELLIPSE, "orgin": [5, 5]}}, "['orgin'] in ellipse trajectory"),
+    ("simulate", {"trajectory": {"family": "line", "speed": 1.0, "heading": 0.0, "origin": [1, 1]}},
+     "['origin'] in line trajectory"),
+    ("compare", {"trajectory": _ELLIPSE, "controllers": ["spatial"], "t-end": 5, "treshold": 0.1},
+     "['t-end', 'treshold'] in compare config"),
+    ("compare", {"trajectory": _ELLIPSE, "controllers": [{"name": "kanayama", "gain": [1, 2, 3]}]},
+     "['gain'] in compare config"),
+    ("compare", {"trajectory": {**_ELLIPSE, "orgin": [5, 5]}, "controllers": ["spatial"]},
+     "['orgin'] in ellipse trajectory"),
+], ids=["simulate-run-keys", "basin-run-key", "ellipse-key", "line-key", "compare-keys",
+        "compare-entry-key", "compare-trajectory-key"])
+def test_unknown_config_keys_are_usage_errors(tmp_path, capsys, command, content, shown):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(content))
+    run = {"simulate": QUICK + ["--out", str(tmp_path / "x.csv")], "compare": [],
+           "basin": QUICK + ["--samples", "1"]}[command]
+    assert main([command, "--config", str(path)] + run) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"unknown keys {shown}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 @pytest.mark.parametrize("argv, shown", [

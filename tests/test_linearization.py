@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from se2track import (
     Pose,
     SimulationDiverged,
+    StepTooLarge,
     actuation_gram,
     adjoint_matrix,
     closed_loop_ltv,
@@ -124,6 +127,30 @@ def test_probe_raises_when_rk4_cannot_hold_the_flow():
         stability_probe(lambda t: 1e4 * np.eye(3), [1.0, 1.0, 1.0], T=1.0, epsilon=1.0,
                         t_end=1.0, dt=1e-3)
     assert 0 < exc.value.step < 1000
+
+
+coordinates = st.floats(-60.0, 60.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-math.pi, math.pi), coordinates, coordinates)
+def test_trace_of_A_z_bounds_the_rates_of_the_loop(theta, px, py):
+    # lin_check bounds its step with 3 + |p_d|^2: that is trace(A_z), and no
+    # rate of the linearized nonlinear loop exceeds it
+    xd = Pose(theta, np.array([px, py]))
+    bound = linearization._trace_A_z(px, py)
+    A_z = linearization._SQRT_S @ actuation_gram(xd) @ linearization._SQRT_S
+    assert bound == pytest.approx(np.trace(A_z), rel=1e-12)
+    rates = np.real(np.linalg.eigvals(-fd_closed_loop_jacobian(xd)))
+    assert np.max(rates) <= bound * (1.0 + 1e-6)
+
+
+def test_lin_check_refuses_a_step_past_rk4s_limit():
+    traj = ellipse_trajectory(3.0, 5.0, 2.0 * math.pi / 5.0, origin=(50.0, 0.0))
+    # 3 + 53^2 = 2812 at the stage time 0
+    with pytest.raises(StepTooLarge, match=r"reaches 2\.812 > 2\.785.*dt <= 0\.0009903 fits"):
+        lin_check(traj, t_end=1.0)
+    lin_check(traj, t_end=0.1, dt=0.0009903)
 
 
 def test_closed_loop_ltv_is_similar_to_raw_linearization():

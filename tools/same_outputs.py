@@ -105,6 +105,8 @@ def _corpus() -> list:
                                       "--out", "pe.json"]]),
         ("lin-check-diverges", {}, [["lin-check", "--origin", "1000,0", "--t-end", "1",
                                      "--out", "lin.json"]]),
+        ("lin-check-step-too-large", {}, [["lin-check", "--origin", "50,0", "--t-end", "1",
+                                           "--out", "lin.json"]]),
     ]
     # exit 2: a usage or configuration error
     usage = [
@@ -132,11 +134,17 @@ def _corpus() -> list:
         "config-array": ("simulate", [1, 2]),
         "config-no-axes": ("simulate", {"trajectory": {"family": "ellipse"}}),
         "config-scalar-start": ("simulate", {"trajectory": {"family": "line", "start": 5}}),
+        "config-unknown-keys": ("simulate", {"trajectory": CIRCLE, "tend": 5,
+                                             "controler": "kanayama"}),
+        "config-unknown-trajectory-key": ("simulate", {"trajectory": {**CIRCLE,
+                                                                      "orgin": [5, 5]}}),
         "compare-number-entry": ("compare", {"trajectory": CIRCLE, "controllers": [5]}),
         "compare-null-threshold": ("compare", {"trajectory": CIRCLE, "controllers": ["spatial"],
                                                "threshold": None}),
         "compare-negative-threshold": ("compare", {"trajectory": CIRCLE,
                                                    "controllers": ["spatial"], "threshold": -1}),
+        "compare-unknown-keys": ("compare", {"trajectory": CIRCLE, "controllers": ["spatial"],
+                                             "t-end": 5, "treshold": 0.1}),
     }
     for seed, label in (("x", "text"), (1.5, "fraction"), (True, "bool"), ([1], "list"),
                         (-1, "negative")):
