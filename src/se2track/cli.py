@@ -10,9 +10,11 @@ Subcommands:
 
 Exit codes: 0 success, 1 runtime failure (a diverged simulation, L
 rising along a spatial run, a lin-check step too large for its
-reference, a pe-check scan that is not finite), 2 usage or config
-error, an unknown config key included. Outputs are deterministic:
-re-running a written manifest reproduces the CSV byte for byte.
+reference, a pe-check scan that is not finite, a write that failed),
+2 usage or config error (an unknown config key, or an output path in no
+directory or that is a directory, checked before any run), 130
+interrupted. Outputs are deterministic: re-running a written manifest
+reproduces the CSV byte for byte.
 """
 
 from __future__ import annotations
@@ -50,17 +52,13 @@ from .linearization import lin_check
 from .trajectories import require_known_keys, trajectory_from_descriptor
 
 
-class ConfigError(ValueError):
-    """Bad flag combination or config file; maps to exit code 2."""
-
-
 def _parse_floats(text: str, n: int, what: str) -> tuple:
     try:
         parts = tuple(float(tok) for tok in text.split(","))
     except ValueError:
-        raise ConfigError(f"{what}: expected comma-separated numbers, got {text!r}")
+        raise ValueError(f"{what}: expected comma-separated numbers, got {text!r}")
     if len(parts) != n:
-        raise ConfigError(f"{what}: expected {n} comma-separated numbers, got {text!r}")
+        raise ValueError(f"{what}: expected {n} comma-separated numbers, got {text!r}")
     return parts
 
 
@@ -160,13 +158,13 @@ def _load_json(path: str) -> dict:
         with open(path) as fh:
             doc = json.load(fh)
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+        raise ValueError(f"config file not found: {path}")
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
+        raise ValueError(f"cannot read config file {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+        raise ValueError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object, got {type(doc).__name__}")
+        raise ValueError(f"config file {path} must hold a JSON object, got {type(doc).__name__}")
     return doc
 
 
@@ -181,7 +179,7 @@ def _resolve_sim_config(args, defaults=None) -> SimConfig:
         doc = _load_json(args.config)
         cfg = doc.get("config", doc)  # accept a manifest or a bare config
         if not isinstance(cfg, dict) or "trajectory" not in cfg:
-            raise ConfigError(f"config file {args.config} lacks a trajectory section")
+            raise ValueError(f"config file {args.config} lacks a trajectory section")
         cfg = dict(cfg)
     if "trajectory" not in cfg or any(getattr(args, name) is not None
                                       for name in _TRAJECTORY_DEFAULTS):
@@ -199,8 +197,17 @@ def _resolve_sim_config(args, defaults=None) -> SimConfig:
 def _sim_config(d: dict) -> SimConfig:
     try:
         return SimConfig.from_dict(d)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"invalid configuration: {exc}")
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"invalid configuration: {exc}")
+
+
+def _check_outputs(*paths) -> None:
+    """Raise ValueError, naming the path, unless each path given can be a file in a directory."""
+    for path in map(Path, filter(None, paths)):
+        if path.is_dir():
+            raise ValueError(f"cannot write {path}: it is a directory")
+        if not path.parent.is_dir():
+            raise ValueError(f"cannot write {path}: {path.parent} is not a directory")
 
 
 def _write_json(path, doc) -> None:
@@ -208,6 +215,13 @@ def _write_json(path, doc) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", newline="\n") as fh:
         fh.write(text + "\n")
+
+
+def _write_report(path, doc) -> None:
+    """Write the JSON report of pe-check, lin-check or basin to path, if one was given."""
+    if path:
+        _write_json(path, doc)
+        print(f"wrote {path}")
 
 
 def _manifest_path(out_csv: str) -> Path:
@@ -218,6 +232,7 @@ def _manifest_path(out_csv: str) -> Path:
 
 def cmd_simulate(args) -> int:
     cfg = _resolve_sim_config(args)
+    _check_outputs(args.out, _manifest_path(args.out))
     t0 = time.perf_counter()
     log = simulate(cfg)
     log.to_csv(args.out)
@@ -241,6 +256,7 @@ def cmd_simulate(args) -> int:
 def cmd_pe_check(args) -> int:
     desc = _trajectory_descriptor(args)
     traj = trajectory_from_descriptor(desc)
+    _check_outputs(args.out)
     T = args.window if args.window is not None else _default_window(traj)
     horizon = args.horizon if args.horizon is not None else 5.0 * T
     # a reference too large for floats gives inf or nan, checked below, not a warning
@@ -278,24 +294,21 @@ def cmd_pe_check(args) -> int:
               f"({closed[0, 0]:.6g}, {closed[1, 1]:.6g}, {closed[2, 2]:.6g}); "
               f"quadrature residual {resid:.3e} (relative)")
 
-    if args.out:
-        _write_json(args.out, doc)
-        print(f"wrote {args.out}")
+    _write_report(args.out, doc)
     return 0
 
 
 def cmd_lin_check(args) -> int:
     desc = _trajectory_descriptor(args)
     traj = trajectory_from_descriptor(desc)
+    _check_outputs(args.out)
     report = lin_check(traj, t_end=args.t_end, dt=args.dt)
     doc = {"trajectory": desc, "report": report.to_dict()}
     print(f"structure residual {report.max_structure_residual:.3e}, "
           f"FD residual {report.max_fd_residual:.3e}, "
           f"fitted decay rate {report.fitted_decay_rate:.4f} "
           f"(R^2 = {report.r_squared:.4f}) -> {report.verdict}")
-    if args.out:
-        _write_json(args.out, doc)
-        print(f"wrote {args.out}")
+    _write_report(args.out, doc)
     return 0
 
 
@@ -309,10 +322,10 @@ def _compare_config(path: str):
     require_known_keys(f"compare config {path}", doc, _COMPARE_KEYS)
     missing = [k for k in ("trajectory", "controllers") if k not in doc]
     if missing:
-        raise ConfigError(f"compare config {path}: missing keys {missing}")
+        raise ValueError(f"compare config {path}: missing keys {missing}")
     ctrls = doc["controllers"]
     if not isinstance(ctrls, list) or not ctrls:
-        raise ConfigError(f"compare config {path}: 'controllers' must be a non-empty list")
+        raise ValueError(f"compare config {path}: 'controllers' must be a non-empty list")
     run = {key: doc[key] for key in ("trajectory", "offset", "dt", "t_end") if key in doc}
     bad = []
     cfgs = []
@@ -330,11 +343,11 @@ def _compare_config(path: str):
         # an empty gains list picks the defaults, as a missing one does
         cfgs.append(_sim_config({**run, "controller": name, "gains": entry.get("gains") or None}))
     if bad:
-        raise ConfigError(f"compare config {path}: invalid entries: {', '.join(bad)}")
+        raise ValueError(f"compare config {path}: invalid entries: {', '.join(bad)}")
     try:
         return cfgs, float(doc.get("threshold", 1e-2))
     except (TypeError, ValueError):
-        raise ConfigError(f"compare config {path}: threshold must be a number, "
+        raise ValueError(f"compare config {path}: threshold must be a number, "
                           f"got {doc['threshold']!r}")
 
 
@@ -355,16 +368,15 @@ def _long_blocks(cfgs, logs):
 
 def cmd_compare(args) -> int:
     cfgs, threshold = _compare_config(args.config)
-    rows, logs = compare_controllers(cfgs, threshold=threshold)
     stem = Path(args.out)
-
-    paths = []
-    for i, (cfg, log) in enumerate(zip(cfgs, logs)):
-        path = Path(f"{stem}_{i}_{cfg.controller}.csv")
-        log.to_csv(path)
-        paths.append(str(path))
-
+    paths = [f"{stem}_{i}_{cfg.controller}.csv" for i, cfg in enumerate(cfgs)]
     long_path = Path(f"{stem}_long.csv")
+    summary_path = f"{stem}_summary.json"
+    _check_outputs(*paths, long_path, summary_path)
+    rows, logs = compare_controllers(cfgs, threshold=threshold)
+
+    for path, log in zip(paths, logs):
+        log.to_csv(path)
     _write_csv(long_path, ("controller", "run", "t", "variable", "value"), _long_blocks(cfgs, logs))
 
     summary = {
@@ -373,28 +385,26 @@ def cmd_compare(args) -> int:
         "csv_files": paths,
         "long_format": str(long_path),
     }
-    _write_json(f"{stem}_summary.json", summary)
+    _write_json(summary_path, summary)
     for r in rows:
         tth = "never" if r.time_to_heading is None else f"{r.time_to_heading:g} s"
         ttp = "never" if r.time_to_position is None else f"{r.time_to_position:g} s"
         print(f"{r.controller:12s} heading<thr: {tth:>9s}  position<thr: {ttp:>9s}  "
               f"final pos err {r.final_position_error:.3e}")
-    print(f"wrote {len(paths)} run CSVs, {long_path}, {stem}_summary.json")
+    print(f"wrote {len(paths)} run CSVs, {long_path}, {summary_path}")
     return 0
 
 
 def cmd_basin(args) -> int:
     # draws far from the reference need longer to settle than one run
     cfg = _resolve_sim_config(args, defaults={"t_end": 60.0, "dt": 5e-3})
+    _check_outputs(args.out)
     summary = monte_carlo_basin(cfg, samples=args.samples, threshold=args.threshold)
     frac = "n/a" if summary.fraction is None else f"{summary.fraction:.3f}"
     print(f"{summary.converged}/{summary.samples} runs reached "
           f"Lyapunov < {args.threshold:g} by t = {cfg.t_end:g} s "
           f"(fraction {frac}, seed {summary.seed})")
-    doc = {"config": cfg.to_dict(), "summary": summary.to_dict()}
-    if args.out:
-        _write_json(args.out, doc)
-        print(f"wrote {args.out}")
+    _write_report(args.out, {"config": cfg.to_dict(), "summary": summary.to_dict()})
     return 0
 
 
@@ -411,10 +421,16 @@ def main(argv=None) -> int:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
-        # ConfigError and validation errors from the library surface the
-        # same way: a usage problem, not a crash
+        # a bad flag, config file, value or output path: a usage problem, not a crash
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # a write that failed, such as on a full disk
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import os
+import signal
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
@@ -122,6 +123,12 @@ class SimConfig:
     seed: Optional[int] = None
 
     def __post_init__(self):
+        # the field types first, so that a config equals its own manifest read back
+        object.__setattr__(self, "trajectory", dict(self.trajectory))
+        object.__setattr__(self, "gains", None if self.gains is None else tuple(self.gains))
+        object.__setattr__(self, "offset", tuple(self.offset))
+        object.__setattr__(self, "dt", float(self.dt))
+        object.__setattr__(self, "t_end", float(self.t_end))
         if self.controller not in CONTROLLERS:
             raise ValueError(f"unknown controller {self.controller!r}; pick one of {CONTROLLERS}")
         _require_positive("dt", self.dt)
@@ -159,15 +166,7 @@ class SimConfig:
         A key that names no field raises ValueError.
         """
         require_known_keys("config", d, [f.name for f in fields(cls)])
-        return cls(
-            trajectory=dict(d["trajectory"]),
-            controller=d.get("controller", cls.controller),
-            gains=None if d.get("gains") is None else tuple(d["gains"]),
-            offset=tuple(d.get("offset", cls.offset)),
-            dt=float(d.get("dt", cls.dt)),
-            t_end=float(d.get("t_end", cls.t_end)),
-            seed=d.get("seed"),
-        )
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -435,19 +434,19 @@ def monte_carlo_basin(cfg: SimConfig, samples: int, threshold: float = 1e-6) -> 
     if samples < 0:
         raise ValueError(f"sample count must be non-negative, got {samples}")
     _require_positive("threshold", threshold)
-    seed = 0 if cfg.seed is None else cfg.seed
-    rng = np.random.default_rng(seed)
-    draws = [(rng.uniform(-math.pi + _THETA_MARGIN, math.pi - _THETA_MARGIN),
-              rng.uniform(-_P_BOX, _P_BOX), rng.uniform(-_P_BOX, _P_BOX))
-             for _ in range(samples)]
     control, grids, ref0 = _setup(cfg)
     _, pdx0, pdy0, _, _ = ref0
-    states = []
-    for thE, pEx, pEy in draws:
+    seed = 0 if cfg.seed is None else cfg.seed
+    rng = np.random.default_rng(seed)
+    draws, states = [], []
+    for _ in range(samples):
+        thE, pEx, pEy = draw = (rng.uniform(-math.pi + _THETA_MARGIN, math.pi - _THETA_MARGIN),
+                                rng.uniform(-_P_BOX, _P_BOX), rng.uniform(-_P_BOX, _P_BOX))
         # invert E_R(0) = (thE, pE): p(0) = pE + R(thE) p_d(0)
         c, s = math.cos(thE), math.sin(thE)
         dx = pEx + (c * pdx0 - s * pdy0) - pdx0
         dy = pEy + (s * pdx0 + c * pdy0) - pdy0
+        draws.append(draw)
         states.append(_initial_state(ref0, (dx, dy, thE)))
 
     # imported here, so that only a sweep pays for the import
@@ -460,8 +459,10 @@ def monte_carlo_basin(cfg: SimConfig, samples: int, threshold: float = 1e-6) -> 
         # fork, not spawn: the control closure cannot be pickled, and a fresh
         # import of the package takes longer than a dozen samples at the CLI's
         # defaults. The workers call no BLAS routine, so the idle threads
-        # numpy starts hold no lock that a worker waits for.
-        pool = multiprocessing.get_context("fork").Pool(workers)
+        # numpy starts hold no lock that a worker waits for. They ignore
+        # SIGINT, so that a Ctrl-C is reported once, by this process.
+        pool = multiprocessing.get_context("fork").Pool(
+            workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
         results = pool.imap(_sample_final, states)
     else:
         pool = nullcontext()

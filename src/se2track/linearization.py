@@ -138,23 +138,16 @@ def fd_closed_loop_jacobian(xd: Pose, step: float = 1e-6) -> np.ndarray:
     return J
 
 
-def _psd_sqrt(A: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition (negatives clamped).
+def _excitation(A: Callable[[float], np.ndarray], T: float, points: int) -> float:
+    """Smallest eigenvalue of the window Gram over [0, T] of the PSD square root of A."""
 
-    A may be one matrix or a stack of them along axis 0.
-    """
-    w, V = np.linalg.eigh(A)
-    return (V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(V, -1, -2)
-
-
-def _psd_sqrt_of(A: Callable[[float], np.ndarray]) -> Callable[[float], np.ndarray]:
-    """t -> PSD square root of A(t), for a time or an array of times (through on_grid)."""
-
-    def R(t) -> np.ndarray:
-        return _psd_sqrt(np.asarray(A(t), dtype=float) if np.ndim(t) == 0 else on_grid(A, t))
+    def R(ts) -> np.ndarray:
+        # symmetric PSD square roots by eigendecomposition, negative eigenvalues clamped
+        w, V = np.linalg.eigh(on_grid(A, ts))
+        return (V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(V, -1, -2)
 
     R.array_form = R
-    return R
+    return float(np.linalg.eigvalsh(window_gram(R, 0.0, T, points))[0])
 
 
 def _trace_A_z(px, py):
@@ -166,13 +159,12 @@ def _trace_A_z(px, py):
     return 3.0 + px * px + py * py
 
 
-def _check_step(traj: DesiredTrajectory, t_end: float, dt: float) -> None:
+def _check_step(traj: DesiredTrajectory, steps: int, dt: float) -> None:
     """Raise StepTooLarge unless dt * trace(A_z) stays within _RK4_LIMIT on every stage time.
 
-    The reference is sampled on the RK4 stage grids one block of _BLOCK
-    steps at a time, as _ltv_rk4 samples A_z.
+    The reference is sampled on the RK4 stage grids of steps steps one
+    block of _BLOCK steps at a time, as _ltv_rk4 samples A_z.
     """
-    steps = _step_count(t_end, dt)
     peak = 0.0
     with np.errstate(over="ignore"):
         for start in range(0, steps, _BLOCK):
@@ -188,22 +180,23 @@ def _check_step(traj: DesiredTrajectory, t_end: float, dt: float) -> None:
                            f"dt = {dt:g} is too large a step for this reference; {fits}")
 
 
-def _check_horizon(t_end: float, dt: float) -> None:
-    """Raise ValueError unless t_end and dt are positive and t_end spans 2 to _MAX_STEPS steps."""
+def _check_horizon(t_end: float, dt: float) -> int:
+    """The step count, 2 to _MAX_STEPS, of positive t_end and dt; raises ValueError otherwise."""
     _require_positive("t_end", t_end)
     _require_positive("dt", dt)
-    if _step_count(t_end, dt) < 2:
+    steps = _step_count(t_end, dt)
+    if steps < 2:
         raise ValueError(f"t_end must span at least two steps of dt = {dt!r}, got {t_end!r}")
+    return steps
 
 
-def _ltv_rk4(A: Callable[[float], np.ndarray], x0: np.ndarray, t_end: float, dt: float):
-    """Classical RK4 on x_dot = -A(t) x from t = 0; returns (times, |x| at each).
+def _ltv_rk4(A: Callable[[float], np.ndarray], x0: np.ndarray, steps: int, dt: float):
+    """Classical RK4 on x_dot = -A(t) x for steps steps from t = 0; returns (times, |x| at each).
 
     A is evaluated on the engine's _stage_grids one block of _BLOCK
     steps at a time, so memory does not grow with the horizon. Raises
     SimulationDiverged, without numpy's overflow warnings, at the first non-finite |x|.
     """
-    steps = _step_count(t_end, dt)
     times = np.arange(steps + 1) * dt
     norms = np.empty(steps + 1)
     x = np.array(x0, dtype=float)
@@ -252,7 +245,7 @@ def stability_probe(A: Callable[[float], np.ndarray], x0, T: float, epsilon: flo
     finite. A is evaluated through on_grid, so its array form is used
     when it has one.
     """
-    _check_horizon(t_end, dt)
+    steps = _check_horizon(t_end, dt)
     if epsilon <= 0.0:
         raise ValueError("excitation level epsilon must be positive")
     x0 = np.array(x0, dtype=float)
@@ -264,14 +257,13 @@ def stability_probe(A: Callable[[float], np.ndarray], x0, T: float, epsilon: flo
         if float(np.linalg.eigvalsh(0.5 * (Ak + Ak.T))[0]) < -1e-9:
             raise ValueError(f"A({t_chk:.3f}) is not positive semi-definite")
 
-    G = window_gram(_psd_sqrt_of(A), 0.0, T, gram_points)
-    lam = float(np.linalg.eigvalsh(G)[0])
+    lam = _excitation(A, T, gram_points)
     if lam < epsilon:
         raise ValueError(
             f"window Gram smallest eigenvalue {lam:.3e} does not reach epsilon {epsilon:.3e}"
         )
 
-    times, norms = _ltv_rk4(A, x0, t_end, dt)
+    times, norms = _ltv_rk4(A, x0, steps, dt)
     monotone = bool(np.all(np.diff(norms) <= 1e-12 * max(1.0, norms[0])))
     rate, r2, window = _fit_log_norm(times, norms)
     return DecayReport(
@@ -309,8 +301,8 @@ def lin_check(traj: DesiredTrajectory, t_end: float = 25.0, dt: float = 1e-3) ->
     RK4's stability limit _RK4_LIMIT at a stage time, and
     SimulationDiverged if the LTV flow does not stay finite.
     """
-    _check_horizon(t_end, dt)
-    _check_step(traj, t_end, dt)
+    steps = _check_horizon(t_end, dt)
+    _check_step(traj, steps, dt)
     horizon = traj.period if traj.period is not None else max(t_end, 10.0)
     sample_times = [float(t) for t in np.linspace(0.0, horizon, _N_SAMPLES)]
 
@@ -325,8 +317,8 @@ def lin_check(traj: DesiredTrajectory, t_end: float = 25.0, dt: float = 1e-3) ->
 
     A_z = closed_loop_ltv(traj)
     T = _default_window(traj)
-    eps = float(np.linalg.eigvalsh(window_gram(_psd_sqrt_of(A_z), 0.0, T, _GRAM_POINTS))[0])
-    times, norms = _ltv_rk4(A_z, np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0), t_end, dt)
+    eps = _excitation(A_z, T, _GRAM_POINTS)
+    times, norms = _ltv_rk4(A_z, np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0), steps, dt)
     rate, r2, fit_window = _fit_log_norm(times, norms)
     verdict = ("PE: linearization decays exponentially" if eps > PE_FLOOR
                else "not PE: no exponential certificate")

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from se2track import cli, engine
 from se2track.cli import _write_json, main
 from se2track.engine import SimLog
 
@@ -624,3 +625,68 @@ def test_step_count_over_the_limit_is_a_usage_error(tmp_path, monkeypatch, capsy
     assert main(command + ["--dt", dt, "--t-end", t_end]) == 2
     assert "limit of 10000000 steps" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.fixture
+def nothing_runs(monkeypatch):
+    """Make every run the CLI can start fail the test, so that a check after it shows."""
+    def ran(*args, **kwargs):
+        raise AssertionError("a run started before its output paths were checked")
+
+    for name in ("simulate", "compare_controllers", "monte_carlo_basin", "pe_epsilon", "lin_check"):
+        monkeypatch.setattr(cli, name, ran)
+
+
+@pytest.mark.parametrize("command, out", [
+    (["simulate", *QUICK], "run.csv"),
+    (["compare", "--config", "compare.json"], "cmp"),
+    (["pe-check"], "pe.json"),
+    (["lin-check"], "lin.json"),
+    (["basin", *QUICK, "--samples", "2"], "b.json"),
+])
+@pytest.mark.parametrize("bad", ["missing-directory", "directory"])
+def test_bad_output_paths_are_usage_errors_before_any_run(tmp_path, capsys, nothing_runs,
+                                                          command, out, bad):
+    (tmp_path / "compare.json").write_text(json.dumps(
+        {"trajectory": _ELLIPSE, "controllers": ["spatial", "kanayama"]}))
+    out = tmp_path / ("missing" if bad == "missing-directory" else "") / out
+    compare = command[0] == "compare"
+    if bad == "missing-directory":
+        first = f"{out}_0_spatial.csv" if compare else out
+        shown = f"{first}: {out.parent} is not a directory"
+    else:
+        # for compare, the last path it writes, so that every path before it passes the check
+        target = tmp_path / "cmp_summary.json" if compare else out
+        target.mkdir()
+        shown = f"{target}: it is a directory"
+    command = [str(tmp_path / arg) if arg == "compare.json" else arg for arg in command]
+    before = sorted(tmp_path.iterdir())
+    assert main(command + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {shown}\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_an_interrupt_ends_in_one_line(tmp_path, monkeypatch, capsys):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(engine, "_integrate", interrupted)
+    assert main(["simulate", *QUICK, "--out", str(tmp_path / "run.csv")]) == 130
+    captured = capsys.readouterr()
+    assert captured.err == "interrupted\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, writer", [
+    (["simulate", *QUICK, "--out", "run.csv"], (SimLog, "to_csv")),
+    (["pe-check", "--windows", "2", "--out", "pe.json"], (cli, "_write_json")),
+])
+def test_a_failed_write_ends_in_one_error_line(tmp_path, monkeypatch, capsys, command, writer):
+    def full_disk(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(*writer, full_disk)
+    assert main(command) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"

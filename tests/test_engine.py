@@ -1,3 +1,4 @@
+import json
 import math
 import pickle
 import time
@@ -178,6 +179,15 @@ def test_config_dict_round_trip(ellipse_desc):
     assert SimConfig.from_dict(cfg.to_dict()) == cfg
     plain = SimConfig(trajectory=ellipse_desc)
     assert SimConfig.from_dict(plain.to_dict()) == plain
+
+
+def test_config_built_in_code_equals_its_manifest_read_back(ellipse_desc):
+    cfg = SimConfig(trajectory=ellipse_desc, gains=[1, 2], offset=[1, 0, 0], dt=1, t_end=40)
+    again = SimConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    assert again == cfg
+    assert json.dumps(again.to_dict()) == json.dumps(cfg.to_dict())
+    assert (cfg.gains, cfg.offset, cfg.dt, cfg.t_end) == ((1, 2), (1, 0, 0), 1.0, 40.0)
+    assert type(cfg.dt) is float and type(cfg.t_end) is float
 
 
 def test_feedforward_freezes_spatial_error(ellipse_desc):

@@ -7,9 +7,10 @@ The script extracts BASE with ``git archive`` into a temporary
 directory and runs one fixed corpus of CLI invocations on two trees:
 BASE and the working tree the script lives in, uncommitted changes
 included. For each invocation it compares the exit code, stdout, stderr
-and every file written. A JSON file is compared as its document with
-every ``wall_clock_s`` and ``timings`` key removed, and by whether it
-is written in the CLI's JSON format; everything else byte for byte.
+and every file written, and a directory only by its name. A JSON file
+is compared as its document with every ``wall_clock_s`` and
+``timings`` key removed, and by whether it is written in the CLI's
+JSON format; everything else byte for byte.
 Tracebacks are compared with each tree's path replaced by ``<tree>``.
 
 It prints one line per invocation that differs and a summary line, and
@@ -49,6 +50,8 @@ COMPARE = {
     "offset": [3.0, -2.0, 1.5708], "dt": 0.01, "t_end": 20.0, "threshold": 0.01,
 }
 CIRCLE = {"family": "ellipse", "a": 1.0, "b": 1.0, "h": 1.0}
+# a config file entry that makes a directory under its name instead of a file
+DIRECTORY = None
 
 
 def _corpus() -> list:
@@ -153,6 +156,18 @@ def _corpus() -> list:
            "basin": [*QUICK, "--samples", "2"]}
     for name, (command, doc) in configs.items():
         cases.append((name, {"c.json": doc}, [[command, "--config", "c.json", *run[command]]]))
+    # exit 2: an output path in no directory, or one that is a directory
+    for command, argv in (("simulate", [*QUICK, "--out"]), ("pe-check", ["--out"]),
+                          ("lin-check", ["--t-end", "5", "--out"]),
+                          ("basin", [*QUICK, "--samples", "2", "--out"])):
+        cases += [(f"{command}-out-missing-directory", {}, [[command, *argv, "missing/out"]]),
+                  (f"{command}-out-directory", {"d": DIRECTORY}, [[command, *argv, "d"]])]
+    cases += [
+        ("compare-out-missing-directory", {"compare.json": COMPARE},
+         [["compare", "--config", "compare.json", "--out", "missing/cmp"]]),
+        ("compare-out-directory", {"compare.json": COMPARE, "cmp_summary.json": DIRECTORY},
+         [["compare", "--config", "compare.json", "--out", "cmp"]]),
+    ]
     return cases
 
 
@@ -164,7 +179,10 @@ def _run_corpus(work: Path) -> None:
         case = work / name
         case.mkdir(parents=True)
         for fname, doc in files.items():
-            (case / fname).write_text(json.dumps(doc))
+            if doc is DIRECTORY:
+                (case / fname).mkdir()
+            else:
+                (case / fname).write_text(json.dumps(doc))
         for k, argv in enumerate(invocations):
             sys.stdout.flush()
             sys.stderr.flush()
@@ -215,7 +233,7 @@ def _outputs(work: Path, trees, name: str, k: int, last: bool) -> dict:
     """Exit code, stdout and stderr of invocation k; the last one of its case also has the files."""
     out = {what: _comparable(work / f"{name}.{k}.{what}", trees) for what in ("code", "out", "err")}
     for path in sorted((work / name).iterdir()) if last else ():
-        out[path.name] = _comparable(path, trees)
+        out[path.name] = _comparable(path, trees) if path.is_file() else "directory"
     return out
 
 
