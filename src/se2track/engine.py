@@ -8,15 +8,15 @@ integration substage.
 
 The reference does not depend on the vehicle state, so a run samples
 it once, up front, on the three RK4 stage grids k dt, k dt + dt/2 and
-k dt + dt. _stage_grids is the one definition of those times, for this
-loop and the linearization's LTV loop alike; its values equal the
-per-stage state_at calls bit for bit. A basin sweep samples the
-reference once for all of its runs.
+k dt + dt. _stage_blocks, the one walk over those times in blocks of
+_BLOCK steps, serves this loop and the linearization's LTV loop alike;
+its values equal the per-stage state_at calls bit for bit. A run keeps
+its blocks, so a basin sweep samples the reference once for all runs.
 
 One setup, _setup, turns a SimConfig into what a run needs: the
-control law, the reference on the stage grids and the reference at
-t = 0. One kernel, _integrate, owns the RK4 loop, the divergence checks
-and the log-row formula. simulate passes it a log array to fill at every
+control law, the reference's stage blocks and the reference at t = 0.
+One kernel, _integrate, owns the RK4 loop, the divergence checks and
+the log-row formula. simulate passes it a log array to fill at every
 step; monte_carlo_basin passes none and reads the final Lyapunov value
 from the last row, which the kernel always returns. The samples of a
 sweep are independent, so they run in forked worker processes, one per
@@ -28,8 +28,8 @@ own sample index.
 The hot loop works on plain floats on purpose: a 60 s run at dt = 1e-3
 is 60k steps, and batch experiments multiply that by hundreds. Array
 allocation per substage would dominate the runtime. The sampled
-reference is turned into Python floats one block of _BLOCK steps at a
-time, so a long run never holds floats for all of its steps.
+reference is turned into Python floats one block at a time, so a long
+run never holds floats for all of its steps.
 """
 
 from __future__ import annotations
@@ -236,7 +236,7 @@ def _make_controller(cfg: SimConfig):
 
     ref is (theta_d, pdx, pdy, omega_d, v_d), the values that the
     reference's state_at returns at the stage time: a row of its
-    _stage_grids as plain floats.
+    _stage_blocks as plain floats.
     """
     if cfg.controller == "feedforward":
 
@@ -271,22 +271,28 @@ def _make_controller(cfg: SimConfig):
     return control
 
 
-def _stage_grids(F, dt: float, start: int, stop: int) -> tuple:
-    """F, through on_grid, on the RK4 stage times of steps start..stop-1.
+def _stage_blocks(F, dt: float, steps: int):
+    """F, through on_grid, on the RK4 stage times of steps 0..steps-1, _BLOCK steps at a time.
 
-    The three grids are k dt for k = start..stop (grid points and stage
-    1), then k dt + dt/2 (stages 2 and 3) and k dt + dt (stage 4) for
-    k < stop. The last is not (k + 1) dt: the two differ in the last
-    bit in about a third of the steps.
+    Yields (range(start, stop), on_k, on_mid, on_end) per block: on_k
+    holds F at k dt for k = start..stop (grid points and stage 1), so
+    it ends on the next block's first time; on_mid at k dt + dt/2
+    (stages 2 and 3) and on_end at k dt + dt (stage 4) for k < stop.
+    The last is not (k + 1) dt: the two differ in the last bit in about
+    a third of the steps.
     """
-    t = np.arange(start, stop + 1) * dt
-    return on_grid(F, t), on_grid(F, t[:-1] + 0.5 * dt), on_grid(F, t[:-1] + dt)
+    for start in range(0, steps, _BLOCK):
+        stop = min(start + _BLOCK, steps)
+        t = np.arange(start, stop + 1) * dt
+        mid, end = t[:-1] + 0.5 * dt, t[:-1] + dt
+        yield range(start, stop), on_grid(F, t), on_grid(F, mid), on_grid(F, end)
 
 
 def _setup(cfg: SimConfig) -> tuple:
-    """(control, grids, ref0) of a run: its control law, its reference's _stage_grids and t = 0 row."""
-    grids = _stage_grids(trajectory_from_descriptor(cfg.trajectory).state_at, cfg.dt, 0, cfg.steps)
-    return _make_controller(cfg), grids, grids[0][0].tolist()
+    """(control, blocks, ref0) of a run: its control law, its reference's _stage_blocks, t = 0 row."""
+    traj = trajectory_from_descriptor(cfg.trajectory)
+    blocks = list(_stage_blocks(traj.state_at, cfg.dt, cfg.steps))
+    return _make_controller(cfg), blocks, blocks[0][1][0].tolist()
 
 
 def _initial_state(ref0, offset) -> tuple:
@@ -310,26 +316,21 @@ def _log_row(t: float, th: float, px: float, py: float, ref, u: tuple) -> tuple:
             thE, eRx, eRy, _lyapunov_scalars(thE, eRx, eRy)) + u
 
 
-def _integrate(control, state: tuple, grids: tuple, dt: float, data=None) -> tuple:
+def _integrate(control, state: tuple, blocks, dt: float, data=None) -> tuple:
     """Integrate the closed loop from state = (theta, px, py) at t = 0.
 
-    grids is the reference's _stage_grids over the run. When data is given, a
-    (steps + 1, len(CSV_COLUMNS)) array, row k of the log is written
-    into it at every step; either way the last row is returned. Raises
-    SimulationDiverged (with the offending step index) if the state
-    leaves the finite range.
+    blocks is the reference's _stage_blocks over the run. When data is
+    given, a (steps + 1, len(CSV_COLUMNS)) array, row k of the log is
+    written into it at every step; either way the last row is returned.
+    Raises SimulationDiverged (with the offending step index) if the
+    state leaves the finite range.
     """
     th, px, py = state
-    on_k, on_mid, on_end = grids
-    steps = len(on_mid)
     half = 0.5 * dt
     sixth = dt / 6.0
 
-    for start in range(0, steps, _BLOCK):
-        stop = min(start + _BLOCK, steps)
-        block = zip(range(start, stop), on_k[start:stop].tolist(),
-                    on_mid[start:stop].tolist(), on_end[start:stop].tolist())
-        for k, ref, ref_mid, ref_end in block:
+    for steps, on_k, on_mid, on_end in blocks:
+        for k, ref, ref_mid, ref_end in zip(steps, on_k.tolist(), on_mid.tolist(), on_end.tolist()):
             u = control(ref, th, px, py)
             if data is not None:
                 data[k] = _log_row(k * dt, th, px, py, ref, u)
@@ -355,10 +356,10 @@ def _integrate(control, state: tuple, grids: tuple, dt: float, data=None) -> tup
             if not (math.isfinite(th) and math.isfinite(px) and math.isfinite(py)):
                 raise SimulationDiverged(k + 1, k * dt + dt)
 
-    ref = on_k[steps].tolist()
-    row = _log_row(steps * dt, th, px, py, ref, control(ref, th, px, py))
+    ref = on_k[-1].tolist()
+    row = _log_row(steps.stop * dt, th, px, py, ref, control(ref, th, px, py))
     if data is not None:
-        data[steps] = row
+        data[steps.stop] = row
     return row
 
 
@@ -370,9 +371,9 @@ def simulate(cfg: SimConfig) -> SimLog:
     StepTooLarge if L rises by more than _LYAP_RISE_TOL in one step of
     a spatial run.
     """
-    control, grids, ref0 = _setup(cfg)
+    control, blocks, ref0 = _setup(cfg)
     data = np.empty((cfg.steps + 1, len(CSV_COLUMNS)))
-    _integrate(control, _initial_state(ref0, cfg.offset), grids, cfg.dt, data)
+    _integrate(control, _initial_state(ref0, cfg.offset), blocks, cfg.dt, data)
     if cfg.controller == "spatial":
         lyap = data[:, COL["lyap"]]
         k = int(np.argmax(np.diff(lyap)))
@@ -403,14 +404,14 @@ class BasinSummary:
         return {**asdict(self), "fraction": self.fraction}
 
 
-# (control, grids, dt) of the sweep in progress, set for its duration; forked workers inherit it
+# (control, blocks, dt) of the sweep in progress, set for its duration; forked workers inherit it
 _sweep = None
 
 
 def _sample_final(state: tuple) -> float:
     """Final L of the sample of the sweep in progress that starts from state = (theta, px, py)."""
-    control, grids, dt = _sweep
-    return _integrate(control, state, grids, dt)[COL["lyap"]]
+    control, blocks, dt = _sweep
+    return _integrate(control, state, blocks, dt)[COL["lyap"]]
 
 
 def monte_carlo_basin(cfg: SimConfig, samples: int, threshold: float = 1e-6) -> BasinSummary:
@@ -434,7 +435,7 @@ def monte_carlo_basin(cfg: SimConfig, samples: int, threshold: float = 1e-6) -> 
     if samples < 0:
         raise ValueError(f"sample count must be non-negative, got {samples}")
     _require_positive("threshold", threshold)
-    control, grids, ref0 = _setup(cfg)
+    control, blocks, ref0 = _setup(cfg)
     _, pdx0, pdy0, _, _ = ref0
     seed = 0 if cfg.seed is None else cfg.seed
     rng = np.random.default_rng(seed)
@@ -452,7 +453,7 @@ def monte_carlo_basin(cfg: SimConfig, samples: int, threshold: float = 1e-6) -> 
     # imported here, so that only a sweep pays for the import
     import multiprocessing
 
-    _sweep = (control, grids, cfg.dt)
+    _sweep = (control, blocks, cfg.dt)
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
     workers = min(samples, len(cpus))
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():

@@ -15,9 +15,9 @@ mechanism numerically on any symmetric-PSD A(t).
 A finite-difference Jacobian of the genuine nonlinear loop is the
 ground truth the -M S structure is verified against.
 
-The LTV flow is integrated by classical RK4 on the engine's stage
-grids, _stage_grids, which also serve the closed-loop integrator. Before
-it integrates, lin_check bounds its step on those grids: trace(A_z) =
+The LTV flow is integrated by classical RK4 on the engine's walk over
+the stage grids, _stage_blocks, one block of A at a time. Before it
+integrates, lin_check bounds its step by the same walk: trace(A_z) =
 3 + |p_d|^2 bounds the stiffness of the flow, and where dt times it
 passes RK4's stability limit the flow may stay finite yet be wrong, so
 lin_check raises StepTooLarge rather than fit it.
@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .controller import correction_scalars
-from .engine import _BLOCK, SimulationDiverged, StepTooLarge, _stage_grids, _step_count
+from .engine import SimulationDiverged, StepTooLarge, _stage_blocks, _step_count
 from .excitation import PE_FLOOR, _default_window, window_gram
 from .se2 import B_SELECT, S_WEIGHT, Pose, adjoint_matrix, pose_matrix
 from .trajectories import DesiredTrajectory, _require_positive, along, on_grid
@@ -162,14 +162,11 @@ def _trace_A_z(px, py):
 def _check_step(traj: DesiredTrajectory, steps: int, dt: float) -> None:
     """Raise StepTooLarge unless dt * trace(A_z) stays within _RK4_LIMIT on every stage time.
 
-    The reference is sampled on the RK4 stage grids of steps steps one
-    block of _BLOCK steps at a time, as _ltv_rk4 samples A_z.
+    The reference is walked block by block, as _ltv_rk4 walks A_z.
     """
-    peak = 0.0
     with np.errstate(over="ignore"):
-        for start in range(0, steps, _BLOCK):
-            for grid in _stage_grids(traj.state_at, dt, start, min(start + _BLOCK, steps)):
-                peak = max(peak, float(np.max(_trace_A_z(grid[:, 1], grid[:, 2]))))
+        peak = max(float(np.max(_trace_A_z(grid[:, 1], grid[:, 2])))
+                   for _, *grids in _stage_blocks(traj.state_at, dt, steps) for grid in grids)
     if not dt * peak <= _RK4_LIMIT:
         fits = "no dt fits"
         if math.isfinite(peak):
@@ -193,18 +190,17 @@ def _check_horizon(t_end: float, dt: float) -> int:
 def _ltv_rk4(A: Callable[[float], np.ndarray], x0: np.ndarray, steps: int, dt: float):
     """Classical RK4 on x_dot = -A(t) x for steps steps from t = 0; returns (times, |x| at each).
 
-    A is evaluated on the engine's _stage_grids one block of _BLOCK
-    steps at a time, so memory does not grow with the horizon. Raises
-    SimulationDiverged, without numpy's overflow warnings, at the first non-finite |x|.
+    A is evaluated on the engine's _stage_blocks, one block at a time, so
+    memory does not grow with the horizon. Raises SimulationDiverged,
+    without numpy's overflow warnings, at the first non-finite |x|.
     """
     times = np.arange(steps + 1) * dt
     norms = np.empty(steps + 1)
     x = np.array(x0, dtype=float)
     norms[0] = math.sqrt(x.dot(x))
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, steps, _BLOCK):
-            stages = zip(*_stage_grids(A, dt, start, min(start + _BLOCK, steps)))
-            for k, (A1, A2, A3) in enumerate(stages, start + 1):
+        for block, A1s, A2s, A3s in _stage_blocks(A, dt, steps):
+            for k, (A1, A2, A3) in enumerate(zip(A1s, A2s, A3s), block.start + 1):
                 k1 = -(A1 @ x)
                 k2 = -(A2 @ (x + 0.5 * dt * k1))
                 k3 = -(A2 @ (x + 0.5 * dt * k2))
