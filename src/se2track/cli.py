@@ -11,8 +11,8 @@ Subcommands:
 Exit codes: 0 success, 1 runtime failure (a diverged simulation, L
 rising along a spatial run, a lin-check step too large for its
 reference, a pe-check scan that is not finite, a write that failed),
-2 usage or config error (an unknown config key, or an output path in no
-directory or that is a directory, checked before any run), 130
+2 usage or config error (an unknown config key, or an output path that
+is empty, in no directory or a directory, checked before any run), 130
 interrupted. Outputs are deterministic: re-running a written manifest
 reproduces the CSV byte for byte.
 """
@@ -169,18 +169,17 @@ def _load_json(path: str) -> dict:
 
 
 def _resolve_sim_config(args, defaults=None) -> SimConfig:
-    """Merge --config file (if any) with the flags given; given flags win.
+    """Merge the command's partial config `defaults`, the --config file (if any) and the flags.
 
-    Without --config, the partial config `defaults` stands in for the file.
+    Each source wins over the one before it.
     """
-    if args.config is None:
-        cfg = dict(defaults or {})
-    else:
+    cfg = dict(defaults or {})
+    if args.config is not None:
         doc = _load_json(args.config)
-        cfg = doc.get("config", doc)  # accept a manifest or a bare config
-        if not isinstance(cfg, dict) or "trajectory" not in cfg:
+        file_cfg = doc.get("config", doc)  # accept a manifest or a bare config
+        if not isinstance(file_cfg, dict) or "trajectory" not in file_cfg:
             raise ValueError(f"config file {args.config} lacks a trajectory section")
-        cfg = dict(cfg)
+        cfg.update(file_cfg)
     if "trajectory" not in cfg or any(getattr(args, name) is not None
                                       for name in _TRAJECTORY_DEFAULTS):
         cfg["trajectory"] = _trajectory_descriptor(args)
@@ -202,8 +201,16 @@ def _sim_config(d: dict) -> SimConfig:
 
 
 def _check_outputs(*paths) -> None:
-    """Raise ValueError, naming the path, unless each path given can be a file in a directory."""
-    for path in map(Path, filter(None, paths)):
+    """Raise ValueError, naming the path, unless each path given can be a file in a directory.
+
+    A path of None is an output not asked for; an empty one is refused.
+    """
+    for path in paths:
+        if path is None:
+            continue
+        if path == "":
+            raise ValueError("cannot write '': the path is empty")
+        path = Path(path)
         if path.is_dir():
             raise ValueError(f"cannot write {path}: it is a directory")
         if not path.parent.is_dir():
@@ -219,7 +226,7 @@ def _write_json(path, doc) -> None:
 
 def _write_report(path, doc) -> None:
     """Write the JSON report of pe-check, lin-check or basin to path, if one was given."""
-    if path:
+    if path is not None:
         _write_json(path, doc)
         print(f"wrote {path}")
 
@@ -368,6 +375,8 @@ def _long_blocks(cfgs, logs):
 
 def cmd_compare(args) -> int:
     cfgs, threshold = _compare_config(args.config)
+    if args.out == "":
+        raise ValueError("cannot write '': the output stem is empty")
     stem = Path(args.out)
     paths = [f"{stem}_{i}_{cfg.controller}.csv" for i, cfg in enumerate(cfgs)]
     long_path = Path(f"{stem}_long.csv")

@@ -329,8 +329,8 @@ def _integrate(control, state: tuple, blocks, dt: float, data=None) -> tuple:
     half = 0.5 * dt
     sixth = dt / 6.0
 
-    for steps, on_k, on_mid, on_end in blocks:
-        for k, ref, ref_mid, ref_end in zip(steps, on_k.tolist(), on_mid.tolist(), on_end.tolist()):
+    for ks, on_k, on_mid, on_end in blocks:
+        for k, ref, ref_mid, ref_end in zip(ks, on_k.tolist(), on_mid.tolist(), on_end.tolist()):
             u = control(ref, th, px, py)
             if data is not None:
                 data[k] = _log_row(k * dt, th, px, py, ref, u)
@@ -357,9 +357,9 @@ def _integrate(control, state: tuple, blocks, dt: float, data=None) -> tuple:
                 raise SimulationDiverged(k + 1, k * dt + dt)
 
     ref = on_k[-1].tolist()
-    row = _log_row(steps.stop * dt, th, px, py, ref, control(ref, th, px, py))
+    row = _log_row(ks.stop * dt, th, px, py, ref, control(ref, th, px, py))
     if data is not None:
-        data[steps.stop] = row
+        data[ks.stop] = row
     return row
 
 
@@ -420,9 +420,10 @@ def monte_carlo_basin(cfg: SimConfig, samples: int, threshold: float = 1e-6) -> 
     Draws theta_E uniform on [-pi + _THETA_MARGIN, pi - _THETA_MARGIN]
     and p_E uniform on [-_P_BOX, _P_BOX]^2, places the vehicle so the
     initial spatial error is exactly the draw, runs each case, and
-    counts final Lyapunov values below threshold. Deterministic for a
-    fixed cfg.seed (None draws as 0). The margin keeps draws away from
-    the antipodal equilibrium, where escape times blow up.
+    counts final Lyapunov values below threshold; samples may be 0 to
+    _MAX_STEPS. Deterministic for a fixed cfg.seed (None draws as 0).
+    The margin keeps draws away from the antipodal equilibrium, where
+    escape times blow up.
 
     The samples run in forked worker processes, one per CPU in
     os.sched_getaffinity(0), and in this process where fork is missing
@@ -434,6 +435,8 @@ def monte_carlo_basin(cfg: SimConfig, samples: int, threshold: float = 1e-6) -> 
     global _sweep
     if samples < 0:
         raise ValueError(f"sample count must be non-negative, got {samples}")
+    if samples > _MAX_STEPS:
+        raise ValueError(f"sample count {samples} is more than the limit of {_MAX_STEPS}")
     _require_positive("threshold", threshold)
     control, blocks, ref0 = _setup(cfg)
     _, pdx0, pdy0, _, _ = ref0

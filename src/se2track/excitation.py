@@ -20,7 +20,9 @@ from scipy.integrate import simpson
 
 from .controller import _regressor_rows
 from .controller import regressor  # noqa: F401 -- kept importable: bench/tracing.py patches it
-from .trajectories import DesiredTrajectory, _require_positive, along, ellipse_trajectory, on_grid
+from .engine import _MAX_STEPS
+from .trajectories import (DesiredTrajectory, _require_positive, along, ellipse_trajectory, on_grid,
+                           require_finite)
 
 # Smallest Gram eigenvalue that counts as excitation: a reference with no
 # excitation in some direction reads a rounding-level epsilon, of either sign.
@@ -56,16 +58,19 @@ def _default_window(traj: DesiredTrajectory) -> float:
 def window_gram(F, t: float, T: float, n: int = 401) -> np.ndarray:
     """Simpson approximation of integral_t^{t+T} F(tau)^T F(tau) dtau.
 
-    n is the number of sample points (odd, >= 3, so the interval count
-    is even as composite Simpson requires). The result is symmetrized;
-    the raw quadrature is symmetric up to rounding anyway. F is
-    evaluated through on_grid, so its array form is used when it has
-    one.
+    t must be finite and T positive. n is the number of sample points
+    (odd, >= 3, so the interval count is even as composite Simpson
+    requires, and at most _MAX_STEPS, checked before any allocation).
+    The result is symmetrized; the raw quadrature is symmetric up to
+    rounding anyway. F is evaluated through on_grid, so its array form
+    is used when it has one.
     """
-    if T <= 0.0:
-        raise ValueError("window length T must be positive")
+    require_finite("window start t", t)
+    _require_positive("window length T", T)
     if n < 3 or n % 2 == 0:
         raise ValueError("Simpson sample count n must be odd and >= 3")
+    if n > _MAX_STEPS:
+        raise ValueError(f"Simpson sample count n = {n} is more than the limit of {_MAX_STEPS}")
     taus = np.linspace(t, t + T, n)
     mats = on_grid(F, taus)
     G = simpson(mats.transpose(0, 2, 1) @ mats, x=taus, axis=0)
@@ -77,6 +82,7 @@ def pe_epsilon(F, horizon: float, T: float, windows: int = 64, n: int = 401) -> 
 
     epsilon = min over starts of the smallest eigenvalue of
     window_gram(F, start, T, n). Deterministic for fixed arguments.
+    windows, like n, may be at most _MAX_STEPS.
     """
     _require_positive("window length T", T)
     _require_positive("horizon", horizon)
@@ -84,6 +90,8 @@ def pe_epsilon(F, horizon: float, T: float, windows: int = 64, n: int = 401) -> 
         raise ValueError("horizon must be at least one window long")
     if windows < 1:
         raise ValueError(f"window count must be at least 1, got {windows}")
+    if windows > _MAX_STEPS:
+        raise ValueError(f"window count {windows} is more than the limit of {_MAX_STEPS}")
     starts = np.linspace(0.0, horizon - T, int(windows))
     eps = math.inf
     for s in starts:

@@ -199,8 +199,8 @@ def _ltv_rk4(A: Callable[[float], np.ndarray], x0: np.ndarray, steps: int, dt: f
     x = np.array(x0, dtype=float)
     norms[0] = math.sqrt(x.dot(x))
     with np.errstate(over="ignore", invalid="ignore"):
-        for block, A1s, A2s, A3s in _stage_blocks(A, dt, steps):
-            for k, (A1, A2, A3) in enumerate(zip(A1s, A2s, A3s), block.start + 1):
+        for ks, A1s, A2s, A3s in _stage_blocks(A, dt, steps):
+            for k, (A1, A2, A3) in enumerate(zip(A1s, A2s, A3s), ks.start + 1):
                 k1 = -(A1 @ x)
                 k2 = -(A2 @ (x + 0.5 * dt * k1))
                 k3 = -(A2 @ (x + 0.5 * dt * k2))

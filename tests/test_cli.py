@@ -379,14 +379,15 @@ def test_basin_zero_samples_uses_sweep_defaults(tmp_path, capsys):
 @pytest.mark.parametrize("config, flags, t_end, dt", [
     (None, ["--t-end", "7"], 7.0, 5e-3),
     (None, ["--dt", "0.01"], 60.0, 0.01),
-    ({}, [], 40.0, 1e-3),
+    ({}, [], 60.0, 5e-3),
+    ({"dt": 0.02}, [], 60.0, 0.02),
     ({"dt": 0.02, "t_end": 3}, [], 3.0, 0.02),
     ({"dt": 0.02}, ["--t-end", "5"], 5.0, 0.02),
-], ids=["t-end-flag", "dt-flag", "bare-config", "config-values", "config-and-flag"])
+], ids=["t-end-flag", "dt-flag", "bare-config", "config-dt", "config-values", "config-and-flag"])
 def test_basin_sweep_defaults_apply_only_without_flags_and_config(tmp_path, config, flags,
                                                                   t_end, dt):
-    # the 60 s / 5e-3 sweep defaults stand in for a missing --config, so a
-    # config that sets neither runs at SimConfig's defaults
+    # the 60 s / 5e-3 sweep defaults hold for each value that neither the
+    # --config file nor a flag sets, not SimConfig's 40 s / 1e-3
     out = tmp_path / "basin.json"
     source = ELLIPSE_ARGS if config is None else ["--config", write_config(tmp_path, **config)]
     run_ok(["basin", "--samples", "0"] + source + flags + ["--out", str(out)])
@@ -644,14 +645,17 @@ def nothing_runs(monkeypatch):
     (["lin-check"], "lin.json"),
     (["basin", *QUICK, "--samples", "2"], "b.json"),
 ])
-@pytest.mark.parametrize("bad", ["missing-directory", "directory"])
+@pytest.mark.parametrize("bad", ["missing-directory", "directory", "empty"])
 def test_bad_output_paths_are_usage_errors_before_any_run(tmp_path, capsys, nothing_runs,
                                                           command, out, bad):
     (tmp_path / "compare.json").write_text(json.dumps(
         {"trajectory": _ELLIPSE, "controllers": ["spatial", "kanayama"]}))
     out = tmp_path / ("missing" if bad == "missing-directory" else "") / out
     compare = command[0] == "compare"
-    if bad == "missing-directory":
+    if bad == "empty":
+        out = ""
+        shown = f"'': the {'output stem' if compare else 'path'} is empty"
+    elif bad == "missing-directory":
         first = f"{out}_0_spatial.csv" if compare else out
         shown = f"{first}: {out.parent} is not a directory"
     else:
@@ -665,6 +669,22 @@ def test_bad_output_paths_are_usage_errors_before_any_run(tmp_path, capsys, noth
     err = capsys.readouterr().err
     assert err == f"error: cannot write {shown}\n"
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", [
+    ["pe-check", "--windows", str(10**12)],
+    ["pe-check", "--points", str(10**12 + 1)],
+    ["basin", "--samples", str(10**12)],
+], ids=["pe-check-windows", "pe-check-points", "basin-samples"])
+def test_counts_over_the_limit_are_usage_errors(monkeypatch, capsys, command):
+    # numpy could not allocate either pe-check count; a sweep would set up first
+    def ran(*args, **kwargs):
+        raise AssertionError("a sweep started before its sample count was checked")
+
+    monkeypatch.setattr(engine, "_setup", ran)
+    assert main(command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith("is more than the limit of 10000000\n")
 
 
 def test_an_interrupt_ends_in_one_line(tmp_path, monkeypatch, capsys):

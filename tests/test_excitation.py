@@ -56,6 +56,29 @@ def test_window_gram_validation():
         window_gram(F, 0.0, 1.0, n=1)
 
 
+@pytest.mark.parametrize("t, T, shown", [
+    (math.nan, 1.0, "window start t must be finite"),
+    (math.inf, 1.0, "window start t must be finite"),
+    (0.0, math.nan, "window length T must be finite"),
+    (0.0, math.inf, "window length T must be finite"),
+], ids=["nan-t", "inf-t", "nan-T", "inf-T"])
+def test_window_gram_rejects_non_finite_windows(t, T, shown):
+    F = controller_regressor(line_trajectory(1.0))
+    with pytest.raises(ValueError, match=shown):
+        window_gram(F, t, T)
+
+
+def test_counts_over_the_limit_are_refused_before_any_allocation():
+    # numpy could not allocate either count, so a check that came too late would fail here too
+    F = controller_regressor(line_trajectory(1.0))
+    with pytest.raises(ValueError, match="limit of 10000000"):
+        window_gram(F, 0.0, 1.0, n=10**12 + 1)
+    with pytest.raises(ValueError, match="limit of 10000000"):
+        pe_epsilon(F, horizon=2.0, T=1.0, windows=10**12)
+    with pytest.raises(ValueError, match="limit of 10000000"):
+        pe_epsilon(F, horizon=2.0, T=1.0, n=10**12 + 1)
+
+
 def test_pe_epsilon_zero_and_identity_regressors():
     zero = lambda t: np.zeros((2, 3))
     rep = pe_epsilon(zero, horizon=5.0, T=1.0, windows=8, n=41)

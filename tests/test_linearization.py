@@ -118,6 +118,8 @@ def test_probe_rejects_bad_inputs():
     indef = lambda t: np.diag([1.0, -1.0])
     with pytest.raises(ValueError, match="semi-definite"):
         stability_probe(indef, [1.0, 0.0], T=1.0, epsilon=0.1, t_end=2.0)
+    with pytest.raises(ValueError, match="window length T must be finite"):
+        stability_probe(lambda t: np.eye(2), [1.0, 0.0], T=math.nan, epsilon=0.1, t_end=2.0)
 
 
 def test_probe_raises_when_rk4_cannot_hold_the_flow():

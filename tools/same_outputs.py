@@ -161,12 +161,25 @@ def _corpus() -> list:
                           ("lin-check", ["--t-end", "5", "--out"]),
                           ("basin", [*QUICK, "--samples", "2", "--out"])):
         cases += [(f"{command}-out-missing-directory", {}, [[command, *argv, "missing/out"]]),
-                  (f"{command}-out-directory", {"d": DIRECTORY}, [[command, *argv, "d"]])]
+                  (f"{command}-out-directory", {"d": DIRECTORY}, [[command, *argv, "d"]]),
+                  (f"{command}-out-empty", {}, [[command, *argv, ""]])]
     cases += [
         ("compare-out-missing-directory", {"compare.json": COMPARE},
          [["compare", "--config", "compare.json", "--out", "missing/cmp"]]),
         ("compare-out-directory", {"compare.json": COMPARE, "cmp_summary.json": DIRECTORY},
          [["compare", "--config", "compare.json", "--out", "cmp"]]),
+        ("compare-out-empty", {"compare.json": COMPARE},
+         [["compare", "--config", "compare.json", "--out", ""]]),
+    ]
+    # basin's own dt and t_end where its config file sets neither
+    cases.append(("basin-config-defaults", {"c.json": {"trajectory": CIRCLE}},
+                  [["basin", "--config", "c.json", "--samples", "2", "--out", "b.json"]]))
+    # exit 2: a count too large to allocate; numpy could not allocate either pe-check count,
+    # and the NaN threshold stops a sweep that lacks the sample limit before its draws
+    cases += [
+        ("pe-check-windows-limit", {}, [["pe-check", "--windows", str(10**12)]]),
+        ("pe-check-points-limit", {}, [["pe-check", "--points", str(10**12 + 1)]]),
+        ("basin-samples-limit", {}, [["basin", "--samples", str(10**12), "--threshold", "nan"]]),
     ]
     return cases
 
