@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ErrorKind, GroupError, right_error
 from .se2 import B_SELECT, S_WEIGHT, ControlPair, Pose, adjoint_matrix, pose_matrix, se2_project
+from .trajectories import _require_positive, require_finite
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,7 @@ class Gains:
     k_v: float = 1.0
 
     def __post_init__(self):
+        require_finite("gains", self.k_omega, self.k_v)
         if self.k_omega < 0.0 or self.k_v < 0.0:
             raise ValueError("gains must be non-negative")
 
@@ -43,8 +45,8 @@ class KanayamaGains:
     k_theta: float = 4.0
 
     def __post_init__(self):
-        if min(self.k_x, self.k_y, self.k_theta) <= 0.0:
-            raise ValueError("baseline gains must be strictly positive")
+        for name, value in vars(self).items():
+            _require_positive(f"baseline gain {name}", value)
 
 
 def correction_scalars(theta_E, pEx, pEy, theta_d, pdx, pdy):

@@ -46,8 +46,8 @@ import numpy as np
 from .controller import Gains, KanayamaGains, _kanayama_scalars, correction_scalars
 from .errors import _lyapunov_scalars, _spatial_position
 from .se2 import wrap_angle
-from .trajectories import (_require_positive, on_grid, require_finite, require_known_keys,
-                           trajectory_from_descriptor)
+from .trajectories import (_require_count, _require_positive, _step_count, on_grid, require_finite,
+                           require_known_keys, trajectory_from_descriptor)
 
 CONTROLLERS = ("spatial", "kanayama", "feedforward")
 
@@ -64,9 +64,6 @@ GAINS = {"spatial": Gains, "kanayama": KanayamaGains}
 
 # steps per block of the stage grids that an RK4 loop takes at a time
 _BLOCK = 512
-
-# largest step count of one run: its log would take 1.44 GB
-_MAX_STEPS = 10**7
 
 # per-step rise of L that a spatial run may show from rounding alone
 _LYAP_RISE_TOL = 1e-8
@@ -92,14 +89,6 @@ class StepTooLarge(RuntimeError):
     """Raised when L rises along a spatial run, which the exact flow never does."""
 
 
-def _step_count(t_end: float, dt: float) -> int:
-    """round(t_end / dt); raises ValueError, before anything is allocated, above _MAX_STEPS."""
-    if not t_end / dt <= _MAX_STEPS:
-        raise ValueError(f"t_end / dt = {t_end / dt:.6g} steps is more than the limit "
-                         f"of {_MAX_STEPS} steps per run")
-    return int(round(t_end / dt))
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Everything needed to reproduce one run.
@@ -110,8 +99,8 @@ class SimConfig:
     defaults. offset = (dx, dy, dtheta) perturbs the initial state to
     p(0) = p_d(0) + (dx, dy), theta(0) = theta_d(0) + dtheta. seed, None
     or an int >= 0, picks a basin sweep's draws (None draws 0). Every
-    number must be finite, and the gains must fit the controller;
-    anything else raises ValueError on construction.
+    number must pass require_finite, and the gains must fit the
+    controller; anything else raises ValueError on construction.
     """
 
     trajectory: dict
@@ -123,19 +112,11 @@ class SimConfig:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        # the field types first, so that a config equals its own manifest read back
-        object.__setattr__(self, "trajectory", dict(self.trajectory))
-        object.__setattr__(self, "gains", None if self.gains is None else tuple(self.gains))
-        object.__setattr__(self, "offset", tuple(self.offset))
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "t_end", float(self.t_end))
         if self.controller not in CONTROLLERS:
             raise ValueError(f"unknown controller {self.controller!r}; pick one of {CONTROLLERS}")
-        _require_positive("dt", self.dt)
-        require_finite("t_end", self.t_end)
+        _step_count(self.t_end, self.dt)
         if self.t_end < self.dt:
             raise ValueError("t_end must be at least one step long")
-        _step_count(self.t_end, self.dt)
         if len(self.offset) != 3:
             raise ValueError("offset must be (dx, dy, dtheta)")
         require_finite("offset", *self.offset)
@@ -150,6 +131,10 @@ class SimConfig:
                 gains_type(*self.gains)
         if self.seed is not None and not (type(self.seed) is int and self.seed >= 0):
             raise ValueError(f"seed must be None or a non-negative integer, got {self.seed!r}")
+        # each field its type once every value is checked, so that a config equals its manifest
+        object.__setattr__(self, "gains", None if self.gains is None else tuple(self.gains))
+        for name, kind in (("trajectory", dict), ("offset", tuple), ("dt", float), ("t_end", float)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
 
     @property
     def steps(self) -> int:
@@ -433,10 +418,7 @@ def monte_carlo_basin(cfg: SimConfig, samples: int, threshold: float = 1e-6) -> 
     above its start raises StepTooLarge.
     """
     global _sweep
-    if samples < 0:
-        raise ValueError(f"sample count must be non-negative, got {samples}")
-    if samples > _MAX_STEPS:
-        raise ValueError(f"sample count {samples} is more than the limit of {_MAX_STEPS}")
+    _require_count("sample count", samples, 0)
     _require_positive("threshold", threshold)
     control, blocks, ref0 = _setup(cfg)
     _, pdx0, pdy0, _, _ = ref0

@@ -20,9 +20,8 @@ from scipy.integrate import simpson
 
 from .controller import _regressor_rows
 from .controller import regressor  # noqa: F401 -- kept importable: bench/tracing.py patches it
-from .engine import _MAX_STEPS
-from .trajectories import (DesiredTrajectory, _require_positive, along, ellipse_trajectory, on_grid,
-                           require_finite)
+from .trajectories import (DesiredTrajectory, _require_count, _require_positive, along,
+                           ellipse_trajectory, on_grid, require_finite)
 
 # Smallest Gram eigenvalue that counts as excitation: a reference with no
 # excitation in some direction reads a rounding-level epsilon, of either sign.
@@ -67,10 +66,9 @@ def window_gram(F, t: float, T: float, n: int = 401) -> np.ndarray:
     """
     require_finite("window start t", t)
     _require_positive("window length T", T)
-    if n < 3 or n % 2 == 0:
-        raise ValueError("Simpson sample count n must be odd and >= 3")
-    if n > _MAX_STEPS:
-        raise ValueError(f"Simpson sample count n = {n} is more than the limit of {_MAX_STEPS}")
+    _require_count("Simpson sample count n", n, 3)
+    if n % 2 == 0:
+        raise ValueError(f"Simpson sample count n must be odd, got {n}")
     taus = np.linspace(t, t + T, n)
     mats = on_grid(F, taus)
     G = simpson(mats.transpose(0, 2, 1) @ mats, x=taus, axis=0)
@@ -88,11 +86,8 @@ def pe_epsilon(F, horizon: float, T: float, windows: int = 64, n: int = 401) -> 
     _require_positive("horizon", horizon)
     if horizon < T:
         raise ValueError("horizon must be at least one window long")
-    if windows < 1:
-        raise ValueError(f"window count must be at least 1, got {windows}")
-    if windows > _MAX_STEPS:
-        raise ValueError(f"window count {windows} is more than the limit of {_MAX_STEPS}")
-    starts = np.linspace(0.0, horizon - T, int(windows))
+    _require_count("window count", windows, 1)
+    starts = np.linspace(0.0, horizon - T, windows)
     eps = math.inf
     for s in starts:
         G = window_gram(F, float(s), T, n)
@@ -116,6 +111,7 @@ def ellipse_pe_closed_form(a: float, b: float, h: float) -> np.ndarray:
     ellipse_trajectory), so this closed form pairs with
     uniform_heading_ellipse_regressor, not with the simulated reference.
     """
+    require_finite("ellipse a, b, h", a, b, h)
     if h == 0.0:
         raise ValueError("ellipse rate h must be nonzero")
     return np.diag([8.0 * math.pi / abs(h), (b * b + 1.0) * math.pi / abs(h),

@@ -32,10 +32,11 @@ from typing import Callable
 import numpy as np
 
 from .controller import correction_scalars
-from .engine import SimulationDiverged, StepTooLarge, _stage_blocks, _step_count
+from .engine import SimulationDiverged, StepTooLarge, _stage_blocks
 from .excitation import PE_FLOOR, _default_window, window_gram
 from .se2 import B_SELECT, S_WEIGHT, Pose, adjoint_matrix, pose_matrix
-from .trajectories import DesiredTrajectory, _require_positive, along, on_grid
+from .trajectories import (DesiredTrajectory, _require_positive, _step_count, along, on_grid,
+                           require_finite)
 
 _SQRT_S = np.diag([math.sqrt(2.0), 1.0, 1.0])
 
@@ -179,8 +180,6 @@ def _check_step(traj: DesiredTrajectory, steps: int, dt: float) -> None:
 
 def _check_horizon(t_end: float, dt: float) -> int:
     """The step count, 2 to _MAX_STEPS, of positive t_end and dt; raises ValueError otherwise."""
-    _require_positive("t_end", t_end)
-    _require_positive("dt", dt)
     steps = _step_count(t_end, dt)
     if steps < 2:
         raise ValueError(f"t_end must span at least two steps of dt = {dt!r}, got {t_end!r}")
@@ -242,8 +241,8 @@ def stability_probe(A: Callable[[float], np.ndarray], x0, T: float, epsilon: flo
     when it has one.
     """
     steps = _check_horizon(t_end, dt)
-    if epsilon <= 0.0:
-        raise ValueError("excitation level epsilon must be positive")
+    _require_positive("excitation level epsilon", epsilon)
+    require_finite("initial state x0", *x0)
     x0 = np.array(x0, dtype=float)
 
     checks = np.linspace(0.0, t_end, 23)

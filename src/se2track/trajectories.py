@@ -7,12 +7,15 @@ input u_d(t) that generates it, tied by the flow condition
 
 Ellipses are built flatness-style: heading, speed, and turn rate are
 derived from the position path and its first two derivatives, so the
-flow condition holds by construction for any axis ratio.
+flow condition holds by construction for any axis ratio. The module also
+holds the package's input checks, which every number and count passes
+before it is coerced or compared, and its count limit _MAX_STEPS.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -21,13 +24,14 @@ import numpy as np
 from .se2 import ControlPair, Pose, cos_sin, pose_matrix, wedge, wrap_angle
 
 
+# largest step count of one run (its log would take 1.44 GB), and of any other count
+_MAX_STEPS = 10**7
+
+
 def require_finite(what: str, *values) -> None:
-    """Raise ValueError unless every value is a finite real number."""
-    try:
-        ok = all(math.isfinite(x) for x in values)
-    except TypeError:
-        ok = False
-    if not ok:
+    """Raise ValueError unless every value is a finite real number: not a bool, not a string."""
+    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+               for x in values):
         shown = values[0] if len(values) == 1 else list(values)
         raise ValueError(f"{what} must be finite, got {shown!r}")
 
@@ -37,6 +41,24 @@ def _require_positive(what: str, value) -> None:
     require_finite(what, value)
     if not value > 0:
         raise ValueError(f"{what} must be positive, got {value!r}")
+
+
+def _step_count(t_end, dt) -> int:
+    """round(t_end / dt) of positive t_end and dt; ValueError otherwise, or above _MAX_STEPS."""
+    _require_positive("t_end", t_end)
+    _require_positive("dt", dt)
+    if not t_end / dt <= _MAX_STEPS:
+        raise ValueError(f"t_end / dt = {t_end / dt:.6g} steps is more than the limit "
+                         f"of {_MAX_STEPS} steps per run")
+    return int(round(t_end / dt))
+
+
+def _require_count(what: str, n, least: int) -> None:
+    """Raise ValueError unless n is an integer, not a bool, from least to _MAX_STEPS."""
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {n!r}")
+    if n > _MAX_STEPS:
+        raise ValueError(f"{what} {n} is more than the limit of {_MAX_STEPS}")
 
 
 def require_known_keys(what: str, d: dict, known) -> None:
@@ -123,10 +145,10 @@ def ellipse_trajectory(a: float, b: float, h: float, origin=(0.0, 0.0)) -> Desir
     Omega_d = h). Rejects degenerate axes: a zero semi-axis makes the
     speed vanish twice per revolution, where the heading is undefined.
     """
+    require_finite("ellipse a, b, h", a, b, h)
+    require_finite("ellipse origin", origin[0], origin[1])
     ox, oy = float(origin[0]), float(origin[1])
     a, b, h = float(a), float(b), float(h)
-    require_finite("ellipse a, b, h", a, b, h)
-    require_finite("ellipse origin", ox, oy)
     if a <= 0.0 or b <= 0.0:
         raise ValueError("ellipse semi-axes must be positive")
     if h == 0.0:
@@ -158,10 +180,10 @@ def ellipse_trajectory(a: float, b: float, h: float, origin=(0.0, 0.0)) -> Desir
 
 def line_trajectory(speed: float, heading: float = 0.0, start=(0.0, 0.0)) -> DesiredTrajectory:
     """Straight-line (or stationary, speed = 0) constant-input reference."""
+    require_finite("line speed, heading", speed, heading)
+    require_finite("line start", start[0], start[1])
     sx, sy = float(start[0]), float(start[1])
     speed, heading = float(speed), float(heading)
-    require_finite("line speed, heading", speed, heading)
-    require_finite("line start", sx, sy)
     cx = speed * math.cos(heading)
     cy = speed * math.sin(heading)
 

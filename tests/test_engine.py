@@ -29,7 +29,8 @@ from se2track import (
     wrap_angle,
 )
 from se2track import engine
-from se2track.engine import _BLOCK, _MAX_STEPS, _make_controller
+from se2track.engine import _BLOCK, _make_controller
+from se2track.trajectories import _MAX_STEPS
 
 CIRCLE = {"family": "ellipse", "a": 1.0, "b": 1.0, "h": 1.0, "origin": [0.0, 0.0]}
 
