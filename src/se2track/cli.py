@@ -374,6 +374,8 @@ def cmd_compare(args) -> int:
     if args.out == "":
         raise ValueError("cannot write '': the output stem is empty")
     stem = Path(args.out)
+    if args.out.endswith("/") or stem.is_dir():
+        raise ValueError(f"cannot write {args.out}: the output stem names a directory")
     paths = [f"{stem}_{i}_{cfg.controller}.csv" for i, cfg in enumerate(cfgs)]
     long_path = Path(f"{stem}_long.csv")
     summary_path = f"{stem}_summary.json"

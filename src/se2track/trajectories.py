@@ -29,9 +29,9 @@ _MAX_STEPS = 10**7
 
 
 def require_finite(what: str, *values) -> None:
-    """Raise ValueError unless every value is a finite real number: not a bool, not a string."""
-    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-               for x in values):
+    """Raise ValueError unless every value is a finite real in float range: not a bool or a string."""
+    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+               and abs(x) <= math.nextafter(math.inf, 0.0) for x in values):
         shown = values[0] if len(values) == 1 else list(values)
         raise ValueError(f"{what} must be finite, got {shown!r}")
 
@@ -213,7 +213,7 @@ def trajectory_from_descriptor(desc: dict) -> DesiredTrajectory:
         if family == "ellipse":
             return ellipse_trajectory(desc["a"], desc["b"], desc["h"], desc.get("origin", (0.0, 0.0)))
         if family == "line":
-            return line_trajectory(desc.get("speed", 0.0), desc.get("heading", 0.0), desc.get("start", (0.0, 0.0)))
+            return line_trajectory(desc["speed"], desc.get("heading", 0.0), desc.get("start", (0.0, 0.0)))
     except KeyError as exc:
         raise ValueError(f"{family} trajectory lacks the parameter {exc}") from None
     except (TypeError, IndexError):

@@ -548,6 +548,30 @@ def test_bad_numeric_flags_are_usage_errors(capsys, argv, shown):
     assert err.startswith("error:") and shown in err
 
 
+# a number given as text, as true/false or past the float range exits 2 and names its field
+@pytest.mark.parametrize("command, content, shown", [
+    ("simulate", {"trajectory": _ELLIPSE, "dt": "0.01"}, "dt must be finite, got '0.01'"),
+    ("simulate", {"trajectory": _ELLIPSE, "t_end": True}, "t_end must be finite, got True"),
+    ("simulate", {"trajectory": _ELLIPSE, "t_end": 10**400}, "t_end must be finite, got 1000"),
+    ("simulate", {"trajectory": _ELLIPSE, "offset": [True, 0, 0]},
+     "offset must be finite, got [True, 0, 0]"),
+    ("simulate", {"trajectory": {**_ELLIPSE, "a": "3"}}, "ellipse a, b, h must be finite, got ['3'"),
+    ("simulate", {"trajectory": {"family": "line"}}, "line trajectory lacks the parameter 'speed'"),
+    ("compare", {"trajectory": _ELLIPSE, "controllers": ["spatial"], "threshold": True},
+     "threshold must be finite, got True"),
+], ids=["text-dt", "bool-t-end", "int-past-float-range", "bool-offset", "text-a",
+        "line-without-speed", "bool-threshold"])
+def test_config_values_that_are_not_finite_numbers_are_usage_errors(tmp_path, capsys, command,
+                                                                    content, shown):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(content))
+    out = ["--out", str(tmp_path / ("x.csv" if command == "simulate" else "cmp"))]
+    assert main([command, "--config", str(path)] + out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and shown in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 @pytest.mark.parametrize("command, seed, flag", [
     ("basin", "x", None), ("basin", 1.5, None), ("basin", True, None), ("basin", [1], None),
     ("basin", -1, None), ("simulate", None, "-5"),
@@ -669,6 +693,20 @@ def test_bad_output_paths_are_usage_errors_before_any_run(tmp_path, capsys, noth
     err = capsys.readouterr().err
     assert err == f"error: cannot write {shown}\n"
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("stem", ["runs/", "runs", "new/", "."])
+def test_compare_stem_that_names_a_directory_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                                              nothing_runs, stem):
+    # Path("runs/") is Path("runs"): the files would land beside the directory, not in it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "runs").mkdir()
+    (tmp_path / "compare.json").write_text(json.dumps(
+        {"trajectory": _ELLIPSE, "controllers": ["spatial"]}))
+    assert main(["compare", "--config", "compare.json", "--out", stem]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {stem}: the output stem names a directory\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["compare.json", "runs"]
 
 
 @pytest.mark.parametrize("command", [

@@ -1,13 +1,24 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from se2track import (
+    Gains,
+    KanayamaGains,
+    SimConfig,
+    compare_controllers,
+    controller_regressor,
+    ellipse_pe_closed_form,
     ellipse_trajectory,
     flow_consistency_residual,
     line_trajectory,
+    monte_carlo_basin,
+    pe_epsilon,
+    stability_probe,
     trajectory_from_descriptor,
+    window_gram,
 )
 
 
@@ -131,3 +142,51 @@ def test_unknown_family_rejected():
         trajectory_from_descriptor({"family": "spiral"})
     with pytest.raises(ValueError):
         trajectory_from_descriptor({})
+
+
+@pytest.mark.parametrize("desc", [
+    {"family": "line", "speed": 1.0, "start": 5},
+    {"family": "ellipse", "a": 1.0, "b": 1.0, "h": 1.0, "origin": [1.0]},
+], ids=["scalar-start", "short-origin"])
+def test_a_number_where_a_pair_belongs_is_refused(desc):
+    with pytest.raises(ValueError, match="needs numbers and x,y pairs"):
+        trajectory_from_descriptor(desc)
+
+
+_CIRCLE = {"family": "ellipse", "a": 1.0, "b": 1.0, "h": 1.0}
+_QUICK = SimConfig(trajectory=_CIRCLE, dt=0.01, t_end=1.0)
+_LINE = controller_regressor(line_trajectory(1.0))
+_EYE = lambda t: np.eye(2)
+
+
+# a number that is not a finite real in float range, or a count that is not an integer in
+# range, is refused before it is coerced, compared or used
+@pytest.mark.parametrize("call, shown", [
+    (lambda: stability_probe(_EYE, [1.0, 0.0], T=1.0, epsilon=math.nan, t_end=2.0),
+     "excitation level epsilon must be finite, got nan"),
+    (lambda: stability_probe(_EYE, [math.nan, 0.0], T=1.0, epsilon=0.5, t_end=2.0),
+     "initial state x0 must be finite"),
+    (lambda: Gains(math.nan, 1.0), "gains must be finite"),
+    (lambda: KanayamaGains(math.nan, 1.0, 1.0), "baseline gain k_x must be finite, got nan"),
+    (lambda: ellipse_pe_closed_form(1.0, 1.0, math.nan), "ellipse a, b, h must be finite"),
+    (lambda: pe_epsilon(_LINE, horizon=2.0, T=1.0, windows=2.5),
+     "window count must be an integer >= 1, got 2.5"),
+    (lambda: window_gram(_LINE, 0.0, 1.0, n=5.0),
+     "Simpson sample count n must be an integer >= 3, got 5.0"),
+    (lambda: monte_carlo_basin(_QUICK, samples=2.0),
+     "sample count must be an integer >= 0, got 2.0"),
+    (lambda: SimConfig(trajectory=_CIRCLE, dt="0.01"), "dt must be finite, got '0.01'"),
+    (lambda: SimConfig(trajectory=_CIRCLE, t_end=True), "t_end must be finite, got True"),
+    (lambda: SimConfig(trajectory=_CIRCLE, t_end=10**400), "t_end must be finite, got 1000"),
+    (lambda: SimConfig(trajectory=_CIRCLE, offset=(True, 0, 0)), "offset must be finite"),
+    (lambda: ellipse_trajectory("3", 1.0, 1.0), "ellipse a, b, h must be finite"),
+    (lambda: trajectory_from_descriptor({"family": "line"}),
+     "line trajectory lacks the parameter 'speed'"),
+    (lambda: compare_controllers([_QUICK], threshold=True), "threshold must be finite, got True"),
+], ids=["probe-nan-epsilon", "probe-nan-x0", "nan-gain", "nan-baseline-gain",
+        "closed-form-nan-h", "fractional-windows", "float-points", "float-samples", "text-dt",
+        "bool-t-end", "int-past-float-range", "bool-offset", "text-a", "line-without-speed",
+        "bool-threshold"])
+def test_library_refuses_values_that_are_not_finite_numbers_or_counts(call, shown):
+    with pytest.raises(ValueError, match=re.escape(shown)):
+        call()

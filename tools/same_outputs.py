@@ -136,7 +136,12 @@ def _corpus() -> list:
     configs = {
         "config-array": ("simulate", [1, 2]),
         "config-no-axes": ("simulate", {"trajectory": {"family": "ellipse"}}),
-        "config-scalar-start": ("simulate", {"trajectory": {"family": "line", "start": 5}}),
+        "config-scalar-start": ("simulate", {"trajectory": {"family": "line", "speed": 1.0,
+                                                            "start": 5}}),
+        "config-line-without-speed": ("simulate", {"trajectory": {"family": "line"}}),
+        "config-bool-offset": ("simulate", {"trajectory": CIRCLE, "offset": [True, 0, 0]}),
+        "config-int-past-float-range": ("simulate", {"trajectory": CIRCLE,
+                                                     "offset": [10**400, 0, 0]}),
         "config-unknown-keys": ("simulate", {"trajectory": CIRCLE, "tend": 5,
                                              "controler": "kanayama"}),
         "config-unknown-trajectory-key": ("simulate", {"trajectory": {**CIRCLE,
@@ -170,7 +175,12 @@ def _corpus() -> list:
          [["compare", "--config", "compare.json", "--out", "cmp"]]),
         ("compare-out-empty", {"compare.json": COMPARE},
          [["compare", "--config", "compare.json", "--out", ""]]),
+        ("compare-out-stem-directory", {"compare.json": COMPARE, "d": DIRECTORY},
+         [["compare", "--config", "compare.json", "--out", "d/"]]),
     ]
+    # a number given as text, in a file run without the --dt flag that would override it
+    cases.append(("config-text-dt", {"c.json": {"trajectory": CIRCLE, "dt": "0.01", "t_end": 10.0}},
+                  [["simulate", "--config", "c.json", "--out", "x.csv"]]))
     # basin's own dt and t_end where its config file sets neither
     cases.append(("basin-config-defaults", {"c.json": {"trajectory": CIRCLE}},
                   [["basin", "--config", "c.json", "--samples", "2", "--out", "b.json"]]))
