@@ -24,6 +24,7 @@ import json
 import math
 import sys
 import time
+from functools import lru_cache, partial
 from itertools import repeat
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from .engine import (
     SimConfig,
     SimulationDiverged,
     StepTooLarge,
+    _replacing,
     _write_csv,
     compare_controllers,
     monte_carlo_basin,
@@ -220,8 +222,8 @@ def _check_outputs(*paths) -> None:
 def _write_json(path, doc) -> None:
     # NaN and Infinity are not JSON: a non-finite value raises before the file is opened
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text + "\n")
+    with _replacing(path) as fh:
+        fh.write((text + "\n").encode())
 
 
 def _write_report(path, doc) -> None:
@@ -354,19 +356,30 @@ def _compare_config(path: str):
     return cfgs, doc.get("threshold", 1e-2)
 
 
-def _long_blocks(cfgs, logs):
-    """Columns (controller, run, t, variable, value) of the long-format table, one series a block."""
-    for i, (cfg, log) in enumerate(zip(cfgs, logs)):
-        t = list(map(str, log.t.tolist()))
-        series = {
-            "px": log.column("px"), "py": log.column("py"),
-            "pxd": log.column("pxd"), "pyd": log.column("pyd"),
-            "position_error": log.position_error(),
-            "heading_error": log.heading_error(),
-            "lyapunov": log.lyap,
-        }
-        for var, vals in series.items():
-            yield repeat(cfg.controller), repeat(str(i)), t, repeat(var), map(str, vals.tolist())
+# the series of each run in the long-format table, in its order
+_LONG_SERIES = {
+    "px": lambda log: log.column("px"), "py": lambda log: log.column("py"),
+    "pxd": lambda log: log.column("pxd"), "pyd": lambda log: log.column("pyd"),
+    "position_error": lambda log: log.position_error(),
+    "heading_error": lambda log: log.heading_error(),
+    "lyapunov": lambda log: log.lyap,
+}
+
+
+def _long_blocks(cfgs, logs) -> list:
+    """Thunks of the long-format table (controller, run, t, variable, value), one per series.
+
+    A run's t is formatted once by each process that writes its series.
+    """
+    @lru_cache(maxsize=1)
+    def times(i):
+        return list(map(str, logs[i].t.tolist()))
+
+    def block(i, var):
+        return (repeat(cfgs[i].controller), repeat(str(i)), times(i), repeat(var),
+                map(str, _LONG_SERIES[var](logs[i]).tolist()))
+
+    return [partial(block, i, var) for i in range(len(logs)) for var in _LONG_SERIES]
 
 
 def cmd_compare(args) -> int:

@@ -30,15 +30,23 @@ is 60k steps, and batch experiments multiply that by hundreds. Array
 allocation per substage would dominate the runtime. The sampled
 reference is turned into Python floats one block at a time, so a long
 run never holds floats for all of its steps.
+
+Every output file is written through _replacing: to a temporary file
+beside its name, renamed onto the name once it is whole. _write_csv is
+the one CSV writer. It takes lazy blocks of rows, and where the process
+may use two CPUs, a forked child formats the second half of them: str
+of a float costs about a microsecond, and a log holds 18 per row.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import shutil
 import signal
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -46,8 +54,8 @@ import numpy as np
 from .controller import Gains, KanayamaGains, _kanayama_scalars, correction_scalars
 from .errors import _lyapunov_scalars, _spatial_position
 from .se2 import wrap_angle
-from .trajectories import (_require_count, _require_positive, _step_count, on_grid, require_finite,
-                           require_known_keys, trajectory_from_descriptor)
+from .trajectories import (_is_count, _require_count, _require_positive, _step_count, on_grid,
+                           require_finite, require_known_keys, trajectory_from_descriptor)
 
 CONTROLLERS = ("spatial", "kanayama", "feedforward")
 
@@ -89,6 +97,14 @@ class StepTooLarge(RuntimeError):
     """Raised when L rises along a spatial run, which the exact flow never does."""
 
 
+def _numbers(what: str, values) -> tuple:
+    """values as a tuple; ValueError naming what if it is a single value, not a sequence."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValueError(f"{what} must be a list of numbers, got {values!r}") from None
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Everything needed to reproduce one run.
@@ -98,9 +114,10 @@ class SimConfig:
     k_theta) for kanayama, ignored for feedforward; None picks the
     defaults. offset = (dx, dy, dtheta) perturbs the initial state to
     p(0) = p_d(0) + (dx, dy), theta(0) = theta_d(0) + dtheta. seed, None
-    or an int >= 0, picks a basin sweep's draws (None draws 0). Every
-    number must pass require_finite, and the gains must fit the
-    controller; anything else raises ValueError on construction.
+    or an integer >= 0 (kept as an int), picks a basin sweep's draws
+    (None draws 0). Every number must pass require_finite, and the gains
+    must fit the controller; anything else raises ValueError on
+    construction.
     """
 
     trajectory: dict
@@ -117,24 +134,28 @@ class SimConfig:
         _step_count(self.t_end, self.dt)
         if self.t_end < self.dt:
             raise ValueError("t_end must be at least one step long")
-        if len(self.offset) != 3:
+        offset = _numbers("offset", self.offset)
+        if len(offset) != 3:
             raise ValueError("offset must be (dx, dy, dtheta)")
-        require_finite("offset", *self.offset)
-        if self.gains is not None:
-            require_finite("gains", *self.gains)
+        require_finite("offset", *offset)
+        gains = None if self.gains is None else _numbers("gains", self.gains)
+        if gains is not None:
+            require_finite("gains", *gains)
             gains_type = GAINS.get(self.controller)
             if gains_type is not None:
                 names = [f.name for f in fields(gains_type)]
-                if len(self.gains) != len(names):
+                if len(gains) != len(names):
                     raise ValueError(f"{self.controller} gains are ({', '.join(names)}): "
-                                     f"expected {len(names)} numbers, got {len(self.gains)}")
-                gains_type(*self.gains)
-        if self.seed is not None and not (type(self.seed) is int and self.seed >= 0):
+                                     f"expected {len(names)} numbers, got {len(gains)}")
+                gains_type(*gains)
+        if self.seed is not None and not _is_count(self.seed, 0):
             raise ValueError(f"seed must be None or a non-negative integer, got {self.seed!r}")
         # each field its type once every value is checked, so that a config equals its manifest
-        object.__setattr__(self, "gains", None if self.gains is None else tuple(self.gains))
-        for name, kind in (("trajectory", dict), ("offset", tuple), ("dt", float), ("t_end", float)):
-            object.__setattr__(self, name, kind(getattr(self, name)))
+        for name, value in (("trajectory", dict(self.trajectory)), ("gains", gains),
+                            ("offset", offset), ("dt", float(self.dt)),
+                            ("t_end", float(self.t_end)),
+                            ("seed", None if self.seed is None else int(self.seed))):
+            object.__setattr__(self, name, value)
 
     @property
     def steps(self) -> int:
@@ -186,9 +207,9 @@ class SimLog:
         return np.hypot(dx, dy)
 
     def to_csv(self, path) -> None:
-        """Write the log with shortest round-trip decimals and LF endings, _BLOCK rows at a time."""
-        blocks = (self.data[start:start + _BLOCK].T.tolist() for start in range(0, len(self), _BLOCK))
-        _write_csv(path, CSV_COLUMNS, ([map(str, column) for column in block] for block in blocks))
+        """Write the log with shortest round-trip decimals and LF endings, _BLOCK rows a block."""
+        _write_csv(path, CSV_COLUMNS, [partial(_formatted, self.data[start:start + _BLOCK])
+                                       for start in range(0, len(self), _BLOCK)])
 
     @classmethod
     def from_csv(cls, path) -> "SimLog":
@@ -201,19 +222,132 @@ class SimLog:
         return cls(data=data)
 
 
-def _write_csv(path, header, blocks) -> None:
-    """Write a CSV with LF endings from blocks of rows, each given as its formatted columns.
+def _formatted(rows: np.ndarray) -> list:
+    """The columns of an array of rows, as str of each value; see _write_csv."""
+    return [map(str, column) for column in rows.T.tolist()]
 
-    A block is a sequence of columns of strings, one string per row, and
-    holds at least one row; a column may be endless, such as a
-    constant's itertools.repeat, when another column of its block ends.
-    str of a Python float (not a numpy one: see tolist) is its shortest
-    round-trip decimal.
+
+def _cpu_count() -> int:
+    """How many CPUs os.sched_getaffinity(0) lets this process run on; 0 where it is missing."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 0
+
+
+def _create_beside(path) -> tuple:
+    """(file, name) of a new, empty binary file in path's directory, named after path.
+
+    The file gets the mode that open(path, "w") gives a new file.
     """
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for columns in blocks:
-            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+    head, tail = os.path.split(os.fspath(path))
+    n = 0
+    while True:
+        name = os.path.join(head, f".{tail}.{os.getpid()}.{n}.tmp")
+        try:
+            return open(name, "xb"), name
+        except FileExistsError:
+            n += 1
+
+
+@contextmanager
+def _replacing(path):
+    """Yield a new binary file beside path, and os.replace it onto path once the body returns.
+
+    If the body raises, the file is removed instead, so path holds a
+    complete file or what it held before. Nothing is fsynced: this
+    covers interrupts and failed writes, not a power loss.
+    """
+    fh, name = _create_beside(path)
+    try:
+        with fh:
+            yield fh
+        os.replace(name, path)
+    except BaseException:
+        os.unlink(name)
+        raise
+
+
+def _write_blocks(fh, blocks) -> None:
+    """Write the rows of each block to the binary file fh; see _write_csv."""
+    for block in blocks:
+        fh.write(("\n".join(map(",".join, zip(*block()))) + "\n").encode())
+
+
+def _write_part(fh, blocks) -> None:
+    """In a forked child: write blocks to fh, then leave through os._exit.
+
+    The exit status is 0, the errno of a failed write, or 255. os._exit
+    flushes no buffer that the child inherited, such as stdout's, and
+    runs no atexit handler. The child ignores SIGINT, so that a Ctrl-C
+    is reported once, by the parent.
+    """
+    code = 255
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        _write_blocks(fh, blocks)
+        fh.flush()
+        code = 0
+    except OSError as exc:
+        if exc.errno in range(1, 255):
+            code = exc.errno
+    finally:
+        os._exit(code)
+
+
+def _write_halves(fh, path, blocks, half: int) -> None:
+    """Write blocks[:half] to fh here while a forked child writes blocks[half:]; append the latter.
+
+    The child writes to a file of its own beside path, which this
+    process copies onto fh in bounded chunks and always removes. If this
+    process fails or is interrupted first, the child is killed; either
+    way no child is left.
+    """
+    part, part_name = _create_beside(path)
+    try:
+        with part:
+            pid = os.fork()
+            if pid == 0:
+                _write_part(part, blocks[half:])
+        try:
+            _write_blocks(fh, blocks[:half])
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+        if code in range(1, 255):
+            raise OSError(code, os.strerror(code))
+        if code:
+            raise OSError(f"the process that wrote the second half of {path} failed "
+                          f"(status {code})")
+        fh.flush()
+        with open(part_name, "rb") as src:
+            shutil.copyfileobj(src, fh)
+    finally:
+        os.unlink(part_name)
+
+
+def _write_csv(path, header, blocks) -> None:
+    """Write a CSV with LF endings: the header, then the rows of each block in order.
+
+    blocks is a sequence of thunks. Each returns the columns of one
+    block of at least one row: iterables of strings, one string per
+    row; a column may be endless, such as a constant's itertools.repeat,
+    when another column of its block ends. str of a Python float (not a
+    numpy one: see tolist) is its shortest round-trip decimal.
+
+    Where os.fork exists, the process may run on more than one CPU and
+    there is more than one block, a forked child formats the second half
+    of the blocks while this process writes the header and the first
+    half (_write_halves); otherwise this process writes them all. Both
+    run _write_blocks on the same values, so the bytes are the same. The
+    file appears under path whole or not at all (_replacing).
+    """
+    half = len(blocks) // 2 if hasattr(os, "fork") and _cpu_count() > 1 else 0
+    with _replacing(path) as fh:
+        fh.write((",".join(header) + "\n").encode())
+        if half:
+            _write_halves(fh, path, blocks, half)
+        else:
+            _write_blocks(fh, blocks)
 
 
 def _make_controller(cfg: SimConfig):
@@ -439,8 +573,7 @@ def monte_carlo_basin(cfg: SimConfig, samples: int, threshold: float = 1e-6) -> 
     import multiprocessing
 
     _sweep = (control, blocks, cfg.dt)
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    workers = min(samples, len(cpus))
+    workers = min(samples, _cpu_count())
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         # fork, not spawn: the control closure cannot be pickled, and a fresh
         # import of the package takes longer than a dozen samples at the CLI's

@@ -127,6 +127,7 @@ def fd_closed_loop_jacobian(xd: Pose, step: float = 1e-6) -> np.ndarray:
     Independent oracle for the linearization: nothing of the -M S
     structure is assumed, only the nonlinear loop itself is sampled.
     """
+    require_finite("finite-difference step", step)
     if not 1e-8 <= step <= 1e-4:
         raise ValueError("finite-difference step must lie in [1e-8, 1e-4]")
     J = np.empty((3, 3))

@@ -53,9 +53,14 @@ def _step_count(t_end, dt) -> int:
     return int(round(t_end / dt))
 
 
+def _is_count(n, least: int) -> bool:
+    """Whether n is an integer, not a bool, of at least least."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= least
+
+
 def _require_count(what: str, n, least: int) -> None:
     """Raise ValueError unless n is an integer, not a bool, from least to _MAX_STEPS."""
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < least:
+    if not _is_count(n, least):
         raise ValueError(f"{what} must be an integer >= {least}, got {n!r}")
     if n > _MAX_STEPS:
         raise ValueError(f"{what} {n} is more than the limit of {_MAX_STEPS}")
@@ -228,6 +233,7 @@ def flow_consistency_residual(traj: DesiredTrajectory, t_span=(0.0, 10.0), sampl
     Returns the largest entrywise difference between the finite-difference
     derivative of the pose matrix and X_d(t) @ wedge(u_d(t)).
     """
+    _require_count("sample count", samples, 1)
     worst = 0.0
     for t in np.linspace(t_span[0], t_span[1], samples):
         t = float(t)

@@ -1,8 +1,12 @@
 import json
 import math
+import os
 import re
+import signal
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -484,19 +488,29 @@ def test_basin_config_reproduces_the_seeded_summary(tmp_path, capsys):
 _ELLIPSE = {"family": "ellipse", "a": 1.0, "b": 1.0, "h": 1.0}
 
 
-@pytest.mark.parametrize("command, content", [
-    ("simulate", [1, 2]),
-    ("compare", 5),
-    ("compare", {"trajectory": _ELLIPSE, "controllers": [5]}),
-    ("compare", {"trajectory": _ELLIPSE, "controllers": ["spatial"], "threshold": None}),
-    ("compare", {"trajectory": _ELLIPSE, "controllers": ["spatial"], "threshold": -1}),
-    ("compare", {"trajectory": _ELLIPSE, "controllers": ["spatial"], "threshold": 0}),
-    ("simulate", {"trajectory": {"family": "ellipse"}}),
-    ("simulate", {"trajectory": {"family": "line", "start": 5}}),
-    ("simulate", None),
+@pytest.mark.parametrize("command, content, shown", [
+    ("simulate", [1, 2], "must hold a JSON object, got list"),
+    ("compare", 5, "must hold a JSON object, got int"),
+    ("compare", {"trajectory": _ELLIPSE, "controllers": [5]}, "controllers[0]=5"),
+    ("compare", {"trajectory": _ELLIPSE, "controllers": ["spatial"], "threshold": None},
+     "threshold must be finite, got None"),
+    ("compare", {"trajectory": _ELLIPSE, "controllers": ["spatial"], "threshold": -1},
+     "threshold must be positive, got -1"),
+    ("compare", {"trajectory": _ELLIPSE, "controllers": ["spatial"], "threshold": 0},
+     "threshold must be positive, got 0"),
+    ("simulate", {"trajectory": {"family": "ellipse"}}, "lacks the parameter 'a'"),
+    ("simulate", {"trajectory": {"family": "line", "speed": 1.0, "start": 5}}, "'start': 5"),
+    ("simulate", None, "cannot read config file"),
+    ("simulate", {"trajectory": _ELLIPSE, "offset": 5}, "offset must be a list of numbers, got 5"),
+    ("simulate", {"trajectory": _ELLIPSE, "gains": 5}, "gains must be a list of numbers, got 5"),
+    ("compare", {"trajectory": _ELLIPSE, "controllers": ["spatial"], "offset": 5},
+     "offset must be a list of numbers, got 5"),
+    ("compare", {"trajectory": _ELLIPSE, "controllers": [{"name": "kanayama", "gains": 5}]},
+     "gains must be a list of numbers, got 5"),
 ], ids=["array", "bare-number", "number-entry", "null-threshold", "negative-threshold",
-        "zero-threshold", "ellipse-without-axes", "scalar-line-start", "directory"])
-def test_malformed_config_files_are_usage_errors(tmp_path, capsys, command, content):
+        "zero-threshold", "ellipse-without-axes", "scalar-line-start", "directory",
+        "scalar-offset", "scalar-gains", "compare-scalar-offset", "compare-scalar-gains"])
+def test_malformed_config_files_are_usage_errors(tmp_path, capsys, command, content, shown):
     path = tmp_path / "config.json"
     if content is None:
         path.mkdir()
@@ -504,7 +518,8 @@ def test_malformed_config_files_are_usage_errors(tmp_path, capsys, command, cont
         path.write_text(json.dumps(content))
     run = QUICK + ["--out", str(tmp_path / "x.csv")] if command == "simulate" else []
     assert main([command, "--config", str(path)] + run) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and shown in err
 
 
 @pytest.mark.parametrize("command, content, shown", [
@@ -748,3 +763,86 @@ def test_a_failed_write_ends_in_one_error_line(tmp_path, monkeypatch, capsys, co
     monkeypatch.setattr(*writer, full_disk)
     assert main(command) == 1
     assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+
+# 1024 steps: a log of 1025 rows, in three blocks, of which a forked child writes two
+FORKED = ["--dt", "0.01", "--t-end", "10.24"]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch, tmp_path):
+    """Run in tmp_path, with the CSV writer forking its child; yield this process's pid."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1})
+    return os.getpid()
+
+
+def test_a_failed_write_in_the_child_ends_in_one_error_line(tmp_path, monkeypatch, capsys,
+                                                             two_cpus):
+    write_blocks = engine._write_blocks
+
+    def full_disk_in_child(fh, blocks):
+        if os.getpid() != two_cpus:
+            raise OSError(28, "No space left on device")
+        write_blocks(fh, blocks)
+
+    monkeypatch.setattr(engine, "_write_blocks", full_disk_in_child)
+    assert main(["simulate", *FORKED, "--out", "run.csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: [Errno 28] No space left on device\n"
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+    _no_child_left()
+
+
+def test_an_interrupt_during_the_write_kills_the_child(tmp_path, monkeypatch, capsys, two_cpus):
+    def interrupted(fh, blocks):
+        if os.getpid() == two_cpus:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(engine, "_write_blocks", interrupted)
+    start = time.monotonic()
+    assert main(["simulate", *FORKED, "--out", "run.csv"]) == 130
+    assert time.monotonic() - start < 30
+    captured = capsys.readouterr()
+    assert captured.err == "interrupted\n"
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+    _no_child_left()
+
+
+def test_the_child_ignores_sigint(tmp_path, monkeypatch, two_cpus):
+    # a Ctrl-C reaches every process of the terminal's group; only this one reports it
+    assert main(["simulate", *FORKED, "--out", "alone.csv"]) == 0
+    write_blocks = engine._write_blocks
+
+    def sigint_in_child(fh, blocks):
+        if os.getpid() != two_cpus:
+            os.kill(os.getpid(), signal.SIGINT)
+        write_blocks(fh, blocks)
+
+    monkeypatch.setattr(engine, "_write_blocks", sigint_in_child)
+    assert main(["simulate", *FORKED, "--out", "run.csv"]) == 0
+    assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+    _no_child_left()
+
+
+def test_a_forked_write_prints_each_line_once(tmp_path):
+    # stdout to a pipe is block-buffered: a child that flushed it would print 'before' twice
+    driver = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; print('before'); "
+              "from se2track.cli import main; sys.exit(main(sys.argv[1:]))")
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", driver, "simulate", *FORKED, "--out", "run.csv"],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2 and lines[0] == "before"
+    assert lines[1].startswith("wrote run.csv (1025 rows); final position error")
+    assert proc.stderr == ""

@@ -1,8 +1,13 @@
 import json
 import math
+import os
 import pickle
+import tempfile
 import time
 from dataclasses import replace
+from functools import partial
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -558,3 +563,101 @@ def test_compare_controllers_validation(ellipse_desc, offcenter_desc):
     c = SimConfig(trajectory=offcenter_desc, offset=(0.1, 0.0, 0.0), t_end=1.0)
     with pytest.raises(ValueError, match="share"):
         compare_controllers([a, c])
+
+
+# The CSV writer: a forked child formats the second half of the blocks when the process
+# may use two CPUs. Either way the bytes are the same, no child is left, and the final
+# name holds a whole file or what it held before.
+
+# values whose shortest decimals are easy to get wrong: signed zero, the least subnormal,
+# numbers near the float range's ends, and a few that print with 16 or 17 digits
+_SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0, 2.99999784000026]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _written(write, cpus) -> tuple:
+    """(bytes, forks) of write(path) run with os.sched_getaffinity giving cpus."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(engine.os, "sched_getaffinity", lambda pid: cpus), \
+            mock.patch.object(engine.os, "fork", side_effect=os.fork) as fork, \
+            np.errstate(over="ignore"):
+        path = Path(tmp) / "out.csv"
+        write(path)
+        _no_child_left()
+        assert os.listdir(tmp) == ["out.csv"]
+        return path.read_bytes(), fork.call_count
+
+
+def _draw(seed: int, shape) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    spread = rng.normal(size=shape) * 10.0 ** rng.uniform(-300.0, 300.0, size=shape)
+    return np.where(rng.random(shape) < 0.3, rng.choice(_SPECIAL, size=shape), spread)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+       | st.integers(1, 4 * _BLOCK), runs=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_csv_bytes_do_not_depend_on_the_cpus(rows, runs, seed):
+    from se2track import cli
+
+    data = _draw(seed, (runs, rows, len(CSV_COLUMNS)))
+    log = SimLog(data=data[0])
+    one, forks = _written(log.to_csv, {0})
+    assert forks == 0
+    two, forks = _written(log.to_csv, {0, 1})
+    assert forks == (rows > _BLOCK)
+    assert two == one
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "run.csv").write_bytes(one)
+        assert SimLog.from_csv(Path(tmp) / "run.csv").data.tobytes() == data[0].tobytes()
+
+    cfgs = [SimConfig(trajectory=CIRCLE, controller=name) for name in engine.CONTROLLERS[:runs]]
+    logs = [SimLog(data=d) for d in data]
+    header = ("controller", "run", "t", "variable", "value")
+
+    def long_table(path):
+        engine._write_csv(path, header, cli._long_blocks(cfgs, logs))
+
+    one, forks = _written(long_table, {0})
+    assert forks == 0
+    two, forks = _written(long_table, {0, 1})
+    assert forks == 1
+    assert two == one
+    assert one.count(b"\n") == 1 + 7 * runs * rows
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+@pytest.mark.parametrize("failing", [1, 3], ids=["second-block", "last-block"])
+@pytest.mark.parametrize("old", [True, False], ids=["older-file", "no-file"])
+def test_a_failed_write_leaves_the_name_as_it_was(tmp_path, monkeypatch, cpus, failing, old):
+    # of four blocks, a second process writes the last two
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: cpus)
+    path = tmp_path / "out.csv"
+    if old:
+        path.write_text("older\n")
+
+    def block(k):
+        if k == failing:
+            raise OSError(28, "No space left on device")
+        return [str(k)], ["x"]
+
+    with pytest.raises(OSError) as exc:
+        engine._write_csv(path, ("k", "x"), [partial(block, k) for k in range(4)])
+    assert str(exc.value) == "[Errno 28] No space left on device"
+    assert [p.name for p in tmp_path.iterdir()] == (["out.csv"] if old else [])
+    if old:
+        assert path.read_text() == "older\n"
+    _no_child_left()
+
+
+def test_a_written_file_replaces_the_older_one_whole(tmp_path, monkeypatch):
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1})
+    path = tmp_path / "out.csv"
+    path.write_text("older, and longer than what replaces it\n" * 100)
+    engine._write_csv(path, ("k",), [partial(lambda k: [[str(k)]], k) for k in range(3)])
+    assert path.read_text() == "k\n0\n1\n2\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]

@@ -70,6 +70,12 @@ def _corpus() -> list:
                                   "--offset", "3,-2,1.5708", "--dt", "0.001", "--t-end", "40",
                                   "--out", "run.csv"]]),
         ("simulate-seeded", {}, [["simulate", "--seed", "7", *QUICK, "--out", "run.csv"]]),
+    ]
+    # around the CSV writer's split: logs of one block of 512 rows and of two and three blocks
+    cases += [(f"simulate-{steps}-steps", {}, [["simulate", "--dt", "0.01", "--t-end", t_end,
+                                                "--out", "run.csv"]])
+              for steps, t_end in ((511, "5.11"), (512, "5.12"), (513, "5.13"), (1025, "10.25"))]
+    cases += [
         ("compare", {"compare.json": COMPARE}, [["compare", "--config", "compare.json",
                                                  "--out", "cmp"]]),
         ("basin-seeded", {}, [
@@ -146,6 +152,12 @@ def _corpus() -> list:
                                              "controler": "kanayama"}),
         "config-unknown-trajectory-key": ("simulate", {"trajectory": {**CIRCLE,
                                                                       "orgin": [5, 5]}}),
+        "config-scalar-offset": ("simulate", {"trajectory": CIRCLE, "offset": 5}),
+        "config-scalar-gains": ("simulate", {"trajectory": CIRCLE, "gains": 5}),
+        "compare-scalar-offset": ("compare", {"trajectory": CIRCLE, "controllers": ["spatial"],
+                                              "offset": 5}),
+        "compare-scalar-gains": ("compare", {"trajectory": CIRCLE, "controllers": [
+            {"name": "kanayama", "gains": 5}]}),
         "compare-number-entry": ("compare", {"trajectory": CIRCLE, "controllers": [5]}),
         "compare-null-threshold": ("compare", {"trajectory": CIRCLE, "controllers": ["spatial"],
                                                "threshold": None}),
