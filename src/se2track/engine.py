@@ -235,9 +235,12 @@ def _cpu_count() -> int:
 def _create_beside(path) -> tuple:
     """(file, name) of a new, empty binary file in path's directory, named after path.
 
-    The file gets the mode that open(path, "w") gives a new file.
+    The file gets the mode that open(path, "w") gives a new file. Its
+    name keeps at most 200 bytes of path's, so that it fits wherever
+    path's name fits (255 bytes on common file systems).
     """
     head, tail = os.path.split(os.fspath(path))
+    tail = os.fsdecode(os.fsencode(tail)[:200])
     n = 0
     while True:
         name = os.path.join(head, f".{tail}.{os.getpid()}.{n}.tmp")
@@ -298,7 +301,8 @@ def _write_halves(fh, path, blocks, half: int) -> None:
     The child writes to a file of its own beside path, which this
     process copies onto fh in bounded chunks and always removes. If this
     process fails or is interrupted first, the child is killed; either
-    way no child is left.
+    way no child is left. As in a basin sweep, the child calls no BLAS
+    routine, so the idle threads numpy starts hold no lock it waits for.
     """
     part, part_name = _create_beside(path)
     try:

@@ -661,3 +661,12 @@ def test_a_written_file_replaces_the_older_one_whole(tmp_path, monkeypatch):
     engine._write_csv(path, ("k",), [partial(lambda k: [[str(k)]], k) for k in range(3)])
     assert path.read_text() == "k\n0\n1\n2\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+@pytest.mark.parametrize("char", ["x", "\u00e9", "\u20ac"], ids=["1-byte", "2-byte", "3-byte"])
+def test_a_name_of_the_longest_length_can_be_written(tmp_path, char):
+    # the temporary file beside it must fit the file system's limit of 255 bytes too
+    path = tmp_path / (char * (251 // len(char.encode())) + ".csv")
+    SimLog(data=np.zeros((3, len(CSV_COLUMNS)))).to_csv(path)
+    assert SimLog.from_csv(path).data.shape == (3, len(CSV_COLUMNS))
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
