@@ -322,7 +322,6 @@ def _write_halves(fh, path, blocks, half: int) -> None:
         if code:
             raise OSError(f"the process that wrote the second half of {path} failed "
                           f"(status {code})")
-        fh.flush()
         with open(part_name, "rb") as src:
             shutil.copyfileobj(src, fh)
     finally:
