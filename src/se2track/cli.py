@@ -11,8 +11,9 @@ Subcommands:
 Exit codes: 0 success, 1 runtime failure (a diverged simulation, L
 rising along a spatial run, a lin-check step too large for its
 reference, a pe-check scan that is not finite, a write that failed),
-2 usage or config error (an unknown config key, or an output path that
-is empty, in no directory or a directory, checked before any run), 130
+2 usage or config error (an unknown config key, a reference whose
+values floats cannot hold, or an output path that is empty, in no
+directory or a directory, checked before any run), 130
 interrupted. Outputs are deterministic: re-running a written manifest
 reproduces the CSV byte for byte.
 """
@@ -349,8 +350,9 @@ def _compare_config(path: str):
         if name not in CONTROLLERS:
             bad.append(f"controllers[{i}].name={name!r}")
             continue
-        # an empty gains list picks the defaults, as a missing one does
-        cfgs.append(_sim_config({**run, "controller": name, "gains": entry.get("gains") or None}))
+        # an empty gains list picks the defaults, as a missing one does; any other value is checked
+        gains = entry.get("gains")
+        cfgs.append(_sim_config({**run, "controller": name, "gains": None if gains == [] else gains}))
     if bad:
         raise ValueError(f"compare config {path}: invalid entries: {', '.join(bad)}")
     return cfgs, doc.get("threshold", 1e-2)

@@ -18,12 +18,16 @@ control law, the reference's stage blocks and the reference at t = 0.
 One kernel, _integrate, owns the RK4 loop, the divergence checks and
 the log-row formula. simulate passes it a log array to fill at every
 step; monte_carlo_basin passes none and reads the final Lyapunov value
-from the last row, which the kernel always returns. The samples of a
-sweep are independent, so they run in forked worker processes, one per
-CPU the process may use; each runs the same kernel on the same floats,
-so the summary does not depend on the worker count. SimulationDiverged
-pickles, so a worker's divergence reaches the parent as itself, at its
-own sample index.
+from the last row, which the kernel always returns.
+
+One helper starts every worker process. _processes decides how many
+processes a number of jobs may use, one per CPU the process may run on,
+and _forked yields a fork Pool whose workers reach their job through a
+module global. Exceptions cross it as themselves, such as a
+SimulationDiverged at its own sample index or an OSError with its errno
+and file name. The samples of a sweep are independent, so they run in
+such a pool; each runs the same kernel on the same floats, so the
+summary does not depend on the worker count.
 
 The hot loop works on plain floats on purpose: a 60 s run at dt = 1e-3
 is 60k steps, and batch experiments multiply that by hundreds. Array
@@ -34,8 +38,8 @@ run never holds floats for all of its steps.
 Every output file is written through _replacing: to a temporary file
 beside its name, renamed onto the name once it is whole. _write_csv is
 the one CSV writer. It takes lazy blocks of rows, and where the process
-may use two CPUs, a forked child formats the second half of them: str
-of a float costs about a microsecond, and a log holds 18 per row.
+may use two CPUs, a one-worker pool formats the second half of them:
+str of a float costs about a microsecond, and a log holds 18 per row.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ import math
 import os
 import shutil
 import signal
+import tempfile
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
@@ -227,17 +232,63 @@ def _formatted(rows: np.ndarray) -> list:
     return [map(str, column) for column in rows.T.tolist()]
 
 
-def _cpu_count() -> int:
-    """How many CPUs os.sched_getaffinity(0) lets this process run on; 0 where it is missing."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 0
+# the job of the pool in use, set for its duration; its forked workers inherit it
+_job = None
 
 
-def _create_beside(path) -> tuple:
-    """(file, name) of a new, empty binary file in path's directory, named after path.
+def _run(*args):
+    """_job(*args): the function that a pool's workers call, as it pickles by name."""
+    return _job(*args)
+
+
+def _processes(n: int) -> int:
+    """How many processes n jobs may use: one per CPU in os.sched_getaffinity(0), at most n.
+
+    1 where os.fork or os.sched_getaffinity is missing, so that the jobs
+    run in this process.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(n, len(os.sched_getaffinity(0))))
+
+
+@contextmanager
+def _forked(job, processes: int):
+    """Yield a fork Pool of processes workers, whose tasks call job through _run.
+
+    Fork, not spawn: job is a closure, which cannot be pickled, and a
+    fresh import of the package takes longer than a dozen basin samples
+    at the CLI's defaults. The workers call no BLAS routine, so the idle
+    threads numpy starts hold no lock that a worker waits for. They
+    ignore SIGINT, so that a Ctrl-C is reported once, by this process.
+    An exception in a task reaches .get() or the iterator as itself.
+    When the body exits, however it exits, the workers are killed and
+    reaped.
+    """
+    global _job
+    # imported here, so that only a process that forks pays for the import
+    import multiprocessing
+
+    _job = job
+    try:
+        with multiprocessing.get_context("fork").Pool(
+                processes, initializer=signal.signal,
+                initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+            yield pool
+    finally:
+        _job = None
+
+
+@contextmanager
+def _replacing(path):
+    """Yield a new binary file beside path, and os.replace it onto path once the body returns.
 
     The file gets the mode that open(path, "w") gives a new file. Its
     name keeps at most 200 bytes of path's, so that it fits wherever
-    path's name fits (255 bytes on common file systems).
+    path's name fits (255 bytes on common file systems). If the body
+    raises, the file is removed instead, so path holds a complete file
+    or what it held before. Nothing is fsynced: this covers interrupts
+    and failed writes, not a power loss.
     """
     head, tail = os.path.split(os.fspath(path))
     tail = os.fsdecode(os.fsencode(tail)[:200])
@@ -245,20 +296,10 @@ def _create_beside(path) -> tuple:
     while True:
         name = os.path.join(head, f".{tail}.{os.getpid()}.{n}.tmp")
         try:
-            return open(name, "xb"), name
+            fh = open(name, "xb")
+            break
         except FileExistsError:
             n += 1
-
-
-@contextmanager
-def _replacing(path):
-    """Yield a new binary file beside path, and os.replace it onto path once the body returns.
-
-    If the body raises, the file is removed instead, so path holds a
-    complete file or what it held before. Nothing is fsynced: this
-    covers interrupts and failed writes, not a power loss.
-    """
-    fh, name = _create_beside(path)
     try:
         with fh:
             yield fh
@@ -274,60 +315,6 @@ def _write_blocks(fh, blocks) -> None:
         fh.write(("\n".join(map(",".join, zip(*block()))) + "\n").encode())
 
 
-def _write_part(fh, blocks) -> None:
-    """In a forked child: write blocks to fh, then leave through os._exit.
-
-    The exit status is 0, the errno of a failed write, or 255. os._exit
-    flushes no buffer that the child inherited, such as stdout's, and
-    runs no atexit handler. The child ignores SIGINT, so that a Ctrl-C
-    is reported once, by the parent.
-    """
-    code = 255
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        _write_blocks(fh, blocks)
-        fh.flush()
-        code = 0
-    except OSError as exc:
-        if exc.errno in range(1, 255):
-            code = exc.errno
-    finally:
-        os._exit(code)
-
-
-def _write_halves(fh, path, blocks, half: int) -> None:
-    """Write blocks[:half] to fh here while a forked child writes blocks[half:]; append the latter.
-
-    The child writes to a file of its own beside path, which this
-    process copies onto fh in bounded chunks and always removes. If this
-    process fails or is interrupted first, the child is killed; either
-    way no child is left. As in a basin sweep, the child calls no BLAS
-    routine, so the idle threads numpy starts hold no lock it waits for.
-    """
-    part, part_name = _create_beside(path)
-    try:
-        with part:
-            pid = os.fork()
-            if pid == 0:
-                _write_part(part, blocks[half:])
-        try:
-            _write_blocks(fh, blocks[:half])
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            raise
-        if code in range(1, 255):
-            raise OSError(code, os.strerror(code))
-        if code:
-            raise OSError(f"the process that wrote the second half of {path} failed "
-                          f"(status {code})")
-        with open(part_name, "rb") as src:
-            shutil.copyfileobj(src, fh)
-    finally:
-        os.unlink(part_name)
-
-
 def _write_csv(path, header, blocks) -> None:
     """Write a CSV with LF endings: the header, then the rows of each block in order.
 
@@ -337,20 +324,33 @@ def _write_csv(path, header, blocks) -> None:
     when another column of its block ends. str of a Python float (not a
     numpy one: see tolist) is its shortest round-trip decimal.
 
-    Where os.fork exists, the process may run on more than one CPU and
-    there is more than one block, a forked child formats the second half
-    of the blocks while this process writes the header and the first
-    half (_write_halves); otherwise this process writes them all. Both
-    run _write_blocks on the same values, so the bytes are the same. The
-    file appears under path whole or not at all (_replacing).
+    Where there is more than one block and _processes grants two, a
+    one-worker pool writes the second half of the blocks to an unnamed
+    file in path's directory, while this process writes the header and
+    the first half, then appends that file. Both run _write_blocks on
+    the same values, so the bytes are the same. The file appears under
+    path whole or not at all (_replacing).
     """
-    half = len(blocks) // 2 if hasattr(os, "fork") and _cpu_count() > 1 else 0
     with _replacing(path) as fh:
         fh.write((",".join(header) + "\n").encode())
-        if half:
-            _write_halves(fh, path, blocks, half)
-        else:
+        if _processes(len(blocks)) == 1:
             _write_blocks(fh, blocks)
+            return
+        half = len(blocks) // 2
+        with tempfile.TemporaryFile(dir=os.path.dirname(fh.name) or os.curdir) as part:
+
+            def write_part():
+                # in the worker, which leaves through os._exit: it flushes no file it
+                # inherited, neither fh's buffered header nor part unless told to
+                _write_blocks(part, blocks[half:])
+                part.flush()
+
+            with _forked(write_part, 1) as pool:
+                task = pool.apply_async(_run)
+                _write_blocks(fh, blocks[:half])
+                task.get()
+            part.seek(0)
+            shutil.copyfileobj(part, fh)
 
 
 def _make_controller(cfg: SimConfig):
@@ -407,13 +407,28 @@ def _stage_blocks(F, dt: float, steps: int):
         stop = min(start + _BLOCK, steps)
         t = np.arange(start, stop + 1) * dt
         mid, end = t[:-1] + 0.5 * dt, t[:-1] + dt
-        yield range(start, stop), on_grid(F, t), on_grid(F, mid), on_grid(F, end)
+        # a value that is not finite is the caller's to check, without numpy's warnings
+        with np.errstate(all="ignore"):
+            grids = on_grid(F, t), on_grid(F, mid), on_grid(F, end)
+        yield range(start, stop), *grids
+
+
+def _finite_reference(traj, block) -> tuple:
+    """block, one of _stage_blocks of traj.state_at; ValueError naming traj unless all is finite."""
+    if not all(np.isfinite(grid).all() for grid in block[1:]):
+        raise ValueError(f"reference {traj.descriptor} is not finite in floats on the run's "
+                         f"times: its parameters are too large or too small")
+    return block
 
 
 def _setup(cfg: SimConfig) -> tuple:
-    """(control, blocks, ref0) of a run: its control law, its reference's _stage_blocks, t = 0 row."""
+    """(control, blocks, ref0) of a run: its control law, its reference's _stage_blocks, t = 0 row.
+
+    Raises ValueError if the reference is not finite at a stage time.
+    """
     traj = trajectory_from_descriptor(cfg.trajectory)
-    blocks = list(_stage_blocks(traj.state_at, cfg.dt, cfg.steps))
+    blocks = [_finite_reference(traj, block)
+              for block in _stage_blocks(traj.state_at, cfg.dt, cfg.steps)]
     return _make_controller(cfg), blocks, blocks[0][1][0].tolist()
 
 
@@ -526,16 +541,6 @@ class BasinSummary:
         return {**asdict(self), "fraction": self.fraction}
 
 
-# (control, blocks, dt) of the sweep in progress, set for its duration; forked workers inherit it
-_sweep = None
-
-
-def _sample_final(state: tuple) -> float:
-    """Final L of the sample of the sweep in progress that starts from state = (theta, px, py)."""
-    control, blocks, dt = _sweep
-    return _integrate(control, state, blocks, dt)[COL["lyap"]]
-
-
 def monte_carlo_basin(cfg: SimConfig, samples: int, threshold: float = 1e-6) -> BasinSummary:
     """Sweep random initial spatial errors and count convergences.
 
@@ -547,14 +552,12 @@ def monte_carlo_basin(cfg: SimConfig, samples: int, threshold: float = 1e-6) -> 
     The margin keeps draws away from the antipodal equilibrium, where
     escape times blow up.
 
-    The samples run in forked worker processes, one per CPU in
-    os.sched_getaffinity(0), and in this process where fork is missing
-    or one worker would do. Results are read in sample order: the
-    lowest-index sample that diverged raises SimulationDiverged, and
-    for the spatial controller the lowest-index one whose L ended
-    above its start raises StepTooLarge.
+    The samples run in a _forked pool of as many workers as _processes
+    grants them, and in this process where it grants one. Results are
+    read in sample order: the lowest-index sample that diverged raises
+    SimulationDiverged, and for the spatial controller the lowest-index
+    one whose L ended above its start raises StepTooLarge.
     """
-    global _sweep
     _require_count("sample count", samples, 0)
     _require_positive("threshold", threshold)
     control, blocks, ref0 = _setup(cfg)
@@ -572,39 +575,23 @@ def monte_carlo_basin(cfg: SimConfig, samples: int, threshold: float = 1e-6) -> 
         draws.append(draw)
         states.append(_initial_state(ref0, (dx, dy, thE)))
 
-    # imported here, so that only a sweep pays for the import
-    import multiprocessing
+    def final_lyapunov(state):
+        return _integrate(control, state, blocks, cfg.dt)[COL["lyap"]]
 
-    _sweep = (control, blocks, cfg.dt)
-    workers = min(samples, _cpu_count())
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        # fork, not spawn: the control closure cannot be pickled, and a fresh
-        # import of the package takes longer than a dozen samples at the CLI's
-        # defaults. The workers call no BLAS routine, so the idle threads
-        # numpy starts hold no lock that a worker waits for. They ignore
-        # SIGINT, so that a Ctrl-C is reported once, by this process.
-        pool = multiprocessing.get_context("fork").Pool(
-            workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
-        results = pool.imap(_sample_final, states)
-    else:
-        pool = nullcontext()
-        results = map(_sample_final, states)
-
+    processes = _processes(samples)
     finals = []
     failures = []
-    try:
-        with pool:
-            for i, ((thE, pEx, pEy), final) in enumerate(zip(draws, results)):
-                start = _lyapunov_scalars(thE, pEx, pEy)
-                if cfg.controller == "spatial" and final > start:
-                    raise StepTooLarge(f"sample {i}: L rose from {start:.6g} to {final:.6g}: "
-                                       f"dt = {cfg.dt:g} is too large a step for this reference")
-                finals.append(final)
-                if not final < threshold:
-                    failures.append({"index": i, "theta_E": thE, "p_E": [pEx, pEy],
-                                     "final_lyapunov": final})
-    finally:
-        _sweep = None
+    with _forked(final_lyapunov, processes) if processes > 1 else nullcontext() as pool:
+        results = map(final_lyapunov, states) if pool is None else pool.imap(_run, states)
+        for i, ((thE, pEx, pEy), final) in enumerate(zip(draws, results)):
+            start = _lyapunov_scalars(thE, pEx, pEy)
+            if cfg.controller == "spatial" and final > start:
+                raise StepTooLarge(f"sample {i}: L rose from {start:.6g} to {final:.6g}: "
+                                   f"dt = {cfg.dt:g} is too large a step for this reference")
+            finals.append(final)
+            if not final < threshold:
+                failures.append({"index": i, "theta_E": thE, "p_E": [pEx, pEy],
+                                 "final_lyapunov": final})
 
     return BasinSummary(
         samples=samples, converged=samples - len(failures), threshold=threshold,

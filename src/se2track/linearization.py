@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .controller import correction_scalars
-from .engine import SimulationDiverged, StepTooLarge, _stage_blocks
+from .engine import SimulationDiverged, StepTooLarge, _finite_reference, _stage_blocks
 from .excitation import PE_FLOOR, _default_window, window_gram
 from .se2 import B_SELECT, S_WEIGHT, Pose, adjoint_matrix, pose_matrix
 from .trajectories import (DesiredTrajectory, _require_positive, _step_count, along, on_grid,
@@ -165,10 +165,12 @@ def _check_step(traj: DesiredTrajectory, steps: int, dt: float) -> None:
     """Raise StepTooLarge unless dt * trace(A_z) stays within _RK4_LIMIT on every stage time.
 
     The reference is walked block by block, as _ltv_rk4 walks A_z.
+    Raises ValueError if the reference is not finite at a stage time.
     """
     with np.errstate(over="ignore"):
         peak = max(float(np.max(_trace_A_z(grid[:, 1], grid[:, 2])))
-                   for _, *grids in _stage_blocks(traj.state_at, dt, steps) for grid in grids)
+                   for block in _stage_blocks(traj.state_at, dt, steps)
+                   for grid in _finite_reference(traj, block)[1:])
     if not dt * peak <= _RK4_LIMIT:
         fits = "no dt fits"
         if math.isfinite(peak):

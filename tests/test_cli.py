@@ -285,6 +285,16 @@ def _compare_config(tmp_path, **overrides):
     return path
 
 
+@pytest.mark.parametrize("gains", [[], None], ids=["empty", "null"])
+def test_compare_gains_empty_or_null_pick_the_defaults(tmp_path, gains):
+    cfg = _compare_config(tmp_path, controllers=[{"name": "kanayama", "gains": gains}, "kanayama"])
+    run_ok(["compare", "--config", str(cfg), "--out", str(tmp_path / "cmp")])
+    summary = json.loads((tmp_path / "cmp_summary.json").read_text())
+    assert [row["gains"] for row in summary["rows"]] == [None, None]
+    assert (tmp_path / "cmp_0_kanayama.csv").read_bytes() == \
+        (tmp_path / "cmp_1_kanayama.csv").read_bytes()
+
+
 def test_compare_writes_all_outputs(tmp_path, capsys):
     cfg = _compare_config(tmp_path)
     stem = tmp_path / "cmp"
@@ -507,9 +517,14 @@ _ELLIPSE = {"family": "ellipse", "a": 1.0, "b": 1.0, "h": 1.0}
      "offset must be a list of numbers, got 5"),
     ("compare", {"trajectory": _ELLIPSE, "controllers": [{"name": "kanayama", "gains": 5}]},
      "gains must be a list of numbers, got 5"),
+    ("compare", {"trajectory": _ELLIPSE, "controllers": [{"name": "kanayama", "gains": 0}]},
+     "gains must be a list of numbers, got 0"),
+    ("compare", {"trajectory": _ELLIPSE, "controllers": [{"name": "kanayama", "gains": False}]},
+     "gains must be a list of numbers, got False"),
 ], ids=["array", "bare-number", "number-entry", "null-threshold", "negative-threshold",
         "zero-threshold", "ellipse-without-axes", "scalar-line-start", "directory",
-        "scalar-offset", "scalar-gains", "compare-scalar-offset", "compare-scalar-gains"])
+        "scalar-offset", "scalar-gains", "compare-scalar-offset", "compare-scalar-gains",
+        "compare-zero-gains", "compare-false-gains"])
 def test_malformed_config_files_are_usage_errors(tmp_path, capsys, command, content, shown):
     path = tmp_path / "config.json"
     if content is None:
@@ -643,6 +658,26 @@ def test_pe_check_without_finite_result_exits_one_without_verdict(tmp_path, caps
     assert captured.err.startswith("pe-check failed: epsilon = inf")
     assert "PE" not in captured.out
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["lin-check", "--a", "1e-300", "--b", "1e-300", "--t-end", "0.01"],
+    ["simulate", "--a", "1e-170", "--b", "1e-170", "--t-end", "0.01", "--out", "x.csv"],
+    ["simulate", "--a", "1e300", "--t-end", "0.01", "--out", "x.csv"],
+    ["basin", "--a", "1e300", "--t-end", "0.01", "--samples", "2"],
+], ids=["lin-check-underflowing", "simulate-underflowing", "simulate-overflowing",
+        "basin-overflowing"])
+def test_a_reference_that_floats_cannot_hold_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                                              argv):
+    # a numpy warning would be an error here, and fail the test
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: reference {'family': 'ellipse', 'a': 1e")
+    assert captured.err.endswith(" is not finite in floats on the run's times: "
+                                 "its parameters are too large or too small\n")
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
 
 
 def test_json_writer_refuses_non_finite_numbers(tmp_path):

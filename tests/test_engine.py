@@ -470,6 +470,19 @@ def test_basin_reports_the_lowest_diverged_sample_when_it_finishes_last(monkeypa
     assert (exc.value.step, exc.value.t) == (70, 0.7)
 
 
+@pytest.mark.parametrize("cfg, error", [
+    (SimConfig(trajectory={**CIRCLE, "origin": [50.0, 0.0]}, t_end=5.0, dt=5e-3, seed=1),
+     StepTooLarge),
+    (SimConfig(trajectory=CIRCLE, offset=(3.0, -2.0, 1.5), dt=100.0, t_end=10000.0),
+     SimulationDiverged),
+], ids=["lyapunov-rises", "diverges"])
+def test_a_failed_sweep_leaves_no_worker(monkeypatch, cfg, error):
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(error):
+        monte_carlo_basin(cfg, samples=4)
+    _no_child_left()
+
+
 def test_basin_stops_at_a_spatial_sample_whose_lyapunov_rose():
     # far from the origin the loop is too stiff for RK4 at this dt
     cfg = SimConfig(trajectory={**CIRCLE, "origin": [50.0, 0.0]}, t_end=5.0, dt=5e-3, seed=1)
@@ -565,7 +578,7 @@ def test_compare_controllers_validation(ellipse_desc, offcenter_desc):
         compare_controllers([a, c])
 
 
-# The CSV writer: a forked child formats the second half of the blocks when the process
+# The CSV writer: a one-worker pool formats the second half of the blocks when the process
 # may use two CPUs. Either way the bytes are the same, no child is left, and the final
 # name holds a whole file or what it held before.
 
@@ -628,6 +641,48 @@ def test_csv_bytes_do_not_depend_on_the_cpus(rows, runs, seed):
     assert forks == 1
     assert two == one
     assert one.count(b"\n") == 1 + 7 * runs * rows
+
+
+def test_without_fork_nothing_forks_and_the_outputs_stay(tmp_path, monkeypatch):
+    from se2track import cli
+
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = SimConfig(trajectory=BIT_DESCS[0], t_end=4.0, dt=1e-2, seed=3)
+    logs = [SimLog(data=d) for d in _draw(4, (2, 2 * _BLOCK + 1, len(CSV_COLUMNS)))]
+    cfgs = [SimConfig(trajectory=CIRCLE, controller=name) for name in engine.CONTROLLERS[:2]]
+
+    def outputs():
+        summary = monte_carlo_basin(cfg, samples=4, threshold=1e-2)
+        logs[0].to_csv(tmp_path / "run.csv")
+        engine._write_csv(tmp_path / "long.csv", ("controller", "run", "t", "variable", "value"),
+                          cli._long_blocks(cfgs, logs))
+        return summary, (tmp_path / "run.csv").read_bytes(), (tmp_path / "long.csv").read_bytes()
+
+    with np.errstate(over="ignore"):
+        forked = outputs()
+        # a fork from here on raises AttributeError
+        monkeypatch.delattr(engine.os, "fork")
+        assert engine._processes(4) == 1
+        assert outputs() == forked
+
+
+def test_an_error_in_the_workers_half_reaches_the_caller_as_itself(tmp_path, monkeypatch):
+    # a worker's exception crosses the pool by pickle, with its errno, message and file name
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1})
+    parent = os.getpid()
+
+    def block(k):
+        if os.getpid() != parent:
+            raise OSError(28, "No space left on device", "x.csv")
+        return [str(k)], ["x"]
+
+    with pytest.raises(OSError) as exc:
+        engine._write_csv(tmp_path / "out.csv", ("k", "x"), [partial(block, k) for k in range(4)])
+    assert type(exc.value) is OSError
+    assert (exc.value.errno, exc.value.strerror, exc.value.filename) == (
+        28, "No space left on device", "x.csv")
+    assert not list(tmp_path.iterdir())
+    _no_child_left()
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])

@@ -137,6 +137,13 @@ def _corpus() -> list:
         ("pe-check-inf-window", ["pe-check", "--window", "inf"]),
         ("pe-check-nan-horizon", ["pe-check", "--horizon", "nan"]),
         ("pe-check-even-points", ["pe-check", "--points", "4"]),
+        # a reference whose values floats cannot hold
+        ("lin-check-underflowing-ellipse", ["lin-check", "--a", "1e-300", "--b", "1e-300",
+                                            "--t-end", "0.01"]),
+        ("simulate-underflowing-ellipse", ["simulate", "--a", "1e-170", "--b", "1e-170",
+                                           "--t-end", "0.01", "--out", "x.csv"]),
+        ("simulate-overflowing-ellipse", ["simulate", "--a", "1e300", "--t-end", "0.01",
+                                          "--out", "x.csv"]),
     ]
     cases += [(name, {}, [argv]) for name, argv in usage]
     configs = {
@@ -158,6 +165,10 @@ def _corpus() -> list:
                                               "offset": 5}),
         "compare-scalar-gains": ("compare", {"trajectory": CIRCLE, "controllers": [
             {"name": "kanayama", "gains": 5}]}),
+        "compare-zero-gains": ("compare", {"trajectory": CIRCLE, "controllers": [
+            {"name": "kanayama", "gains": 0}]}),
+        "compare-false-gains": ("compare", {"trajectory": CIRCLE, "controllers": [
+            {"name": "kanayama", "gains": False}]}),
         "compare-number-entry": ("compare", {"trajectory": CIRCLE, "controllers": [5]}),
         "compare-null-threshold": ("compare", {"trajectory": CIRCLE, "controllers": ["spatial"],
                                                "threshold": None}),
