@@ -22,12 +22,12 @@ from the last row, which the kernel always returns.
 
 One helper starts every worker process. _processes decides how many
 processes a number of jobs may use, one per CPU the process may run on,
-and _forked yields a fork Pool whose workers reach their job through a
-module global. Exceptions cross it as themselves, such as a
-SimulationDiverged at its own sample index or an OSError with its errno
-and file name. The samples of a sweep are independent, so they run in
-such a pool; each runs the same kernel on the same floats, so the
-summary does not depend on the worker count.
+and _forked yields the jobs' results, in order, from a fork Pool.
+Exceptions cross it as themselves, such as a SimulationDiverged at its
+own sample index or an OSError with its errno and file name, and a
+worker that dies raises ChildProcessError. The samples of a sweep are
+independent, so they run in such a pool; each runs the same kernel on
+the same floats, so the summary does not depend on the worker count.
 
 The hot loop works on plain floats on purpose: a 60 s run at dt = 1e-3
 is 60k steps, and batch experiments multiply that by hundreds. Array
@@ -235,17 +235,19 @@ def _formatted(rows: np.ndarray) -> list:
 # the job of the pool in use, set for its duration; its forked workers inherit it
 _job = None
 
+# seconds between the checks, while a pool's result is awaited, that none of its workers died
+_POLL_S = 0.1
 
-def _run(*args):
-    """_job(*args): the function that a pool's workers call, as it pickles by name."""
-    return _job(*args)
+
+def _run(arg):
+    """_job(arg): the function that a pool's workers call, as it pickles by name."""
+    return _job(arg)
 
 
 def _processes(n: int) -> int:
     """How many processes n jobs may use: one per CPU in os.sched_getaffinity(0), at most n.
 
-    1 where os.fork or os.sched_getaffinity is missing, so that the jobs
-    run in this process.
+    1 where os.fork or os.sched_getaffinity is missing: the jobs run in this process.
     """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
@@ -253,28 +255,43 @@ def _processes(n: int) -> int:
 
 
 @contextmanager
-def _forked(job, processes: int):
-    """Yield a fork Pool of processes workers, whose tasks call job through _run.
+def _forked(job, args, processes: int):
+    """Yield job(a) for each a in args, in order, from a fork Pool of processes workers.
 
-    Fork, not spawn: job is a closure, which cannot be pickled, and a
-    fresh import of the package takes longer than a dozen basin samples
-    at the CLI's defaults. The workers call no BLAS routine, so the idle
-    threads numpy starts hold no lock that a worker waits for. They
-    ignore SIGINT, so that a Ctrl-C is reported once, by this process.
-    An exception in a task reaches .get() or the iterator as itself.
-    When the body exits, however it exits, the workers are killed and
-    reaped.
+    Every task is sent on entry. Fork, not spawn: job is a closure,
+    which cannot be pickled, and a fresh import of the package takes
+    longer than a dozen basin samples at the CLI's defaults. The workers
+    call job through _run and no BLAS routine, so the idle threads numpy
+    starts hold no lock that a worker waits for. They ignore SIGINT, so
+    that a Ctrl-C is reported once, by this process. A task's exception
+    reaches the iterator as itself. A worker that dies, which the Pool
+    would replace while dropping its task, raises ChildProcessError
+    within _POLL_S. However the body exits, the workers are killed and reaped.
     """
     global _job
     # imported here, so that only a process that forks pays for the import
     import multiprocessing
 
+    def watched(results):
+        while True:
+            try:
+                yield results.next(_POLL_S)
+            except StopIteration:
+                return
+            except multiprocessing.TimeoutError:
+                lost = [worker.exitcode for worker in workers if worker.exitcode is not None]
+                if lost:
+                    raise ChildProcessError(f"a worker process ended with status {lost[0]} "
+                                            f"before it finished its task") from None
+
     _job = job
     try:
+        before = set(multiprocessing.active_children())
         with multiprocessing.get_context("fork").Pool(
                 processes, initializer=signal.signal,
                 initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
-            yield pool
+            workers = set(multiprocessing.active_children()) - before
+            yield watched(pool.imap(_run, args))
     finally:
         _job = None
 
@@ -325,11 +342,10 @@ def _write_csv(path, header, blocks) -> None:
     numpy one: see tolist) is its shortest round-trip decimal.
 
     Where there is more than one block and _processes grants two, a
-    one-worker pool writes the second half of the blocks to an unnamed
-    file in path's directory, while this process writes the header and
-    the first half, then appends that file. Both run _write_blocks on
-    the same values, so the bytes are the same. The file appears under
-    path whole or not at all (_replacing).
+    _forked worker writes the second half to an unnamed file in path's
+    directory while this process writes the header and the first half,
+    then appends the file; both run _write_blocks on the same values.
+    The file appears under path whole or not at all (_replacing).
     """
     with _replacing(path) as fh:
         fh.write((",".join(header) + "\n").encode())
@@ -339,16 +355,15 @@ def _write_csv(path, header, blocks) -> None:
         half = len(blocks) // 2
         with tempfile.TemporaryFile(dir=os.path.dirname(fh.name) or os.curdir) as part:
 
-            def write_part():
+            def write_part(start):
                 # in the worker, which leaves through os._exit: it flushes no file it
                 # inherited, neither fh's buffered header nor part unless told to
-                _write_blocks(part, blocks[half:])
+                _write_blocks(part, blocks[start:])
                 part.flush()
 
-            with _forked(write_part, 1) as pool:
-                task = pool.apply_async(_run)
+            with _forked(write_part, [half], 1) as done:
                 _write_blocks(fh, blocks[:half])
-                task.get()
+                next(done)
             part.seek(0)
             shutil.copyfileobj(part, fh)
 
@@ -407,10 +422,7 @@ def _stage_blocks(F, dt: float, steps: int):
         stop = min(start + _BLOCK, steps)
         t = np.arange(start, stop + 1) * dt
         mid, end = t[:-1] + 0.5 * dt, t[:-1] + dt
-        # a value that is not finite is the caller's to check, without numpy's warnings
-        with np.errstate(all="ignore"):
-            grids = on_grid(F, t), on_grid(F, mid), on_grid(F, end)
-        yield range(start, stop), *grids
+        yield range(start, stop), on_grid(F, t), on_grid(F, mid), on_grid(F, end)
 
 
 def _finite_reference(traj, block) -> tuple:
@@ -427,8 +439,9 @@ def _setup(cfg: SimConfig) -> tuple:
     Raises ValueError if the reference is not finite at a stage time.
     """
     traj = trajectory_from_descriptor(cfg.trajectory)
-    blocks = [_finite_reference(traj, block)
-              for block in _stage_blocks(traj.state_at, cfg.dt, cfg.steps)]
+    with np.errstate(all="ignore"):
+        blocks = [_finite_reference(traj, block)
+                  for block in _stage_blocks(traj.state_at, cfg.dt, cfg.steps)]
     return _make_controller(cfg), blocks, blocks[0][1][0].tolist()
 
 
@@ -579,10 +592,9 @@ def monte_carlo_basin(cfg: SimConfig, samples: int, threshold: float = 1e-6) -> 
         return _integrate(control, state, blocks, cfg.dt)[COL["lyap"]]
 
     processes = _processes(samples)
-    finals = []
-    failures = []
-    with _forked(final_lyapunov, processes) if processes > 1 else nullcontext() as pool:
-        results = map(final_lyapunov, states) if pool is None else pool.imap(_run, states)
+    finals, failures = [], []
+    with (_forked(final_lyapunov, states, processes) if processes > 1
+          else nullcontext(map(final_lyapunov, states))) as results:
         for i, ((thE, pEx, pEy), final) in enumerate(zip(draws, results)):
             start = _lyapunov_scalars(thE, pEx, pEy)
             if cfg.controller == "spatial" and final > start:

@@ -167,7 +167,8 @@ def _check_step(traj: DesiredTrajectory, steps: int, dt: float) -> None:
     The reference is walked block by block, as _ltv_rk4 walks A_z.
     Raises ValueError if the reference is not finite at a stage time.
     """
-    with np.errstate(over="ignore"):
+    # the reference and the trace are checked below, so neither needs numpy's warnings
+    with np.errstate(all="ignore"):
         peak = max(float(np.max(_trace_A_z(grid[:, 1], grid[:, 2])))
                    for block in _stage_blocks(traj.state_at, dt, steps)
                    for grid in _finite_reference(traj, block)[1:])

@@ -881,3 +881,37 @@ def test_a_forked_write_prints_each_line_once(tmp_path):
     assert len(lines) == 2 and lines[0] == "before"
     assert lines[1].startswith("wrote run.csv (1025 rows); final position error")
     assert proc.stderr == ""
+
+
+# runs main on sys.argv[2:] with two CPUs; the engine function sys.argv[1] SIGKILLs a worker
+_KILLS_ITS_WORKER = """
+import os, signal, sys
+from se2track import cli, engine
+os.sched_getaffinity = lambda pid: {0, 1}
+parent, patched = os.getpid(), getattr(engine, sys.argv[1])
+
+def killed(*args):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return patched(*args)
+
+setattr(engine, sys.argv[1], killed)
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("patched, command", [
+    ("_write_blocks", ["simulate", *FORKED, "--out", "run.csv"]),
+    ("_integrate", ["basin", "--samples", "4", "--dt", "0.01", "--t-end", "1",
+                    "--out", "basin.json"]),
+], ids=["csv-writer", "basin"])
+def test_a_killed_worker_ends_in_one_error_line(tmp_path, patched, command):
+    # a worker killed by the OOM killer, say: an error within seconds, not a wait without end
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _KILLS_ITS_WORKER, patched, *command],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 1
+    assert proc.stderr == "error: a worker process ended with status -9 before it finished its task\n"
+    assert proc.stdout == ""
+    assert not list(tmp_path.iterdir())

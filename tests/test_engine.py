@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pickle
+import signal
 import tempfile
 import time
 from dataclasses import replace
@@ -682,6 +683,29 @@ def test_an_error_in_the_workers_half_reaches_the_caller_as_itself(tmp_path, mon
     assert (exc.value.errno, exc.value.strerror, exc.value.filename) == (
         28, "No space left on device", "x.csv")
     assert not list(tmp_path.iterdir())
+    _no_child_left()
+
+
+def test_a_killed_worker_raises_instead_of_waiting_forever():
+    # the pool starts another worker and drops the lost task, whose result never comes
+    def job(k):
+        if k == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return k
+
+    def stuck(*_):
+        raise AssertionError("the lost task was still awaited after 30 s")
+
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(30)
+    try:
+        with engine._forked(job, range(4), 2) as results:
+            assert next(results) == 0
+            with pytest.raises(ChildProcessError, match="ended with status -9 before it finished"):
+                next(results)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     _no_child_left()
 
 
