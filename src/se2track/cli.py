@@ -37,6 +37,9 @@ from .engine import (
     SimConfig,
     SimulationDiverged,
     StepTooLarge,
+    _BASIN_THRESHOLD,
+    _SETTLE_THRESHOLD,
+    _finite_reference,
     _replacing,
     _write_csv,
     compare_controllers,
@@ -44,15 +47,18 @@ from .engine import (
     simulate,
 )
 from .excitation import (
+    _POINTS,
+    _WINDOWS,
     _default_window,
+    _window_starts,
     controller_regressor,
     ellipse_pe_closed_form,
     pe_epsilon,
     uniform_heading_ellipse_regressor,
     window_gram,
 )
-from .linearization import lin_check
-from .trajectories import require_known_keys, trajectory_from_descriptor
+from .linearization import _PROBE_DT, _PROBE_T_END, lin_check
+from .trajectories import on_grid, require_known_keys, trajectory_from_descriptor
 
 
 def _parse_floats(text: str, n: int, what: str) -> tuple:
@@ -117,15 +123,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="window length T, s (default: one period, or 5 if aperiodic)")
     p.add_argument("--horizon", type=float, default=None,
                    help="scan horizon, s (default: 5 windows)")
-    p.add_argument("--windows", type=int, default=64, help="window start grid size")
-    p.add_argument("--points", type=int, default=401, help="Simpson points per window (odd)")
+    p.add_argument("--windows", type=int, default=_WINDOWS, help="window start grid size")
+    p.add_argument("--points", type=int, default=_POINTS, help="Simpson points per window (odd)")
     p.add_argument("--out", default=None, help="optional JSON report path")
 
     p = sub.add_parser("lin-check", help="linearization structure and decay diagnostics")
     p.set_defaults(run=cmd_lin_check)
     _add_trajectory_flags(p)
-    p.add_argument("--t-end", type=float, default=25.0, help="LTV probe horizon, s")
-    p.add_argument("--dt", type=float, default=1e-3, help="probe step, s")
+    p.add_argument("--t-end", type=float, default=_PROBE_T_END, help="LTV probe horizon, s")
+    p.add_argument("--dt", type=float, default=_PROBE_DT, help="probe step, s")
     p.add_argument("--out", default=None, help="optional JSON report path")
 
     p = sub.add_parser("compare", help="run several controllers on one scenario")
@@ -138,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trajectory_flags(p)
     _add_run_flags(p)
     p.add_argument("--samples", type=int, default=100, help="number of draws (default 100)")
-    p.add_argument("--threshold", type=float, default=1e-6,
+    p.add_argument("--threshold", type=float, default=_BASIN_THRESHOLD,
                    help="Lyapunov convergence threshold (default 1e-6)")
     p.add_argument("--out", default=None, help="optional JSON summary path")
 
@@ -269,8 +275,11 @@ def cmd_pe_check(args) -> int:
     _check_outputs(args.out)
     T = args.window if args.window is not None else _default_window(traj)
     horizon = args.horizon if args.horizon is not None else 5.0 * T
-    # a reference too large for floats gives inf or nan, checked below, not a warning
+    starts = _window_starts(horizon, T, args.windows)
+    # a result too large for floats gives inf or nan, checked below, not a warning
     with np.errstate(all="ignore"):
+        # the scan samples the reference where each window starts, as a run on its times
+        _finite_reference(traj, (starts, on_grid(traj.state_at, starts)))
         report = pe_epsilon(controller_regressor(traj), horizon, T,
                             windows=args.windows, n=args.points)
         scalars = {"epsilon": report.epsilon}
@@ -355,7 +364,7 @@ def _compare_config(path: str):
         cfgs.append(_sim_config({**run, "controller": name, "gains": None if gains == [] else gains}))
     if bad:
         raise ValueError(f"compare config {path}: invalid entries: {', '.join(bad)}")
-    return cfgs, doc.get("threshold", 1e-2)
+    return cfgs, doc.get("threshold", _SETTLE_THRESHOLD)
 
 
 # the series of each run in the long-format table, in its order
@@ -438,9 +447,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        return args.run(args)
+        # numpy overflows where no scope ignores them on purpose: a result floats cannot hold
+        with np.errstate(over="raise", invalid="raise"):
+            return args.run(args)
     except (SimulationDiverged, StepTooLarge) as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
+        return 1
+    except FloatingPointError as exc:
+        print(f"{args.command} failed: {exc}: a result is not finite in floats", file=sys.stderr)
         return 1
     except ValueError as exc:
         # a bad flag, config file, value or output path: a usage problem, not a crash

@@ -20,13 +20,14 @@ the log-row formula. simulate passes it a log array to fill at every
 step; monte_carlo_basin passes none and reads the final Lyapunov value
 from the last row, which the kernel always returns.
 
-One helper starts every worker process. _processes decides how many
+One function starts every worker process. _processes decides how many
 processes a number of jobs may use, one per CPU the process may run on,
-and _forked yields the jobs' results, in order, from a fork Pool.
-Exceptions cross it as themselves, such as a SimulationDiverged at its
-own sample index or an OSError with its errno and file name, and a
-worker that dies raises ChildProcessError. The samples of a sweep are
-independent, so they run in such a pool; each runs the same kernel on
+and _in_parallel runs a job on each of that many parts: the first in
+this process, each other one in a forked worker that answers through a
+pipe. Exceptions cross it as themselves, such as a SimulationDiverged
+at its own sample index or an OSError with its errno and file name, and
+a worker that dies raises ChildProcessError. The samples of a sweep are
+independent, so they run in such parts; each runs the same kernel on
 the same floats, so the summary does not depend on the worker count.
 
 The hot loop works on plain floats on purpose: a 60 s run at dt = 1e-3
@@ -38,7 +39,7 @@ run never holds floats for all of its steps.
 Every output file is written through _replacing: to a temporary file
 beside its name, renamed onto the name once it is whole. _write_csv is
 the one CSV writer. It takes lazy blocks of rows, and where the process
-may use two CPUs, a one-worker pool formats the second half of them:
+may use two CPUs, a forked worker formats the second half of them:
 str of a float costs about a microsecond, and a log holds 18 per row.
 """
 
@@ -49,7 +50,7 @@ import os
 import shutil
 import signal
 import tempfile
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from typing import Optional
@@ -84,6 +85,9 @@ _LYAP_RISE_TOL = 1e-8
 # basin draws: |theta_E| <= pi - _THETA_MARGIN, p_E in [-_P_BOX, _P_BOX]^2
 _THETA_MARGIN = 0.05
 _P_BOX = 5.0
+# final L below which a basin sample converged, and error below which a comparison settled
+_BASIN_THRESHOLD = 1e-6
+_SETTLE_THRESHOLD = 1e-2
 
 
 class SimulationDiverged(RuntimeError):
@@ -232,18 +236,6 @@ def _formatted(rows: np.ndarray) -> list:
     return [map(str, column) for column in rows.T.tolist()]
 
 
-# the job of the pool in use, set for its duration; its forked workers inherit it
-_job = None
-
-# seconds between the checks, while a pool's result is awaited, that none of its workers died
-_POLL_S = 0.1
-
-
-def _run(arg):
-    """_job(arg): the function that a pool's workers call, as it pickles by name."""
-    return _job(arg)
-
-
 def _processes(n: int) -> int:
     """How many processes n jobs may use: one per CPU in os.sched_getaffinity(0), at most n.
 
@@ -254,46 +246,56 @@ def _processes(n: int) -> int:
     return max(1, min(n, len(os.sched_getaffinity(0))))
 
 
-@contextmanager
-def _forked(job, args, processes: int):
-    """Yield job(a) for each a in args, in order, from a fork Pool of processes workers.
+def _in_parallel(job, parts) -> list:
+    """[job(p) for p in parts]: parts[0] in this process, each other part in a forked worker.
 
-    Every task is sent on entry. Fork, not spawn: job is a closure,
-    which cannot be pickled, and a fresh import of the package takes
-    longer than a dozen basin samples at the CLI's defaults. The workers
-    call job through _run and no BLAS routine, so the idle threads numpy
-    starts hold no lock that a worker waits for. They ignore SIGINT, so
-    that a Ctrl-C is reported once, by this process. A task's exception
-    reaches the iterator as itself. A worker that dies, which the Pool
-    would replace while dropping its task, raises ChildProcessError
-    within _POLL_S. However the body exits, the workers are killed and reaped.
+    Fork, not spawn: job is a closure, which cannot be pickled, and a
+    fresh import of the package takes longer than a dozen basin samples
+    at the CLI's defaults. A worker calls job and no BLAS routine, so the
+    idle threads numpy starts hold no lock that it waits for. It ignores
+    SIGINT, so that a Ctrl-C is reported once, by this process, and sends
+    (result, None) or (None, exception) through a pipe of its own. The
+    answers are read in order, so the first part's exception is raised
+    first, as itself; a worker that ends without answering closes its
+    pipe, which raises ChildProcessError. However the call ends, every
+    worker is killed and reaped. One part starts no process.
     """
-    global _job
-    # imported here, so that only a process that forks pays for the import
-    import multiprocessing
+    def answer(part, pipe):
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            pipe.send((job(part), None))
+        except BaseException as exc:
+            pipe.send((None, exc))
 
-    def watched(results):
-        while True:
-            try:
-                yield results.next(_POLL_S)
-            except StopIteration:
-                return
-            except multiprocessing.TimeoutError:
-                lost = [worker.exitcode for worker in workers if worker.exitcode is not None]
-                if lost:
-                    raise ChildProcessError(f"a worker process ended with status {lost[0]} "
-                                            f"before it finished its task") from None
-
-    _job = job
+    workers = []
     try:
-        before = set(multiprocessing.active_children())
-        with multiprocessing.get_context("fork").Pool(
-                processes, initializer=signal.signal,
-                initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
-            workers = set(multiprocessing.active_children()) - before
-            yield watched(pool.imap(_run, args))
+        if len(parts) > 1:
+            # imported here, so that only a process that forks pays for the import
+            import multiprocessing
+            context = multiprocessing.get_context("fork")
+            for part in parts[1:]:
+                receiver, sender = context.Pipe(duplex=False)
+                worker = context.Process(target=answer, args=(part, sender))
+                worker.start()
+                sender.close()
+                workers.append((worker, receiver))
+        results = [job(parts[0])]
+        for worker, receiver in workers:
+            try:
+                result, exc = receiver.recv()
+            except EOFError:
+                worker.join()
+                raise ChildProcessError(f"a worker process ended with status {worker.exitcode} "
+                                        f"before it finished its task") from None
+            if exc is not None:
+                raise exc
+            results.append(result)
+        return results
     finally:
-        _job = None
+        for worker, receiver in workers:
+            worker.kill()
+            worker.join()
+            receiver.close()
 
 
 @contextmanager
@@ -327,9 +329,11 @@ def _replacing(path):
 
 
 def _write_blocks(fh, blocks) -> None:
-    """Write the rows of each block to the binary file fh; see _write_csv."""
+    """Write the rows of each block to the binary file fh and flush it; see _write_csv."""
     for block in blocks:
         fh.write(("\n".join(map(",".join, zip(*block()))) + "\n").encode())
+    # a worker leaves through os._exit, which flushes no file
+    fh.flush()
 
 
 def _write_csv(path, header, blocks) -> None:
@@ -341,11 +345,11 @@ def _write_csv(path, header, blocks) -> None:
     when another column of its block ends. str of a Python float (not a
     numpy one: see tolist) is its shortest round-trip decimal.
 
-    Where there is more than one block and _processes grants two, a
-    _forked worker writes the second half to an unnamed file in path's
-    directory while this process writes the header and the first half,
-    then appends the file; both run _write_blocks on the same values.
-    The file appears under path whole or not at all (_replacing).
+    Where there is more than one block and _processes grants two, an
+    _in_parallel worker writes the second half to an unnamed file in
+    path's directory while this process writes the first half after the
+    header, then appends the file; both run _write_blocks on the same
+    values. The file appears under path whole or not at all (_replacing).
     """
     with _replacing(path) as fh:
         fh.write((",".join(header) + "\n").encode())
@@ -353,19 +357,11 @@ def _write_csv(path, header, blocks) -> None:
             _write_blocks(fh, blocks)
             return
         half = len(blocks) // 2
-        with tempfile.TemporaryFile(dir=os.path.dirname(fh.name) or os.curdir) as part:
-
-            def write_part(start):
-                # in the worker, which leaves through os._exit: it flushes no file it
-                # inherited, neither fh's buffered header nor part unless told to
-                _write_blocks(part, blocks[start:])
-                part.flush()
-
-            with _forked(write_part, [half], 1) as done:
-                _write_blocks(fh, blocks[:half])
-                next(done)
-            part.seek(0)
-            shutil.copyfileobj(part, fh)
+        with tempfile.TemporaryFile(dir=os.path.dirname(fh.name) or os.curdir) as rest:
+            _in_parallel(lambda part: _write_blocks(*part),
+                         [(fh, blocks[:half]), (rest, blocks[half:])])
+            rest.seek(0)
+            shutil.copyfileobj(rest, fh)
 
 
 def _make_controller(cfg: SimConfig):
@@ -426,7 +422,7 @@ def _stage_blocks(F, dt: float, steps: int):
 
 
 def _finite_reference(traj, block) -> tuple:
-    """block, one of _stage_blocks of traj.state_at; ValueError naming traj unless all is finite."""
+    """block, (times, traj.state_at's grids there...) as _stage_blocks; ValueError unless finite."""
     if not all(np.isfinite(grid).all() for grid in block[1:]):
         raise ValueError(f"reference {traj.descriptor} is not finite in floats on the run's "
                          f"times: its parameters are too large or too small")
@@ -526,8 +522,11 @@ def simulate(cfg: SimConfig) -> SimLog:
     _integrate(control, _initial_state(ref0, cfg.offset), blocks, cfg.dt, data)
     if cfg.controller == "spatial":
         lyap = data[:, COL["lyap"]]
-        k = int(np.argmax(np.diff(lyap)))
-        if lyap[k + 1] - lyap[k] > _LYAP_RISE_TOL:
+        # a step from inf to inf is no rise: its NaN reads as -inf, without numpy's warning
+        with np.errstate(invalid="ignore"):
+            rise = np.fmax(np.diff(lyap), -math.inf)
+        k = int(np.argmax(rise))
+        if rise[k] > _LYAP_RISE_TOL:
             raise StepTooLarge(f"L rose from {lyap[k]:.6g} to {lyap[k + 1]:.6g} at step {k + 1} "
                                f"(t = {data[k + 1, 0]:.6g}): dt = {cfg.dt:g} is too large a step "
                                f"for this reference")
@@ -554,7 +553,8 @@ class BasinSummary:
         return {**asdict(self), "fraction": self.fraction}
 
 
-def monte_carlo_basin(cfg: SimConfig, samples: int, threshold: float = 1e-6) -> BasinSummary:
+def monte_carlo_basin(cfg: SimConfig, samples: int,
+                      threshold: float = _BASIN_THRESHOLD) -> BasinSummary:
     """Sweep random initial spatial errors and count convergences.
 
     Draws theta_E uniform on [-pi + _THETA_MARGIN, pi - _THETA_MARGIN]
@@ -565,11 +565,12 @@ def monte_carlo_basin(cfg: SimConfig, samples: int, threshold: float = 1e-6) -> 
     The margin keeps draws away from the antipodal equilibrium, where
     escape times blow up.
 
-    The samples run in a _forked pool of as many workers as _processes
-    grants them, and in this process where it grants one. Results are
-    read in sample order: the lowest-index sample that diverged raises
-    SimulationDiverged, and for the spatial controller the lowest-index
-    one whose L ended above its start raises StepTooLarge.
+    The samples run _in_parallel, in as many contiguous ranges as
+    _processes grants them; each range stops at its first failure, and
+    the ranges are read in order. So the lowest-index sample that
+    diverged raises SimulationDiverged, and for the spatial controller
+    the lowest-index one whose L ended above its start raises
+    StepTooLarge, whichever comes first.
     """
     _require_count("sample count", samples, 0)
     _require_positive("threshold", threshold)
@@ -588,22 +589,20 @@ def monte_carlo_basin(cfg: SimConfig, samples: int, threshold: float = 1e-6) -> 
         draws.append(draw)
         states.append(_initial_state(ref0, (dx, dy, thE)))
 
-    def final_lyapunov(state):
-        return _integrate(control, state, blocks, cfg.dt)[COL["lyap"]]
+    def final_lyapunov(i):
+        final = _integrate(control, states[i], blocks, cfg.dt)[COL["lyap"]]
+        start = _lyapunov_scalars(*draws[i])
+        if cfg.controller == "spatial" and final > start:
+            raise StepTooLarge(f"sample {i}: L rose from {start:.6g} to {final:.6g}: "
+                               f"dt = {cfg.dt:g} is too large a step for this reference")
+        return final
 
-    processes = _processes(samples)
-    finals, failures = [], []
-    with (_forked(final_lyapunov, states, processes) if processes > 1
-          else nullcontext(map(final_lyapunov, states))) as results:
-        for i, ((thE, pEx, pEy), final) in enumerate(zip(draws, results)):
-            start = _lyapunov_scalars(thE, pEx, pEy)
-            if cfg.controller == "spatial" and final > start:
-                raise StepTooLarge(f"sample {i}: L rose from {start:.6g} to {final:.6g}: "
-                                   f"dt = {cfg.dt:g} is too large a step for this reference")
-            finals.append(final)
-            if not final < threshold:
-                failures.append({"index": i, "theta_E": thE, "p_E": [pEx, pEy],
-                                 "final_lyapunov": final})
+    parts = np.array_split(range(samples), _processes(samples))
+    finals = [final for part in _in_parallel(lambda part: list(map(final_lyapunov, part)), parts)
+              for final in part]
+    failures = [{"index": i, "theta_E": thE, "p_E": [pEx, pEy], "final_lyapunov": final}
+                for i, ((thE, pEx, pEy), final) in enumerate(zip(draws, finals))
+                if not final < threshold]
 
     return BasinSummary(
         samples=samples, converged=samples - len(failures), threshold=threshold,
@@ -640,7 +639,7 @@ def _settle_time(t: np.ndarray, err: np.ndarray, threshold: float) -> Optional[f
     return float(t[above[-1] + 1])
 
 
-def compare_controllers(cfgs, threshold: float = 1e-2):
+def compare_controllers(cfgs, threshold: float = _SETTLE_THRESHOLD):
     """Run several controllers on the same scenario and tabulate metrics.
 
     All configs must share the trajectory and initial offset (that is

@@ -13,6 +13,7 @@ explicit about what was checked.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -26,6 +27,10 @@ from .trajectories import (DesiredTrajectory, _require_count, _require_positive,
 # Smallest Gram eigenvalue that counts as excitation: a reference with no
 # excitation in some direction reads a rounding-level epsilon, of either sign.
 PE_FLOOR = 1e-9
+
+# pe_epsilon's window starts and the Simpson sample points of a window, unless given
+_WINDOWS = 64
+_POINTS = 401
 
 
 @dataclass(frozen=True)
@@ -54,12 +59,16 @@ def _default_window(traj: DesiredTrajectory) -> float:
     return traj.period if traj.period is not None else 5.0
 
 
-def window_gram(F, t: float, T: float, n: int = 401) -> np.ndarray:
+def window_gram(F, t: float, T: float, n: int = _POINTS) -> np.ndarray:
     """Simpson approximation of integral_t^{t+T} F(tau)^T F(tau) dtau.
 
     t must be finite and T positive. n is the number of sample points
     (odd, >= 3, so the interval count is even as composite Simpson
     requires, and at most _MAX_STEPS, checked before any allocation).
+    The square of the step T / (n - 1) must be a normal float, so the
+    step about 1.5e-154 to 1.3e154: Simpson's weights hold that square,
+    and past either end its middle weights vanish and the Gram would
+    read a third of its value.
     The result is symmetrized; the raw quadrature is symmetric up to
     rounding anyway. F is evaluated through on_grid, so its array form
     is used when it has one.
@@ -69,27 +78,39 @@ def window_gram(F, t: float, T: float, n: int = 401) -> np.ndarray:
     _require_count("Simpson sample count n", n, 3)
     if n % 2 == 0:
         raise ValueError(f"Simpson sample count n must be odd, got {n}")
+    step = T / (n - 1)
+    if not sys.float_info.min <= step * step <= sys.float_info.max:
+        raise ValueError(f"window length T = {T!r} over n = {n} points gives a step T / (n - 1) "
+                         f"whose square floats cannot hold")
     taus = np.linspace(t, t + T, n)
     mats = on_grid(F, taus)
     G = simpson(mats.transpose(0, 2, 1) @ mats, x=taus, axis=0)
     return 0.5 * (G + G.T)
 
 
-def pe_epsilon(F, horizon: float, T: float, windows: int = 64, n: int = 401) -> PEReport:
-    """Scan window start times over [0, horizon - T] and report the worst Gram.
+def _window_starts(horizon: float, T: float, windows: int) -> np.ndarray:
+    """The windows start times of pe_epsilon's scan, evenly spaced over [0, horizon - T].
 
-    epsilon = min over starts of the smallest eigenvalue of
-    window_gram(F, start, T, n). Deterministic for fixed arguments.
-    windows, like n, may be at most _MAX_STEPS.
+    T and horizon must be positive, horizon at least T, and windows a
+    count from 1 to _MAX_STEPS, checked before any allocation.
     """
     _require_positive("window length T", T)
     _require_positive("horizon", horizon)
     if horizon < T:
         raise ValueError("horizon must be at least one window long")
     _require_count("window count", windows, 1)
-    starts = np.linspace(0.0, horizon - T, windows)
+    return np.linspace(0.0, horizon - T, windows)
+
+
+def pe_epsilon(F, horizon: float, T: float, windows: int = _WINDOWS,
+               n: int = _POINTS) -> PEReport:
+    """Scan window start times over [0, horizon - T] and report the worst Gram.
+
+    epsilon = min over _window_starts of the smallest eigenvalue of
+    window_gram(F, start, T, n). Deterministic for fixed arguments.
+    """
     eps = math.inf
-    for s in starts:
+    for s in _window_starts(horizon, T, windows):
         G = window_gram(F, float(s), T, n)
         eps = min(eps, float(np.linalg.eigvalsh(G)[0]))
     return PEReport(window_T=T, epsilon=eps, horizon=horizon, grid_points_per_window=n)

@@ -49,6 +49,9 @@ _TAIL_FRACTION = 0.6
 _N_SAMPLES = 10
 # Simpson points of the window Gram over [0, T]
 _GRAM_POINTS = 201
+# lin_check's LTV probe horizon and step, unless given
+_PROBE_T_END = 25.0
+_PROBE_DT = 1e-3
 
 
 @dataclass(frozen=True)
@@ -288,7 +291,8 @@ def closed_loop_ltv(traj: DesiredTrajectory) -> Callable[[float], np.ndarray]:
     return A_z
 
 
-def lin_check(traj: DesiredTrajectory, t_end: float = 25.0, dt: float = 1e-3) -> LinCheckReport:
+def lin_check(traj: DesiredTrajectory, t_end: float = _PROBE_T_END,
+              dt: float = _PROBE_DT) -> LinCheckReport:
     """Run all linearization diagnostics along a reference trajectory.
 
     Checks (1) the explicit actuation-Gram block formula against the
@@ -302,6 +306,9 @@ def lin_check(traj: DesiredTrajectory, t_end: float = 25.0, dt: float = 1e-3) ->
     """
     steps = _check_horizon(t_end, dt)
     _check_step(traj, steps, dt)
+    # the window is one period, which overflows for a rate too small for floats
+    T = _default_window(traj)
+    _require_positive("window length T", T)
     horizon = traj.period if traj.period is not None else max(t_end, 10.0)
     sample_times = [float(t) for t in np.linspace(0.0, horizon, _N_SAMPLES)]
 
@@ -315,7 +322,6 @@ def lin_check(traj: DesiredTrajectory, t_end: float = 25.0, dt: float = 1e-3) ->
         fd = max(fd, float(np.max(np.abs(fd_closed_loop_jacobian(xd) - (-M @ S_WEIGHT)))))
 
     A_z = closed_loop_ltv(traj)
-    T = _default_window(traj)
     eps = _excitation(A_z, T, _GRAM_POINTS)
     times, norms = _ltv_rk4(A_z, np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0), steps, dt)
     rate, r2, fit_window = _fit_log_norm(times, norms)

@@ -1,3 +1,5 @@
+import inspect
+import io
 import json
 import math
 import os
@@ -5,10 +7,14 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from se2track import cli, engine
 from se2track.cli import _write_json, main
@@ -653,7 +659,8 @@ def test_compare_exits_one_when_its_spatial_run_lyapunov_rises(tmp_path, capsys)
 
 def test_pe_check_without_finite_result_exits_one_without_verdict(tmp_path, capsys):
     out = tmp_path / "p.json"
-    assert main(["pe-check", "--a", "1e200", "--b", "1", "--h", "1", "--out", str(out)]) == 1
+    # the reference is finite on the scan's times; its Gram is not
+    assert main(["pe-check", "--traj", "line", "--speed", "1e200", "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("pe-check failed: epsilon = inf")
     assert "PE" not in captured.out
@@ -665,8 +672,12 @@ def test_pe_check_without_finite_result_exits_one_without_verdict(tmp_path, caps
     ["simulate", "--a", "1e-170", "--b", "1e-170", "--t-end", "0.01", "--out", "x.csv"],
     ["simulate", "--a", "1e300", "--t-end", "0.01", "--out", "x.csv"],
     ["basin", "--a", "1e300", "--t-end", "0.01", "--samples", "2"],
+    ["pe-check", "--a", "1e160", "--b", "1e160", "--out", "pe.json"],
+    ["pe-check", "--a", "1e300", "--out", "pe.json"],
+    ["pe-check", "--a", "1e200", "--b", "1", "--h", "1", "--out", "pe.json"],
 ], ids=["lin-check-underflowing", "simulate-underflowing", "simulate-overflowing",
-        "basin-overflowing"])
+        "basin-overflowing", "pe-check-overflowing", "pe-check-overflowing-a",
+        "pe-check-overflowing-speed"])
 def test_a_reference_that_floats_cannot_hold_is_a_usage_error(tmp_path, monkeypatch, capsys,
                                                               argv):
     # a numpy warning would be an error here, and fail the test
@@ -678,6 +689,82 @@ def test_a_reference_that_floats_cannot_hold_is_a_usage_error(tmp_path, monkeypa
                                  "its parameters are too large or too small\n")
     assert captured.out == ""
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, n", [
+    (["pe-check", "--h", "1e-300"], 401),
+    (["pe-check", "--window", "1e-300"], 401),
+    (["pe-check", "--window", "1e300"], 401),
+    (["lin-check", "--h", "1e-300", "--t-end", "1"], 201),
+], ids=["pe-check-slow-ellipse", "pe-check-short-window", "pe-check-long-window",
+        "lin-check-slow-ellipse"])
+def test_a_simpson_step_whose_square_floats_cannot_hold_is_a_usage_error(tmp_path, monkeypatch,
+                                                                         capsys, argv, n):
+    # it read a third of the Gram; lin-check printed scipy's overflow warning too
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "r.json"]) == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(rf"error: window length T = \S+ over n = {n} points gives a step "
+                        rf"T / \(n - 1\) whose square floats cannot hold\n", captured.err)
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [["pe-check"], ["lin-check", "--t-end", "0.01"]])
+def test_an_ellipse_whose_period_overflows_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                                            command):
+    # lin-check sampled one period with a warning, then ended in "math domain error"
+    monkeypatch.chdir(tmp_path)
+    assert main(command + ["--h", "1e-308", "--out", "r.json"]) == 2
+    assert capsys.readouterr().err == "error: window length T must be finite, got inf\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_rise_of_lyapunov_to_inf_fails_the_run(tmp_path, monkeypatch, capsys):
+    # L reads 0, 0, 0, inf, 0, 0, inf, ...: inf - inf is NaN, where np.argmax used to stop
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--traj", "line", "--speed", "1.1394893775162892e+228",
+                 "--t-end", "0.05", "--out", "o.csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("simulation failed: L rose from 0 to inf at step 3 (t = 0.003)")
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["lin-check", "--h", "1e-150", "--b", "1e80", "--t-end", "0.01"],
+    ["lin-check", "--h", "1e-152", "--b", "1e155", "--t-end", "0.01"],
+], ids=["window-gram", "structure-check"])
+def test_a_result_that_overflows_floats_ends_in_one_line(tmp_path, monkeypatch, capsys, argv):
+    # the reference is finite on the probe's times; its Gram over one period is not
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "lin.json"]) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"lin-check failed: overflow encountered in [a-z ]+: "
+                        r"a result is not finite in floats\n", captured.err)
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, flag, function, parameter", [
+    ("lin-check", "t_end", "lin_check", "t_end"),
+    ("lin-check", "dt", "lin_check", "dt"),
+    ("pe-check", "windows", "pe_epsilon", "windows"),
+    ("pe-check", "points", "pe_epsilon", "n"),
+    ("pe-check", "points", "window_gram", "n"),
+    ("basin", "threshold", "monte_carlo_basin", "threshold"),
+])
+def test_a_flag_not_given_takes_the_library_default(command, flag, function, parameter):
+    args = cli.build_parser().parse_args([command])
+    default = inspect.signature(getattr(cli, function)).parameters[parameter].default
+    assert getattr(args, flag) == default
+
+
+def test_a_compare_config_without_threshold_takes_the_library_default(tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"trajectory": _ELLIPSE, "controllers": ["spatial"]}))
+    default = inspect.signature(cli.compare_controllers).parameters["threshold"].default
+    assert cli._compare_config(str(config))[1] == default
 
 
 def test_json_writer_refuses_non_finite_numbers(tmp_path):
@@ -915,3 +1002,42 @@ def test_a_killed_worker_ends_in_one_error_line(tmp_path, patched, command):
     assert proc.stderr == "error: a worker process ended with status -9 before it finished its task\n"
     assert proc.stdout == ""
     assert not list(tmp_path.iterdir())
+
+
+# a float of either sign, from 10^-308 to 10^308 in magnitude
+_MAGNITUDES = st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
+                        st.sampled_from([1.0, -1.0]), st.floats(-308.0, 308.0))
+
+# each command with a short horizon, and the outputs it writes
+_FUZZED = {
+    "simulate": (["--t-end", "0.05", "--out", "run.csv"], {"run.csv", "run.manifest.json"}),
+    "basin": (["--t-end", "0.05", "--samples", "2", "--out", "b.json"], {"b.json"}),
+    "pe-check": (["--windows", "4", "--out", "pe.json"], {"pe.json"}),
+    "lin-check": (["--t-end", "0.01", "--out", "lin.json"], {"lin.json"}),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(sorted(_FUZZED)), traj=st.sampled_from(["ellipse", "line"]),
+       flags=st.dictionaries(st.sampled_from(["a", "b", "h", "speed", "heading", "window"]),
+                             _MAGNITUDES),
+       origin=st.none() | st.tuples(_MAGNITUDES, _MAGNITUDES))
+def test_any_magnitude_ends_in_an_exit_code_without_a_warning(command, traj, flags, origin):
+    # a numpy warning would be an error here, and escape main
+    run, outputs = _FUZZED[command]
+    argv = [command, "--traj", traj, *(f"--{name}={value!r}" for name, value in flags.items()
+                                       if name != "window" or command == "pe-check")]
+    if origin is not None:
+        argv.append("--origin={!r},{!r}".format(*origin))
+    cwd, err = os.getcwd(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(argv + run)
+        finally:
+            os.chdir(cwd)
+        written = set(os.listdir(tmp))
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue(), argv
+    assert written in (set(), outputs), argv

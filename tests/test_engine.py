@@ -1,9 +1,11 @@
 import json
 import math
+import multiprocessing
 import os
 import pickle
 import signal
 import tempfile
+import threading
 import time
 from dataclasses import replace
 from functools import partial
@@ -579,7 +581,7 @@ def test_compare_controllers_validation(ellipse_desc, offcenter_desc):
         compare_controllers([a, c])
 
 
-# The CSV writer: a one-worker pool formats the second half of the blocks when the process
+# The CSV writer: a forked worker formats the second half of the blocks when the process
 # may use two CPUs. Either way the bytes are the same, no child is left, and the final
 # name holds a whole file or what it held before.
 
@@ -687,7 +689,7 @@ def test_an_error_in_the_workers_half_reaches_the_caller_as_itself(tmp_path, mon
 
 
 def test_a_killed_worker_raises_instead_of_waiting_forever():
-    # the pool starts another worker and drops the lost task, whose result never comes
+    # its pipe closes unanswered, which ends the wait for its answer
     def job(k):
         if k == 1:
             os.kill(os.getpid(), signal.SIGKILL)
@@ -699,13 +701,67 @@ def test_a_killed_worker_raises_instead_of_waiting_forever():
     previous = signal.signal(signal.SIGALRM, stuck)
     signal.alarm(30)
     try:
-        with engine._forked(job, range(4), 2) as results:
-            assert next(results) == 0
-            with pytest.raises(ChildProcessError, match="ended with status -9 before it finished"):
-                next(results)
+        with pytest.raises(ChildProcessError, match="ended with status -9 before it finished"):
+            engine._in_parallel(job, [0, 1, 2, 3])
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    _no_child_left()
+
+
+def test_a_worker_starts_no_thread_in_this_process():
+    before = threading.active_count()
+
+    def job(k):
+        if k == 1:
+            # still running while this process counts its threads
+            time.sleep(0.5)
+        return threading.active_count(), len(multiprocessing.active_children())
+
+    assert engine._in_parallel(job, [0, 1])[0] == (before, 1)
+    _no_child_left()
+
+
+def test_one_part_runs_in_this_process():
+    assert engine._in_parallel(lambda k: (k, os.getpid()), [7]) == [(7, os.getpid())]
+
+
+def test_a_failure_in_the_first_part_wins_over_one_in_a_later_part(monkeypatch):
+    cfg = SimConfig(trajectory=CIRCLE, t_end=1.0, dt=1e-2, seed=8)
+    first = engine._initial_state(trajectory_from_descriptor(CIRCLE).state_at(0.0),
+                                  basin_offsets(CIRCLE, 1, 8)[0])
+
+    def integrate(control, state, *_):
+        # sample 0's L rises, after sample 1 diverged
+        if state == first:
+            time.sleep(0.5)
+            return (math.inf,) * len(CSV_COLUMNS)
+        raise SimulationDiverged(3, 0.03)
+
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(engine, "_integrate", integrate)
+    with pytest.raises(StepTooLarge, match="sample 0: L rose from .* to inf"):
+        monte_carlo_basin(cfg, samples=2)
+    _no_child_left()
+
+
+def test_a_ctrl_c_in_this_process_part_of_a_sweep_leaves_no_worker(monkeypatch):
+    # a Ctrl-C reaches every process of the terminal's group: the workers ignore it
+    parent = os.getpid()
+
+    def interrupted(*_):
+        if os.getpid() == parent:
+            for worker in multiprocessing.active_children():
+                os.kill(worker.pid, signal.SIGINT)
+            os.kill(parent, signal.SIGINT)
+        time.sleep(60)
+
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(engine, "_integrate", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        monte_carlo_basin(SimConfig(trajectory=CIRCLE, t_end=1.0, dt=1e-2), samples=3)
+    assert time.monotonic() - start < 30
     _no_child_left()
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +55,23 @@ def test_window_gram_validation():
         window_gram(F, 0.0, 1.0, n=400)  # even
     with pytest.raises(ValueError):
         window_gram(F, 0.0, 1.0, n=1)
+
+
+@pytest.mark.parametrize("T, n", [(1e300, 401), (6.283185307179586e300, 201), (5.4e156, 3),
+                                  (1e-300, 401), (5e-152, 401)],
+                         ids=["1e300", "lin-check-window", "3-points", "1e-300", "just-below"])
+def test_window_gram_refuses_a_step_whose_square_is_not_a_normal_float(T, n):
+    # Simpson's weights hold that square: past either end the Gram read a third of its value
+    F = controller_regressor(line_trajectory(1.0))
+    with pytest.raises(ValueError, match=re.escape(f"window length T = {T!r} over n = {n} points "
+                                                   f"gives a step T / (n - 1) whose square")):
+        window_gram(F, 0.0, T, n)
+
+
+@pytest.mark.parametrize("T", [1e150, 5e153, 1e-150, 1e-151])
+def test_window_gram_integrates_at_either_end_of_the_steps_it_takes(T):
+    G = window_gram(lambda t: np.ones((1, 1)), 0.0, T, n=401)
+    assert G[0, 0] == pytest.approx(T, rel=1e-12)
 
 
 @pytest.mark.parametrize("t, T, shown", [

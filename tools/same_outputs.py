@@ -116,6 +116,15 @@ def _corpus() -> list:
                                      "--out", "lin.json"]]),
         ("lin-check-step-too-large", {}, [["lin-check", "--origin", "50,0", "--t-end", "1",
                                            "--out", "lin.json"]]),
+        ("simulate-lyapunov-rises-to-inf", {}, [["simulate", "--traj", "line", "--speed",
+                                                 "1.1394893775162892e+228", "--t-end", "0.05",
+                                                 "--out", "x.csv"]]),
+        ("lin-check-overflowing-gram", {}, [["lin-check", "--h", "1e-150", "--b", "1e80",
+                                             "--t-end", "0.01", "--out", "lin.json"]]),
+        ("pe-check-overflowing-line", {}, [["pe-check", "--traj", "line", "--speed", "1e200",
+                                            "--out", "pe.json"]]),
+        ("lin-check-period-overflows", {}, [["lin-check", "--h", "1e-308", "--t-end", "0.01",
+                                             "--out", "lin.json"]]),
     ]
     # exit 2: a usage or configuration error
     usage = [
@@ -144,6 +153,16 @@ def _corpus() -> list:
                                            "--t-end", "0.01", "--out", "x.csv"]),
         ("simulate-overflowing-ellipse", ["simulate", "--a", "1e300", "--t-end", "0.01",
                                           "--out", "x.csv"]),
+        ("pe-check-overflowing-ellipse", ["pe-check", "--a", "1e160", "--b", "1e160",
+                                          "--out", "pe.json"]),
+        ("pe-check-overflowing-a", ["pe-check", "--a", "1e300", "--out", "pe.json"]),
+        # a Simpson step whose square floats cannot hold
+        ("pe-check-slow-ellipse", ["pe-check", "--h", "1e-300", "--out", "pe.json"]),
+        ("pe-check-fast-ellipse", ["pe-check", "--h", "1e300", "--out", "pe.json"]),
+        ("pe-check-long-window", ["pe-check", "--window", "1e300", "--out", "pe.json"]),
+        ("pe-check-short-window", ["pe-check", "--window", "1e-300", "--out", "pe.json"]),
+        ("lin-check-slow-ellipse", ["lin-check", "--h", "1e-300", "--t-end", "1",
+                                    "--out", "lin.json"]),
     ]
     cases += [(name, {}, [argv]) for name, argv in usage]
     configs = {
