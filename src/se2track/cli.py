@@ -269,6 +269,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+# largest relative residual of the uniform-heading Gram against its closed form that pe-check
+# accepts: from 7 points on it reads below 2e-15, at 3 and 5 points about 0.9 and 0.3
+_QUADRATURE_TOL = 1e-9
+
+
 def cmd_pe_check(args) -> int:
     desc = _trajectory_descriptor(args)
     traj = trajectory_from_descriptor(desc)
@@ -295,6 +300,11 @@ def cmd_pe_check(args) -> int:
         shown = ", ".join(f"{name} = {value}" for name, value in scalars.items())
         print(f"pe-check failed: {shown}; a result that is not finite gives no verdict",
               file=sys.stderr)
+        return 1
+    if desc["family"] == "ellipse" and resid > _QUADRATURE_TOL:
+        print(f"pe-check failed: quadrature residual {resid:.3e} (relative) exceeds "
+              f"{_QUADRATURE_TOL:g}; --points {args.points} is too few Simpson points for "
+              f"this reference, and epsilon is computed by the same rule", file=sys.stderr)
         return 1
 
     doc = {"trajectory": desc, "report": report.to_dict()}

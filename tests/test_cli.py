@@ -667,6 +667,20 @@ def test_pe_check_without_finite_result_exits_one_without_verdict(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("points, residual", [("3", "9.231e-01"), ("5", "3.077e-01")])
+def test_pe_check_with_inaccurate_quadrature_exits_one_without_verdict(tmp_path, capsys,
+                                                                       points, residual):
+    out = tmp_path / "p.json"
+    # epsilon comes from the same Simpson rule as the residual, so it is just as coarse
+    assert main(["pe-check", "--points", points, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"pe-check failed: quadrature residual {residual} (relative) exceeds "
+                            f"1e-09; --points {points} is too few Simpson points for this "
+                            f"reference, and epsilon is computed by the same rule\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["lin-check", "--a", "1e-300", "--b", "1e-300", "--t-end", "0.01"],
     ["simulate", "--a", "1e-170", "--b", "1e-170", "--t-end", "0.01", "--out", "x.csv"],

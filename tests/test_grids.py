@@ -2,13 +2,15 @@
 
 pe-check and lin-check evaluate the reference on whole time grids. Their
 reports must not change by a single bit, so each array form is compared
-with the point-by-point values, and the blocked LTV integrator with the
-per-step loop it replaced.
+with the point-by-point values, and the LTV integrator, which works on
+plain floats between its matrix products, with the per-step numpy loop
+it replaced.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +25,8 @@ from se2track import (
     uniform_heading_ellipse_regressor,
     window_gram,
 )
+from se2track.engine import _BLOCK, SimulationDiverged, _stage_blocks
+from se2track.linearization import _ltv_rk4
 
 
 def finite(lo, hi):
@@ -50,21 +54,57 @@ def plain(F):
     return lambda t: F(t)
 
 
-def reference_ltv_norms(A, x0, t_end, dt):
-    """The per-step RK4 loop the blocked integrator replaced: A called at every stage."""
-    steps = int(round(t_end / dt))
+def numpy_ltv_rk4(A, x0, steps, dt):
+    """The per-step numpy loop that _ltv_rk4 replaced, on the same _stage_blocks."""
+    times = np.arange(steps + 1) * dt
+    norms = np.empty(steps + 1)
     x = np.array(x0, dtype=float)
-    norms = [float(np.linalg.norm(x))]
-    for k in range(steps):
-        t = k * dt
-        A1, A2, A3 = A(t), A(t + 0.5 * dt), A(t + dt)
-        k1 = -(A1 @ x)
-        k2 = -(A2 @ (x + 0.5 * dt * k1))
-        k3 = -(A2 @ (x + 0.5 * dt * k2))
-        k4 = -(A3 @ (x + dt * k3))
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        norms.append(float(np.linalg.norm(x)))
-    return np.array(norms)
+    norms[0] = math.sqrt(x.dot(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ks, A1s, A2s, A3s in _stage_blocks(A, dt, steps):
+            for k, (A1, A2, A3) in enumerate(zip(A1s, A2s, A3s), ks.start + 1):
+                k1 = -(A1 @ x)
+                k2 = -(A2 @ (x + 0.5 * dt * k1))
+                k3 = -(A2 @ (x + 0.5 * dt * k2))
+                k4 = -(A3 @ (x + dt * k3))
+                x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                norms[k] = math.sqrt(x.dot(x))
+                if not math.isfinite(norms[k]):
+                    raise SimulationDiverged(k, k * dt)
+    return times, norms
+
+
+def ltv_outcome(integrate, A, x0, steps, dt):
+    """The norms' bytes of a flow, or the step and time at which it diverged."""
+    try:
+        times, norms = integrate(A, x0, steps, dt)
+    except SimulationDiverged as exc:
+        return "diverged", exc.step, exc.t
+    return times.tobytes(), norms.tobytes()
+
+
+def psd_flow(B0, B1, B2):
+    """t -> B(t) B(t)^T, B(t) = B0 + sin(t) B1 + cos(2t) B2, for a time or an array of times."""
+
+    def A(t):
+        t = np.asarray(t, dtype=float)[..., None, None]
+        B = B0 + np.sin(t) * B1 + np.cos(2.0 * t) * B2
+        return B @ np.swapaxes(B, -1, -2)
+
+    A.array_form = A
+    return A
+
+
+def psd_flows(n):
+    entries = st.lists(finite(-1.0, 1.0), min_size=n * n, max_size=n * n)
+    return st.tuples(st.builds(psd_flow, *[entries.map(lambda v: np.reshape(v, (n, n)))] * 3),
+                     st.lists(finite(-10.0, 10.0), min_size=n, max_size=n))
+
+
+# step counts of one block, of several, and either side of a block's edge
+steps_across_blocks = st.one_of(st.integers(1, 3 * _BLOCK + 7),
+                                st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]))
+LTV = settings(max_examples=40, deadline=None)
 
 
 @GRID
@@ -119,15 +159,47 @@ def test_stability_probe_same_with_and_without_array_form(traj, dt, t_end):
     for field in ("times", "norms", "fitted_rate", "r_squared", "fit_window"):
         assert same_bits(getattr(fast, field), getattr(slow, field)), field
     assert fast.norm_monotone == slow.norm_monotone
-    assert same_bits(fast.norms, reference_ltv_norms(A, x0, t_end, dt))
+    steps = len(fast.times) - 1
+    assert same_bits(fast.norms, numpy_ltv_rk4(plain(A), x0, steps, dt)[1])
     assert same_bits(fast.times, [k * dt for k in range(len(fast.times))])
 
 
-def test_blocked_integrator_matches_per_step_loop_on_test_flows():
+@LTV
+@given(st.integers(1, 6).flatmap(psd_flows), finite(1e-4, 2e-2), steps_across_blocks)
+def test_ltv_rk4_equals_the_numpy_loop_on_psd_flows_of_any_dimension(flow, dt, steps):
+    A, x0 = flow
+    assert ltv_outcome(_ltv_rk4, A, x0, steps, dt) == ltv_outcome(numpy_ltv_rk4, A, x0, steps, dt)
+
+
+@LTV
+@given(trajectories, st.lists(finite(-5.0, 5.0), min_size=3, max_size=3),
+       finite(1e-4, 2e-2), steps_across_blocks)
+def test_ltv_rk4_equals_the_numpy_loop_along_references(traj, x0, dt, steps):
+    A = closed_loop_ltv(traj)
+    assert ltv_outcome(_ltv_rk4, A, x0, steps, dt) == ltv_outcome(numpy_ltv_rk4, A, x0, steps, dt)
+
+
+@LTV
+@given(st.integers(1, 6).flatmap(psd_flows), finite(-0.3, 100.0), finite(1e-3, 1e-2))
+def test_ltv_rk4_diverges_at_the_numpy_loops_step(flow, log_scale, dt):
+    # -A(t) is at least scale / dt times the identity, so |x| grows by more than a factor
+    # 1 + scale per step and overflows within 4 * _BLOCK steps, at the first for a large scale
+    P, x0 = flow
+    scale = 10.0 ** log_scale
+    A = lambda t: -(scale / dt + 1.0) * (P(t) + np.eye(len(x0)))
+    x0 = [1.0] + x0[1:]
+    steps = 4 * _BLOCK
+    with pytest.raises(SimulationDiverged) as exc:
+        _ltv_rk4(A, x0, steps, dt)
+    assert 0 < exc.value.step <= steps
+    assert ltv_outcome(_ltv_rk4, A, x0, steps, dt) == ltv_outcome(numpy_ltv_rk4, A, x0, steps, dt)
+
+
+def test_ltv_rk4_matches_the_numpy_loop_on_test_flows():
     def rotating(t):
         c, s = math.cos(t), math.sin(t)
         return np.array([[c * c, c * s], [c * s, s * s]])
 
     rep = stability_probe(rotating, [1.0, 0.0], T=2.0 * math.pi, epsilon=3.0,
                           t_end=3.0, dt=1e-3)
-    assert same_bits(rep.norms, reference_ltv_norms(rotating, [1.0, 0.0], 3.0, 1e-3))
+    assert same_bits(rep.norms, numpy_ltv_rk4(rotating, [1.0, 0.0], 3000, 1e-3)[1])

@@ -122,6 +122,25 @@ def test_probe_rejects_bad_inputs():
         stability_probe(lambda t: np.eye(2), [1.0, 0.0], T=math.nan, epsilon=0.1, t_end=2.0)
 
 
+@pytest.mark.parametrize("x0, shown", [
+    ([1.0, 0.0], "has size 2, but A(t) is 3 x 3"),
+    ([1.0, 0.0, 0.0, 0.0], "has size 4, but A(t) is 3 x 3"),
+    ([[1.0, 0.0, 0.0]], "must be a flat sequence of numbers, got [[1.0, 0.0, 0.0]]"),
+    (np.ones((1, 3)), "must be a flat sequence of numbers, got array([[1., 1., 1.]])"),
+    (1.0, "must be a flat sequence of numbers, got 1.0"),
+    ("1,0,0", "must be a flat sequence of numbers, got '1,0,0'"),
+], ids=["short", "long", "nested", "nested-array", "scalar", "text"])
+def test_probe_refuses_an_initial_state_that_does_not_fit_A(x0, shown):
+    with pytest.raises(ValueError) as exc:
+        stability_probe(lambda t: np.eye(3), x0, T=1.0, epsilon=0.5, t_end=2.0)
+    assert str(exc.value) == f"initial state x0 {shown}"
+
+
+def test_probe_refuses_an_A_that_is_not_square():
+    with pytest.raises(ValueError, match=r"A\(t\) must be a square matrix, got shape \(3, 2\)"):
+        stability_probe(lambda t: np.ones((3, 2)), [1.0, 0.0, 0.0], T=1.0, epsilon=0.5, t_end=2.0)
+
+
 def test_probe_raises_when_rk4_cannot_hold_the_flow():
     # dt * lambda = 10 lies far outside RK4's stability interval (about
     # 2.785), so |x| grows by about 290 per step until it overflows

@@ -43,6 +43,8 @@ REFERENCES = {
     "offcentre": ELLIPSE + ["--origin", "3,3"],
     "line": ["--traj", "line", "--speed", "1.3", "--heading", "0.7", "--origin", "0.5,0.2"],
 }
+BENCHMARK_ELLIPSE = ["--a", "3.4829", "--b", "4.8473", "--h", "1.2328",
+                     "--origin", "0.4166,-1.9426"]
 QUICK = ["--dt", "0.01", "--t-end", "10"]
 COMPARE = {
     "trajectory": {"family": "ellipse", "a": 3.0, "b": 5.0, "h": 1.2566, "origin": [0.0, 0.0]},
@@ -95,6 +97,12 @@ def _corpus() -> list:
         ("lin-check-ellipse", {}, [["lin-check", *ELLIPSE, "--t-end", "5", "--out", "lin.json"]]),
         ("lin-check-stationary", {}, [["lin-check", "--traj", "line", "--speed", "0",
                                        "--t-end", "5", "--dt", "0.002"]]),
+        # the LTV flow's bits where the benchmark runs it: the default 25 s at dt = 1e-3 on an
+        # ellipse as its certify workload draws them, and an off-centre one at a coarser step
+        ("lin-check-benchmark-ellipse", {}, [["lin-check", *BENCHMARK_ELLIPSE, "--out",
+                                              "lin.json"]]),
+        ("lin-check-offcentre-coarse", {}, [["lin-check", *REFERENCES["offcentre"], "--dt",
+                                             "0.0025", "--out", "lin.json"]]),
     ]
     # exit 1: a run that failed
     cases += [
@@ -125,6 +133,7 @@ def _corpus() -> list:
                                             "--out", "pe.json"]]),
         ("lin-check-period-overflows", {}, [["lin-check", "--h", "1e-308", "--t-end", "0.01",
                                              "--out", "lin.json"]]),
+        ("pe-check-3-points", {}, [["pe-check", "--points", "3", "--out", "pe.json"]]),
     ]
     # exit 2: a usage or configuration error
     usage = [
