@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 runtime failure (a diverged simulation, L
 rising along a spatial run, a lin-check step too large for its
-reference, a pe-check scan that is not finite, a write that failed),
+reference, a pe-check scan that is not finite or whose quadrature is
+too coarse, a write that failed),
 2 usage or config error (an unknown config key, a reference whose
 values floats cannot hold, or an output path that is empty, in no
 directory or a directory, checked before any run), 130

@@ -209,15 +209,13 @@ def _ltv_rk4(A: Callable[[float], np.ndarray], x0: np.ndarray, steps: int, dt: f
     bit: negation is exact, so y + h k_i is y - h (A y_i), and the update
     x + (dt/6) (k1 + 2 k2 + 2 k3 + k4) is x - (dt/6) (((a + 2 b) + 2 c) + d).
     """
-    times = np.arange(steps + 1) * dt
-    norms = np.empty(steps + 1)
     x = np.array(x0, dtype=float)
     xs = x.tolist()
-    norms[0] = math.sqrt(x.dot(x))
+    norms = [math.sqrt(x.dot(x))]
     half, sixth = 0.5 * dt, dt / 6.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for ks, A1s, A2s, A3s in _stage_blocks(A, dt, steps):
-            for k, A1, A2, A3 in zip(range(ks.start + 1, ks.stop + 1), A1s, A2s, A3s):
+        for _, A1s, A2s, A3s in _stage_blocks(A, dt, steps):
+            for A1, A2, A3 in zip(A1s, A2s, A3s):
                 a = A1.dot(x).tolist()
                 b = A2.dot([xi - half * ai for xi, ai in zip(xs, a)]).tolist()
                 c = A2.dot([xi - half * bi for xi, bi in zip(xs, b)]).tolist()
@@ -225,10 +223,12 @@ def _ltv_rk4(A: Callable[[float], np.ndarray], x0: np.ndarray, steps: int, dt: f
                 xs = [xi - sixth * (((ai + 2.0 * bi) + 2.0 * ci) + di)
                       for xi, ai, bi, ci, di in zip(xs, a, b, c, d)]
                 x = np.array(xs)
-                norms[k] = math.sqrt(x.dot(x))
-                if not math.isfinite(norms[k]):
+                norm = math.sqrt(x.dot(x))
+                norms.append(norm)
+                if not math.isfinite(norm):
+                    k = len(norms) - 1
                     raise SimulationDiverged(k, k * dt)
-    return times, norms
+    return np.arange(steps + 1) * dt, np.array(norms)
 
 
 def _fit_log_norm(times: np.ndarray, norms: np.ndarray):
