@@ -208,13 +208,16 @@ def _ltv_rk4(A: Callable[[float], np.ndarray], x0: np.ndarray, steps: int, dt: f
     The stage values are those of the per-step loop on k_i = -A y_i bit for
     bit: negation is exact, so y + h k_i is y - h (A y_i), and the update
     x + (dt/6) (k1 + 2 k2 + 2 k3 + k4) is x - (dt/6) (((a + 2 b) + 2 c) + d).
+    A block's norms are stored at its end, from a list of floats.
     """
+    norms = np.empty(steps + 1)
     x = np.array(x0, dtype=float)
     xs = x.tolist()
-    norms = [math.sqrt(x.dot(x))]
+    norms[0] = math.sqrt(x.dot(x))
     half, sixth = 0.5 * dt, dt / 6.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, A1s, A2s, A3s in _stage_blocks(A, dt, steps):
+        for ks, A1s, A2s, A3s in _stage_blocks(A, dt, steps):
+            block = []
             for A1, A2, A3 in zip(A1s, A2s, A3s):
                 a = A1.dot(x).tolist()
                 b = A2.dot([xi - half * ai for xi, ai in zip(xs, a)]).tolist()
@@ -224,11 +227,12 @@ def _ltv_rk4(A: Callable[[float], np.ndarray], x0: np.ndarray, steps: int, dt: f
                       for xi, ai, bi, ci, di in zip(xs, a, b, c, d)]
                 x = np.array(xs)
                 norm = math.sqrt(x.dot(x))
-                norms.append(norm)
+                block.append(norm)
                 if not math.isfinite(norm):
-                    k = len(norms) - 1
+                    k = ks.start + len(block)
                     raise SimulationDiverged(k, k * dt)
-    return np.arange(steps + 1) * dt, np.array(norms)
+            norms[ks.start + 1:ks.stop + 1] = block
+    return np.arange(steps + 1) * dt, norms
 
 
 def _fit_log_norm(times: np.ndarray, norms: np.ndarray):

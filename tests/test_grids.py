@@ -165,6 +165,20 @@ def test_stability_probe_same_with_and_without_array_form(traj, dt, t_end):
 
 
 @LTV
+@given(trajectories, finite(1e-4, 2e-2), steps_across_blocks)
+def test_stage_blocks_equal_the_values_at_each_stage_time(traj, dt, steps):
+    # the per-step loop called A at k dt, k dt + dt / 2 and k dt + dt for step k
+    A = closed_loop_ltv(traj)
+    walked = []
+    for ks, on_k, on_mid, on_end in _stage_blocks(A, dt, steps):
+        walked += ks
+        for k, A1, A2, A3 in zip(ks, on_k, on_mid, on_end):
+            t = k * dt
+            assert same_bits([A1, A2, A3], [A(t), A(t + 0.5 * dt), A(t + dt)]), k
+    assert walked == list(range(steps))
+
+
+@LTV
 @given(st.integers(1, 6).flatmap(psd_flows), finite(1e-4, 2e-2), steps_across_blocks)
 def test_ltv_rk4_equals_the_numpy_loop_on_psd_flows_of_any_dimension(flow, dt, steps):
     A, x0 = flow
