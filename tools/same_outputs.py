@@ -43,8 +43,6 @@ REFERENCES = {
     "offcentre": ELLIPSE + ["--origin", "3,3"],
     "line": ["--traj", "line", "--speed", "1.3", "--heading", "0.7", "--origin", "0.5,0.2"],
 }
-BENCHMARK_ELLIPSE = ["--a", "3.4829", "--b", "4.8473", "--h", "1.2328",
-                     "--origin", "0.4166,-1.9426"]
 QUICK = ["--dt", "0.01", "--t-end", "10"]
 COMPARE = {
     "trajectory": {"family": "ellipse", "a": 3.0, "b": 5.0, "h": 1.2566, "origin": [0.0, 0.0]},
@@ -99,8 +97,9 @@ def _corpus() -> list:
                                        "--t-end", "5", "--dt", "0.002"]]),
         # the LTV flow's bits where the benchmark runs it: the default 25 s at dt = 1e-3 on an
         # ellipse as its certify workload draws them, and an off-centre one at a coarser step
-        ("lin-check-benchmark-ellipse", {}, [["lin-check", *BENCHMARK_ELLIPSE, "--out",
-                                              "lin.json"]]),
+        ("lin-check-benchmark-ellipse", {}, [["lin-check", "--a", "3.4829", "--b", "4.8473",
+                                              "--h", "1.2328", "--origin", "0.4166,-1.9426",
+                                              "--out", "lin.json"]]),
         ("lin-check-offcentre-coarse", {}, [["lin-check", *REFERENCES["offcentre"], "--dt",
                                              "0.0025", "--out", "lin.json"]]),
     ]
