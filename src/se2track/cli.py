@@ -27,7 +27,6 @@ import math
 import sys
 import time
 from functools import lru_cache, partial
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -398,8 +397,9 @@ def _long_blocks(cfgs, logs) -> list:
         return list(map(str, logs[i].t.tolist()))
 
     def block(i, var):
-        return (repeat(cfgs[i].controller), repeat(str(i)), times(i), repeat(var),
-                map(str, _LONG_SERIES[var](logs[i]).tolist()))
+        controller = cfgs[i].controller
+        return [f"{controller},{i},{t},{var},{value}"
+                for t, value in zip(times(i), _LONG_SERIES[var](logs[i]).tolist())]
 
     return [partial(block, i, var) for i in range(len(logs)) for var in _LONG_SERIES]
 

@@ -38,7 +38,7 @@ run never holds floats for all of its steps.
 
 Every output file is written through _replacing: to a temporary file
 beside its name, renamed onto the name once it is whole. _write_csv is
-the one CSV writer. It takes lazy blocks of rows, and where the process
+the one CSV writer. It takes lazy blocks of lines, and where the process
 may use two CPUs, a forked worker formats the second half of them:
 str of a float costs about a microsecond, and a log holds 18 per row.
 """
@@ -53,6 +53,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -103,7 +104,13 @@ class SimulationDiverged(RuntimeError):
 
 
 class StepTooLarge(RuntimeError):
-    """Raised when L rises along a spatial run, which the exact flow never does."""
+    """Raised when dt is too large a step for the reference.
+
+    simulate and compare raise it when L rises along a spatial run, and
+    basin when a spatial sample ends with L above its initial value: the
+    exact flow does neither. lin-check raises it when dt * trace(A_z)
+    passes RK4's stability limit.
+    """
 
 
 def _numbers(what: str, values) -> tuple:
@@ -217,23 +224,33 @@ class SimLog:
 
     def to_csv(self, path) -> None:
         """Write the log with shortest round-trip decimals and LF endings, _BLOCK rows a block."""
-        _write_csv(path, CSV_COLUMNS, [partial(_formatted, self.data[start:start + _BLOCK])
+        _write_csv(path, CSV_COLUMNS, [partial(_lines, self.data[start:start + _BLOCK])
                                        for start in range(0, len(self), _BLOCK)])
 
     @classmethod
     def from_csv(cls, path) -> "SimLog":
+        """Read a log that to_csv wrote; ValueError on another header or a malformed row.
+
+        Blank lines are skipped. A file of no other line gives no rows:
+        numpy warns on an empty body, so it is not asked to parse one.
+        """
         with open(path, "r", newline="") as fh:
             header = fh.readline().strip().split(",")
             if tuple(header) != CSV_COLUMNS:
                 raise ValueError(f"unexpected CSV header: {header}")
-            rows = [[float(tok) for tok in line.split(",")] for line in fh if line.strip()]
-        data = np.array(rows, dtype=float).reshape(-1, len(CSV_COLUMNS))
+            lines = filter(str.strip, fh)
+            first = next(lines, None)
+            if first is None:
+                return cls(data=np.empty((0, len(CSV_COLUMNS))))
+            data = np.loadtxt(chain((first,), lines), delimiter=",", comments=None, ndmin=2)
+        if data.shape[1] != len(CSV_COLUMNS):
+            raise ValueError(f"{path}: rows of {data.shape[1]} fields, not {len(CSV_COLUMNS)}")
         return cls(data=data)
 
 
-def _formatted(rows: np.ndarray) -> list:
-    """The columns of an array of rows, as str of each value; see _write_csv."""
-    return [map(str, column) for column in rows.T.tolist()]
+def _lines(rows: np.ndarray) -> list:
+    """The lines of an array of rows: str of each value, joined by commas; see _write_csv."""
+    return [",".join(map(str, row)) for row in rows.tolist()]
 
 
 def _processes(n: int) -> int:
@@ -329,9 +346,9 @@ def _replacing(path):
 
 
 def _write_blocks(fh, blocks) -> None:
-    """Write the rows of each block to the binary file fh and flush it; see _write_csv."""
+    """Write the lines of each block to the binary file fh and flush it; see _write_csv."""
     for block in blocks:
-        fh.write(("\n".join(map(",".join, zip(*block()))) + "\n").encode())
+        fh.write(("\n".join(block()) + "\n").encode())
     # a worker leaves through os._exit, which flushes no file
     fh.flush()
 
@@ -339,11 +356,10 @@ def _write_blocks(fh, blocks) -> None:
 def _write_csv(path, header, blocks) -> None:
     """Write a CSV with LF endings: the header, then the rows of each block in order.
 
-    blocks is a sequence of thunks. Each returns the columns of one
-    block of at least one row: iterables of strings, one string per
-    row; a column may be endless, such as a constant's itertools.repeat,
-    when another column of its block ends. str of a Python float (not a
-    numpy one: see tolist) is its shortest round-trip decimal.
+    blocks is a sequence of thunks. Each returns the lines of one block
+    of at least one row: one string per row, its fields joined by commas,
+    without a line end. str of a Python float (not a numpy one: see
+    tolist) is its shortest round-trip decimal.
 
     Where there is more than one block and _processes grants two, an
     _in_parallel worker writes the second half to an unnamed file in

@@ -252,7 +252,7 @@ def _fit_log_norm(times: np.ndarray, norms: np.ndarray):
 
 
 def stability_probe(A: Callable[[float], np.ndarray], x0, T: float, epsilon: float,
-                    t_end: float, dt: float = 1e-3, gram_points: int = _GRAM_POINTS) -> DecayReport:
+                    t_end: float, dt: float = 1e-3) -> DecayReport:
     """Integrate x_dot = -A(t) x and certify exponential decay of |x|.
 
     Preconditions are checked, not assumed: the horizon as lin_check
@@ -286,7 +286,7 @@ def stability_probe(A: Callable[[float], np.ndarray], x0, T: float, epsilon: flo
         if float(np.linalg.eigvalsh(0.5 * (Ak + Ak.T))[0]) < -1e-9:
             raise ValueError(f"A({t_chk:.3f}) is not positive semi-definite")
 
-    lam = _excitation(A, T, gram_points)
+    lam = _excitation(A, T, _GRAM_POINTS)
     if lam < epsilon:
         raise ValueError(
             f"window Gram smallest eigenvalue {lam:.3e} does not reach epsilon {epsilon:.3e}"

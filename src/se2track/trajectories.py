@@ -212,18 +212,18 @@ _DESCRIPTOR_KEYS = {"ellipse": ("family", "a", "b", "h", "origin"),
 def trajectory_from_descriptor(desc: dict) -> DesiredTrajectory:
     """Rebuild a trajectory from its descriptor dict (manifest round-trip); ValueError if malformed."""
     family = desc.get("family")
-    if family in _DESCRIPTOR_KEYS:
-        require_known_keys(f"{family} trajectory", desc, _DESCRIPTOR_KEYS[family])
+    # a list or an object is no family, and cannot be looked up as one
+    if not isinstance(family, str) or family not in _DESCRIPTOR_KEYS:
+        raise ValueError(f"unknown trajectory family: {family!r}")
+    require_known_keys(f"{family} trajectory", desc, _DESCRIPTOR_KEYS[family])
     try:
         if family == "ellipse":
             return ellipse_trajectory(desc["a"], desc["b"], desc["h"], desc.get("origin", (0.0, 0.0)))
-        if family == "line":
-            return line_trajectory(desc["speed"], desc.get("heading", 0.0), desc.get("start", (0.0, 0.0)))
+        return line_trajectory(desc["speed"], desc.get("heading", 0.0), desc.get("start", (0.0, 0.0)))
     except KeyError as exc:
         raise ValueError(f"{family} trajectory lacks the parameter {exc}") from None
     except (TypeError, IndexError):
         raise ValueError(f"{family} trajectory needs numbers and x,y pairs, got {desc!r}") from None
-    raise ValueError(f"unknown trajectory family: {family!r}")
 
 
 def flow_consistency_residual(traj: DesiredTrajectory, t_span=(0.0, 10.0), samples: int = 100,

@@ -527,10 +527,12 @@ _ELLIPSE = {"family": "ellipse", "a": 1.0, "b": 1.0, "h": 1.0}
      "gains must be a list of numbers, got 0"),
     ("compare", {"trajectory": _ELLIPSE, "controllers": [{"name": "kanayama", "gains": False}]},
      "gains must be a list of numbers, got False"),
+    ("simulate", {"trajectory": {**_ELLIPSE, "family": []}}, "unknown trajectory family: []"),
+    ("basin", {"trajectory": {"family": {}}}, "unknown trajectory family: {}"),
 ], ids=["array", "bare-number", "number-entry", "null-threshold", "negative-threshold",
         "zero-threshold", "ellipse-without-axes", "scalar-line-start", "directory",
         "scalar-offset", "scalar-gains", "compare-scalar-offset", "compare-scalar-gains",
-        "compare-zero-gains", "compare-false-gains"])
+        "compare-zero-gains", "compare-false-gains", "list-family", "object-family"])
 def test_malformed_config_files_are_usage_errors(tmp_path, capsys, command, content, shown):
     path = tmp_path / "config.json"
     if content is None:
@@ -1055,3 +1057,61 @@ def test_any_magnitude_ends_in_an_exit_code_without_a_warning(command, traj, fla
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue(), argv
     assert written in (set(), outputs), argv
+
+
+# any JSON value: floats include NaN and ±inf, which json writes as NaN and Infinity
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**400, 10**400) | st.floats()
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def _long(value) -> bool:
+    """Whether value is a number that dt or t_end would take: positive and finite."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 < value < math.inf)
+
+
+# a valid config of a short horizon, of which a few fields or trajectory keys take any
+# JSON value; a horizon stays short or is no horizon at all, so that no run takes long
+_VALID = {"dt": 0.01, "t_end": 0.05, "trajectory": {"family": "ellipse", "a": 1.0, "b": 1.5,
+                                                     "h": 1.0}}
+_FIELD_VALUES = {**{name: _JSON for name in ("trajectory", "controller", "gains", "offset",
+                                             "seed")},
+                 "dt": st.sampled_from([0.01, 0.025]) | _JSON.filter(lambda v: not _long(v)),
+                 "t_end": st.sampled_from([0.05, 0.1]) | _JSON.filter(lambda v: not _long(v))}
+_TRAJECTORY_KEYS = ("family", "a", "b", "h", "origin", "speed", "heading", "start")
+_CONFIGURED = {
+    "simulate": (["--out", "run.csv"], {"run.csv", "run.manifest.json"}),
+    "basin": (["--samples", "2", "--out", "b.json"], {"b.json"}),
+}
+
+
+def _some_of(values: dict):
+    """Up to two of the keys of values, each with a value drawn from its strategy."""
+    return st.lists(st.sampled_from(sorted(values)), unique=True, max_size=2).flatmap(
+        lambda keys: st.fixed_dictionaries({key: values[key] for key in keys}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(sorted(_CONFIGURED)),
+       fields=_some_of(_FIELD_VALUES), keys=_some_of(dict.fromkeys(_TRAJECTORY_KEYS, _JSON)))
+def test_config_values_of_any_json_type_end_in_an_exit_code_without_a_warning(command, fields,
+                                                                              keys):
+    config = {**_VALID, "trajectory": {**_VALID["trajectory"], **keys}, **fields}
+    run, outputs = _CONFIGURED[command]
+    cwd, err = os.getcwd(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("c.json").write_text(json.dumps(config))
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main([command, "--config", "c.json", *run])
+        finally:
+            os.chdir(cwd)
+        written = set(os.listdir(tmp)) - {"c.json"}
+    assert code in (0, 1, 2), config
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue(), config
+    assert written in (set(), outputs), config

@@ -7,6 +7,7 @@ import signal
 import tempfile
 import threading
 import time
+import warnings
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -141,6 +142,38 @@ def test_csv_rejects_foreign_header(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError, match="header"):
+        SimLog.from_csv(p)
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\n \r\n\t\n"], ids=["none", "blank", "blanks"])
+def test_a_log_without_rows_reads_back_without_a_warning(tmp_path, body):
+    p = tmp_path / "run.csv"
+    p.write_text(",".join(CSV_COLUMNS) + "\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert SimLog.from_csv(p).data.shape == (0, len(CSV_COLUMNS))
+
+
+def test_blank_lines_between_rows_are_skipped(tmp_path):
+    data = np.arange(3.0 * len(CSV_COLUMNS)).reshape(3, -1)
+    p = tmp_path / "run.csv"
+    rows = [",".join(map(repr, row)) for row in data.tolist()]
+    p.write_text("\n".join([",".join(CSV_COLUMNS), "", rows[0], "  ", rows[1], rows[2], "", ""]))
+    assert np.array_equal(SimLog.from_csv(p).data, data)
+
+
+_ROW = "1," * 17 + "1\n"
+
+
+@pytest.mark.parametrize("body", [_ROW + "1," * 17 + "\n", _ROW + "1," * 16 + "1\n",
+                                  _ROW + "1," * 17 + "x\n", _ROW + "1," * 18 + "1\n",
+                                  "1," * 35 + "1\n"],
+                         ids=["empty-field", "missing-field", "text-field", "extra-field",
+                              "two-rows-in-one"])
+def test_a_malformed_row_is_a_value_error(tmp_path, body):
+    p = tmp_path / "run.csv"
+    p.write_text(",".join(CSV_COLUMNS) + "\n" + body)
+    with pytest.raises(ValueError):
         SimLog.from_csv(p)
 
 
@@ -586,8 +619,9 @@ def test_compare_controllers_validation(ellipse_desc, offcenter_desc):
 # name holds a whole file or what it held before.
 
 # values whose shortest decimals are easy to get wrong: signed zero, the least subnormal,
-# numbers near the float range's ends, and a few that print with 16 or 17 digits
-_SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0, 2.99999784000026]
+# numbers near the float range's ends and past them, and a few that print with 16 or 17 digits
+_SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan,
+            0.1, 1.0 / 3.0, 2.99999784000026]
 
 
 def _no_child_left():
@@ -600,7 +634,7 @@ def _written(write, cpus) -> tuple:
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(engine.os, "sched_getaffinity", lambda pid: cpus), \
             mock.patch.object(engine.os, "fork", side_effect=os.fork) as fork, \
-            np.errstate(over="ignore"):
+            np.errstate(over="ignore", invalid="ignore"):
         path = Path(tmp) / "out.csv"
         write(path)
         _no_child_left()
@@ -627,6 +661,9 @@ def test_csv_bytes_do_not_depend_on_the_cpus(rows, runs, seed):
     two, forks = _written(log.to_csv, {0, 1})
     assert forks == (rows > _BLOCK)
     assert two == one
+    # repr of a float is its shortest round-trip decimal, as str is
+    assert one.decode() == "".join([",".join(CSV_COLUMNS) + "\n"] + [
+        ",".join(map(repr, row)) + "\n" for row in data[0].tolist()])
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "run.csv").write_bytes(one)
         assert SimLog.from_csv(Path(tmp) / "run.csv").data.tobytes() == data[0].tobytes()
@@ -644,6 +681,12 @@ def test_csv_bytes_do_not_depend_on_the_cpus(rows, runs, seed):
     assert forks == 1
     assert two == one
     assert one.count(b"\n") == 1 + 7 * runs * rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        lines = [f"{cfgs[i].controller},{i},{t!r},{variable},{value!r}"
+                 for i, log in enumerate(logs) for variable, series in cli._LONG_SERIES.items()
+                 for t, value in zip(log.t.tolist(), series(log).tolist())]
+        assert [line for block in cli._long_blocks(cfgs, logs) for line in block()] == lines
+    assert one.decode() == ",".join(header) + "\n" + "".join(line + "\n" for line in lines)
 
 
 def test_without_fork_nothing_forks_and_the_outputs_stay(tmp_path, monkeypatch):
@@ -661,7 +704,7 @@ def test_without_fork_nothing_forks_and_the_outputs_stay(tmp_path, monkeypatch):
                           cli._long_blocks(cfgs, logs))
         return summary, (tmp_path / "run.csv").read_bytes(), (tmp_path / "long.csv").read_bytes()
 
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         forked = outputs()
         # a fork from here on raises AttributeError
         monkeypatch.delattr(engine.os, "fork")
@@ -677,7 +720,7 @@ def test_an_error_in_the_workers_half_reaches_the_caller_as_itself(tmp_path, mon
     def block(k):
         if os.getpid() != parent:
             raise OSError(28, "No space left on device", "x.csv")
-        return [str(k)], ["x"]
+        return [f"{k},x"]
 
     with pytest.raises(OSError) as exc:
         engine._write_csv(tmp_path / "out.csv", ("k", "x"), [partial(block, k) for k in range(4)])
@@ -778,7 +821,7 @@ def test_a_failed_write_leaves_the_name_as_it_was(tmp_path, monkeypatch, cpus, f
     def block(k):
         if k == failing:
             raise OSError(28, "No space left on device")
-        return [str(k)], ["x"]
+        return [f"{k},x"]
 
     with pytest.raises(OSError) as exc:
         engine._write_csv(path, ("k", "x"), [partial(block, k) for k in range(4)])
@@ -793,7 +836,7 @@ def test_a_written_file_replaces_the_older_one_whole(tmp_path, monkeypatch):
     monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1})
     path = tmp_path / "out.csv"
     path.write_text("older, and longer than what replaces it\n" * 100)
-    engine._write_csv(path, ("k",), [partial(lambda k: [[str(k)]], k) for k in range(3)])
+    engine._write_csv(path, ("k",), [partial(lambda k: [str(k)], k) for k in range(3)])
     assert path.read_text() == "k\n0\n1\n2\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 

@@ -153,7 +153,7 @@ def test_stability_probe_same_with_and_without_array_form(traj, dt, t_end):
     # t_end / dt spans up to three integrator blocks
     A = closed_loop_ltv(traj)
     x0 = [1.0, -0.5, 0.25]
-    args = (x0, traj.period, 1e-12, t_end, dt, 51)
+    args = (x0, traj.period, 1e-12, t_end, dt)
     fast, slow = stability_probe(A, *args), stability_probe(plain(A), *args)
     for field in ("times", "norms", "fitted_rate", "r_squared", "fit_window"):
         assert same_bits(getattr(fast, field), getattr(slow, field)), field

@@ -78,6 +78,15 @@ def _corpus() -> list:
     cases += [
         ("compare", {"compare.json": COMPARE}, [["compare", "--config", "compare.json",
                                                  "--out", "cmp"]]),
+        # a long table of 7 blocks, which the writer splits 3 | 4
+        ("compare-one-controller", {"compare.json": {"trajectory": CIRCLE,
+                                                     "controllers": ["kanayama"],
+                                                     "dt": 0.01, "t_end": 10.0}},
+         [["compare", "--config", "compare.json", "--out", "cmp"]]),
+        # constant columns, and zeros in the speeds
+        ("simulate-stationary-line", {}, [["simulate", "--traj", "line", "--speed", "0",
+                                           "--heading", "3.0", "--offset", "0.5,-0.5,1",
+                                           *QUICK, "--out", "run.csv"]]),
         ("basin-seeded", {}, [
             ["basin", *ELLIPSE, "--samples", "4", "--seed", "3", *QUICK, "--out", "b.json"],
             ["basin", "--config", "b.json", "--samples", "4", "--out", "again.json"],
