@@ -9,9 +9,11 @@ integration substage.
 The reference does not depend on the vehicle state, so a run samples
 it once, up front, on the three RK4 stage grids k dt, k dt + dt/2 and
 k dt + dt. _stage_blocks, the one walk over those times in blocks of
-_BLOCK steps, serves this loop and the linearization's LTV loop alike;
-its values equal the per-stage state_at calls bit for bit. A run keeps
-its blocks, so a basin sweep samples the reference once for all runs.
+_BLOCK steps, serves this loop and the linearization alike: lin_check
+walks its reference on it once, for the step bound and A_z's stage
+values both, and stability_probe walks its A(t). Its values equal the
+per-stage state_at calls bit for bit. A run keeps its blocks, so a
+basin sweep samples the reference once for all runs.
 
 One setup, _setup, turns a SimConfig into what a run needs: the
 control law, the reference's stage blocks and the reference at t = 0.
@@ -428,13 +430,16 @@ def _stage_blocks(F, dt: float, steps: int):
     it ends on the next block's first time; on_mid at k dt + dt/2
     (stages 2 and 3) and on_end at k dt + dt (stage 4) for k < stop.
     The last is not (k + 1) dt: the two differ in the last bit in about
-    a third of the steps.
+    a third of the steps. F is sampled without numpy's warnings: a value
+    that is not finite is its caller's to refuse.
     """
     for start in range(0, steps, _BLOCK):
         stop = min(start + _BLOCK, steps)
         t = np.arange(start, stop + 1) * dt
         mid, end = t[:-1] + 0.5 * dt, t[:-1] + dt
-        yield range(start, stop), on_grid(F, t), on_grid(F, mid), on_grid(F, end)
+        with np.errstate(all="ignore"):
+            grids = on_grid(F, t), on_grid(F, mid), on_grid(F, end)
+        yield range(start, stop), *grids
 
 
 def _finite_reference(traj, block) -> tuple:
@@ -451,9 +456,8 @@ def _setup(cfg: SimConfig) -> tuple:
     Raises ValueError if the reference is not finite at a stage time.
     """
     traj = trajectory_from_descriptor(cfg.trajectory)
-    with np.errstate(all="ignore"):
-        blocks = [_finite_reference(traj, block)
-                  for block in _stage_blocks(traj.state_at, cfg.dt, cfg.steps)]
+    blocks = [_finite_reference(traj, block)
+              for block in _stage_blocks(traj.state_at, cfg.dt, cfg.steps)]
     return _make_controller(cfg), blocks, blocks[0][1][0].tolist()
 
 

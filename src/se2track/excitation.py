@@ -107,12 +107,17 @@ def pe_epsilon(F, horizon: float, T: float, windows: int = _WINDOWS,
     """Scan window start times over [0, horizon - T] and report the worst Gram.
 
     epsilon = min over _window_starts of the smallest eigenvalue of
-    window_gram(F, start, T, n). Deterministic for fixed arguments.
+    window_gram(F, start, T, n). Deterministic for fixed arguments. A
+    window whose Gram is not finite counts as NaN, which min passes
+    over, so a scan of no finite window reads inf.
     """
     eps = math.inf
     for s in _window_starts(horizon, T, windows):
         G = window_gram(F, float(s), T, n)
-        eps = min(eps, float(np.linalg.eigvalsh(G)[0]))
+        # eigvalsh gives NaN on such a Gram, or fails to converge with an infinite entry off
+        # its diagonal
+        lam = float(np.linalg.eigvalsh(G)[0]) if np.isfinite(G).all() else math.nan
+        eps = min(eps, lam)
     return PEReport(window_T=T, epsilon=eps, horizon=horizon, grid_points_per_window=n)
 
 

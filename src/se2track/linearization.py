@@ -16,11 +16,12 @@ A finite-difference Jacobian of the genuine nonlinear loop is the
 ground truth the -M S structure is verified against.
 
 The LTV flow is integrated by classical RK4 on the engine's walk over
-the stage grids, _stage_blocks, one block of A at a time. Before it
-integrates, lin_check bounds its step by the same walk: trace(A_z) =
-3 + |p_d|^2 bounds the stiffness of the flow, and where dt times it
-passes RK4's stability limit the flow may stay finite yet be wrong, so
-lin_check raises StepTooLarge rather than fit it.
+the stage grids, _stage_blocks, one block of A at a time. lin_check
+walks its reference there once: each block gives A_z's stage values and
+bounds the step. trace(A_z) = 3 + |p_d|^2 bounds the stiffness of the
+flow, and where dt times it passes RK4's stability limit the flow may
+stay finite yet be wrong, so lin_check stops integrating and raises
+StepTooLarge rather than fit it.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .controller import correction_scalars
 from .engine import SimulationDiverged, StepTooLarge, _finite_reference, _stage_blocks
 from .excitation import PE_FLOOR, _default_window, window_gram
 from .se2 import B_SELECT, S_WEIGHT, Pose, adjoint_matrix, pose_matrix
-from .trajectories import (DesiredTrajectory, _require_positive, _step_count, along, on_grid,
-                           require_finite)
+from .trajectories import (DesiredTrajectory, _require_positive, _step_count, at_reference,
+                           on_grid, require_finite)
 
 _SQRT_S = np.diag([math.sqrt(2.0), 1.0, 1.0])
 
@@ -165,17 +166,29 @@ def _trace_A_z(px, py):
     return 3.0 + px * px + py * py
 
 
-def _check_step(traj: DesiredTrajectory, steps: int, dt: float) -> None:
-    """Raise StepTooLarge unless dt * trace(A_z) stays within _RK4_LIMIT on every stage time.
+def _A_z(state) -> np.ndarray:
+    """A_z = sqrt(S) M sqrt(S) at reference states, as at_reference takes them."""
+    return _SQRT_S @ at_reference(_actuation_gram_rows, state) @ _SQRT_S
 
-    The reference is walked block by block, as _ltv_rk4 walks A_z.
-    Raises ValueError if the reference is not finite at a stage time.
+
+def _A_z_blocks(traj: DesiredTrajectory, dt: float, steps: int):
+    """A_z along traj as _stage_blocks yields it, from one walk over the reference.
+
+    Each block of the reference must be finite (ValueError otherwise) and
+    gives its peak of trace(A_z). Blocks are yielded while dt times the
+    peak so far stays within _RK4_LIMIT. From the first block past it the
+    walk goes on without yielding, and then raises StepTooLarge naming
+    the peak over the whole horizon.
     """
-    # the reference and the trace are checked below, so neither needs numpy's warnings
-    with np.errstate(all="ignore"):
-        peak = max(float(np.max(_trace_A_z(grid[:, 1], grid[:, 2])))
-                   for block in _stage_blocks(traj.state_at, dt, steps)
-                   for grid in _finite_reference(traj, block)[1:])
+    peak = 0.0
+    for block in _stage_blocks(traj.state_at, dt, steps):
+        ks, *grids = _finite_reference(traj, block)
+        # the trace of a finite reference may overflow to inf, which the limit refuses
+        with np.errstate(all="ignore"):
+            peak = max(peak, *(float(np.max(_trace_A_z(grid[:, 1], grid[:, 2])))
+                               for grid in grids))
+        if dt * peak <= _RK4_LIMIT:
+            yield ks, *(_A_z(grid.T) for grid in grids)
     if not dt * peak <= _RK4_LIMIT:
         fits = "no dt fits"
         if math.isfinite(peak):
@@ -194,12 +207,13 @@ def _check_horizon(t_end: float, dt: float) -> int:
     return steps
 
 
-def _ltv_rk4(A: Callable[[float], np.ndarray], x0: np.ndarray, steps: int, dt: float):
+def _ltv_rk4(blocks, x0: np.ndarray, steps: int, dt: float):
     """Classical RK4 on x_dot = -A(t) x for steps steps from t = 0; returns (times, |x| at each).
 
-    A is evaluated on the engine's _stage_blocks, one block at a time, so
-    memory does not grow with the horizon. Raises SimulationDiverged,
-    without numpy's overflow warnings, at the first non-finite |x|.
+    blocks is A's walk over the stage times, as _stage_blocks yields it,
+    taken one block at a time, so memory does not grow with the horizon.
+    Raises SimulationDiverged, without numpy's overflow warnings, at the
+    first non-finite |x|.
 
     numpy does only the four products A y of a step and the norm; between
     them the stages are plain floats, one component at a time, which costs
@@ -216,7 +230,7 @@ def _ltv_rk4(A: Callable[[float], np.ndarray], x0: np.ndarray, steps: int, dt: f
     norms[0] = math.sqrt(x.dot(x))
     half, sixth = 0.5 * dt, dt / 6.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for ks, A1s, A2s, A3s in _stage_blocks(A, dt, steps):
+        for ks, A1s, A2s, A3s in blocks:
             block = []
             for A1, A2, A3 in zip(A1s, A2s, A3s):
                 a = A1.dot(x).tolist()
@@ -257,13 +271,13 @@ def stability_probe(A: Callable[[float], np.ndarray], x0, T: float, epsilon: flo
 
     Preconditions are checked, not assumed: the horizon as lin_check
     checks it, x0 a flat sequence of finite numbers, one per row of the
-    square A(t), A(t) symmetric PSD at sampled times (tolerance 1e-9),
-    epsilon positive, and the window Gram over [0, T] of the PSD square
-    root of A dominating epsilon * Id. Reports the decay rate fitted on
-    the final 60% of the horizon and whether |x| was monotone
-    non-increasing. Raises SimulationDiverged if |x| stops being
-    finite. A is evaluated through on_grid, so its array form is used
-    when it has one.
+    square A(t), A(t) finite and symmetric PSD at sampled times
+    (tolerance 1e-9), epsilon positive, and the window Gram over [0, T]
+    of the PSD square root of A dominating epsilon * Id. Reports the
+    decay rate fitted on the final 60% of the horizon and whether |x|
+    was monotone non-increasing. Raises SimulationDiverged if |x| stops
+    being finite. A is evaluated through on_grid, so its array form is
+    used when it has one.
     """
     steps = _check_horizon(t_end, dt)
     _require_positive("excitation level epsilon", epsilon)
@@ -281,18 +295,20 @@ def stability_probe(A: Callable[[float], np.ndarray], x0, T: float, epsilon: flo
     x0 = np.array(entries, dtype=float)
 
     for t_chk, Ak in zip(checks, A_checks):
+        if not np.isfinite(Ak).all():
+            raise ValueError(f"A({t_chk:.3f}) is not finite")
         if float(np.max(np.abs(Ak - Ak.T))) > 1e-9:
             raise ValueError(f"A({t_chk:.3f}) is not symmetric")
         if float(np.linalg.eigvalsh(0.5 * (Ak + Ak.T))[0]) < -1e-9:
             raise ValueError(f"A({t_chk:.3f}) is not positive semi-definite")
 
     lam = _excitation(A, T, _GRAM_POINTS)
-    if lam < epsilon:
+    if not lam >= epsilon:
         raise ValueError(
             f"window Gram smallest eigenvalue {lam:.3e} does not reach epsilon {epsilon:.3e}"
         )
 
-    times, norms = _ltv_rk4(A, x0, steps, dt)
+    times, norms = _ltv_rk4(_stage_blocks(A, dt, steps), x0, steps, dt)
     monotone = bool(np.all(np.diff(norms) <= 1e-12 * max(1.0, norms[0])))
     rate, r2, window = _fit_log_norm(times, norms)
     return DecayReport(
@@ -309,10 +325,8 @@ def closed_loop_ltv(traj: DesiredTrajectory) -> Callable[[float], np.ndarray]:
     is the form stability_probe accepts. Decay rates agree. The
     returned callable takes a time or an array of times.
     """
-    M = along(traj, _actuation_gram_rows)
-
     def A_z(t) -> np.ndarray:
-        return _SQRT_S @ M(t) @ _SQRT_S
+        return _A_z(traj.sample(t))
 
     A_z.array_form = A_z
     return A_z
@@ -327,12 +341,14 @@ def lin_check(traj: DesiredTrajectory, t_end: float = _PROBE_T_END,
     finite differences of the nonlinear loop, and (3) the decay rate of
     the LTV linearization, fitted as stability_probe fits it. The window
     Gram over one period (5 s if aperiodic) decides only the verdict.
-    Raises StepTooLarge, before any of these, if dt * trace(A_z) exceeds
-    RK4's stability limit _RK4_LIMIT at a stage time, and
+    The flow is integrated first, on one walk over the reference that
+    also bounds the step: it raises StepTooLarge if dt * trace(A_z)
+    exceeds RK4's stability limit _RK4_LIMIT at a stage time, and
     SimulationDiverged if the LTV flow does not stay finite.
     """
     steps = _check_horizon(t_end, dt)
-    _check_step(traj, steps, dt)
+    times, norms = _ltv_rk4(_A_z_blocks(traj, dt, steps),
+                            np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0), steps, dt)
     # the window is one period, which overflows for a rate too small for floats
     T = _default_window(traj)
     _require_positive("window length T", T)
@@ -348,9 +364,7 @@ def lin_check(traj: DesiredTrajectory, t_end: float = _PROBE_T_END,
         structure = max(structure, float(np.max(np.abs(M - Ad @ B_SELECT @ B_SELECT.T @ Ad.T))))
         fd = max(fd, float(np.max(np.abs(fd_closed_loop_jacobian(xd) - (-M @ S_WEIGHT)))))
 
-    A_z = closed_loop_ltv(traj)
-    eps = _excitation(A_z, T, _GRAM_POINTS)
-    times, norms = _ltv_rk4(A_z, np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0), steps, dt)
+    eps = _excitation(closed_loop_ltv(traj), T, _GRAM_POINTS)
     rate, r2, fit_window = _fit_log_norm(times, norms)
     verdict = ("PE: linearization decays exponentially" if eps > PE_FLOOR
                else "not PE: no exponential certificate")

@@ -111,27 +111,35 @@ class DesiredTrajectory:
         _, _, _, omega, v = self.state_at(t)
         return ControlPair(omega, v)
 
-    def sample(self, ts) -> tuple:
-        """Arrays (theta_d, pdx, pdy, omega_d, v_d) over the times ts.
+    def sample(self, t) -> tuple:
+        """(theta_d, pdx, pdy, omega_d, v_d) at a time t, or arrays of them over an array t.
 
-        Each equals calling state_at at every time, bit for bit.
+        A float t gives state_at(t); each array equals calling state_at at
+        every time, bit for bit.
         """
-        return tuple(on_grid(self.state_at, ts).T)
+        return self.state_at(t) if np.ndim(t) == 0 else tuple(on_grid(self.state_at, t).T)
+
+
+def at_reference(rows, state) -> np.ndarray:
+    """pose_matrix(rows, ...) at the reference pose of state (theta_d, pdx, pdy, ...).
+
+    state is what sample gives: floats give one matrix, arrays the stack of
+    them. The angle is wrapped as Pose wraps it.
+    """
+    theta, px, py = state[:3]
+    return pose_matrix(rows, wrap_angle(theta), px, py)
 
 
 def along(traj: DesiredTrajectory, rows, heading=None):
-    """t -> pose_matrix(rows, ...) at the reference pose X_d(t), for a time or an array of times.
+    """t -> at_reference(rows, ...) at the reference X_d(t), for a time or an array of times.
 
-    A float t reads the pose from state_at, an array from sample. heading,
-    when given, is a function of time that replaces theta_d. The angle is
-    wrapped as Pose wraps it. The returned function is its own array_form.
+    heading, when given, is a function of time that replaces theta_d.
+    The returned function is its own array_form.
     """
 
     def F(t):
-        theta, px, py, _, _ = traj.state_at(t) if np.ndim(t) == 0 else traj.sample(t)
-        if heading is not None:
-            theta = heading(t)
-        return pose_matrix(rows, wrap_angle(theta), px, py)
+        state = traj.sample(t)
+        return at_reference(rows, state if heading is None else (heading(t), *state[1:]))
 
     F.array_form = F
     return F

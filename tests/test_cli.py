@@ -661,12 +661,14 @@ def test_compare_exits_one_when_its_spatial_run_lyapunov_rises(tmp_path, capsys)
 
 def test_pe_check_without_finite_result_exits_one_without_verdict(tmp_path, capsys):
     out = tmp_path / "p.json"
-    # the reference is finite on the scan's times; its Gram is not
-    assert main(["pe-check", "--traj", "line", "--speed", "1e200", "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("pe-check failed: epsilon = inf")
-    assert "PE" not in captured.out
-    assert not out.exists()
+    # the reference is finite on the scan's times; its Gram is not, and at 1e306 it holds an
+    # infinite entry off its diagonal, on which eigvalsh does not converge
+    for speed in ("1e200", "1e306"):
+        assert main(["pe-check", "--traj", "line", "--speed", speed, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("pe-check failed: epsilon = inf")
+        assert "PE" not in captured.out
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("points, residual", [("3", "9.231e-01"), ("5", "3.077e-01")])

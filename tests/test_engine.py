@@ -550,8 +550,9 @@ def test_csv_bytes_are_the_rows_shortest_decimals_across_blocks(tmp_path, ellips
     assert len(log) > 2 * _BLOCK + 1
     path = tmp_path / "run.csv"
     log.to_csv(path)
-    rows = (",".join(map(repr, row)) for row in log.data.tolist())
-    assert path.read_text() == ",".join(CSV_COLUMNS) + "\n" + "".join(r + "\n" for r in rows)
+    rows = [",".join(map(repr, row)) for row in log.data.tolist()]
+    # compared as lists of lines: pytest's diff of two long strings takes minutes
+    assert path.read_text().split("\n") == [",".join(CSV_COLUMNS), *rows, ""]
 
 
 def test_basin_counts_and_determinism():
@@ -661,9 +662,10 @@ def test_csv_bytes_do_not_depend_on_the_cpus(rows, runs, seed):
     two, forks = _written(log.to_csv, {0, 1})
     assert forks == (rows > _BLOCK)
     assert two == one
-    # repr of a float is its shortest round-trip decimal, as str is
-    assert one.decode() == "".join([",".join(CSV_COLUMNS) + "\n"] + [
-        ",".join(map(repr, row)) + "\n" for row in data[0].tolist()])
+    # repr of a float is its shortest round-trip decimal, as str is; compared as lists of
+    # lines, since pytest's diff of two long strings takes minutes on every shrink step
+    assert one.decode().split("\n") == [",".join(CSV_COLUMNS), *[
+        ",".join(map(repr, row)) for row in data[0].tolist()], ""]
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "run.csv").write_bytes(one)
         assert SimLog.from_csv(Path(tmp) / "run.csv").data.tobytes() == data[0].tobytes()
@@ -686,7 +688,7 @@ def test_csv_bytes_do_not_depend_on_the_cpus(rows, runs, seed):
                  for i, log in enumerate(logs) for variable, series in cli._LONG_SERIES.items()
                  for t, value in zip(log.t.tolist(), series(log).tolist())]
         assert [line for block in cli._long_blocks(cfgs, logs) for line in block()] == lines
-    assert one.decode() == ",".join(header) + "\n" + "".join(line + "\n" for line in lines)
+    assert one.decode().split("\n") == [",".join(header), *lines, ""]
 
 
 def test_without_fork_nothing_forks_and_the_outputs_stay(tmp_path, monkeypatch):

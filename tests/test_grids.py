@@ -7,6 +7,7 @@ plain floats between its matrix products, with the per-step numpy loop
 it replaced.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from se2track import (
     closed_loop_ltv,
     controller_regressor,
     ellipse_trajectory,
+    lin_check,
     line_trajectory,
     regressor,
     stability_probe,
@@ -25,7 +27,7 @@ from se2track import (
     window_gram,
 )
 from se2track.engine import _BLOCK, SimulationDiverged, _stage_blocks
-from se2track.linearization import _ltv_rk4
+from se2track.linearization import _GRAM_POINTS, _A_z_blocks, _ltv_rk4
 
 
 def finite(lo, hi):
@@ -71,6 +73,11 @@ def numpy_ltv_rk4(A, x0, steps, dt):
                 if not math.isfinite(norms[k]):
                     raise SimulationDiverged(k, k * dt)
     return times, norms
+
+
+def ltv_rk4(A, x0, steps, dt):
+    """_ltv_rk4 on A's _stage_blocks, as stability_probe calls it."""
+    return _ltv_rk4(_stage_blocks(A, dt, steps), x0, steps, dt)
 
 
 def ltv_outcome(integrate, A, x0, steps, dt):
@@ -181,7 +188,7 @@ def test_stage_blocks_equal_the_values_at_each_stage_time(traj, dt, steps):
 @given(st.integers(1, 6).flatmap(psd_flows), finite(1e-4, 2e-2), steps_across_blocks)
 def test_ltv_rk4_equals_the_numpy_loop_on_psd_flows_of_any_dimension(flow, dt, steps):
     A, x0 = flow
-    assert ltv_outcome(_ltv_rk4, A, x0, steps, dt) == ltv_outcome(numpy_ltv_rk4, A, x0, steps, dt)
+    assert ltv_outcome(ltv_rk4, A, x0, steps, dt) == ltv_outcome(numpy_ltv_rk4, A, x0, steps, dt)
 
 
 @LTV
@@ -189,7 +196,7 @@ def test_ltv_rk4_equals_the_numpy_loop_on_psd_flows_of_any_dimension(flow, dt, s
        finite(1e-4, 2e-2), steps_across_blocks)
 def test_ltv_rk4_equals_the_numpy_loop_along_references(traj, x0, dt, steps):
     A = closed_loop_ltv(traj)
-    assert ltv_outcome(_ltv_rk4, A, x0, steps, dt) == ltv_outcome(numpy_ltv_rk4, A, x0, steps, dt)
+    assert ltv_outcome(ltv_rk4, A, x0, steps, dt) == ltv_outcome(numpy_ltv_rk4, A, x0, steps, dt)
 
 
 @LTV
@@ -202,7 +209,7 @@ def test_ltv_rk4_diverges_at_the_numpy_loops_step(flow, log_scale, dt):
     A = lambda t: -(scale / dt + 1.0) * (P(t) + np.eye(len(x0)))
     x0 = [1.0] + x0[1:]
     steps = 4 * _BLOCK
-    outcome = ltv_outcome(_ltv_rk4, A, x0, steps, dt)
+    outcome = ltv_outcome(ltv_rk4, A, x0, steps, dt)
     assert outcome[0] == "diverged" and 0 < outcome[1] <= steps
     assert outcome == ltv_outcome(numpy_ltv_rk4, A, x0, steps, dt)
 
@@ -215,3 +222,48 @@ def test_blocked_integrator_matches_per_step_loop_on_test_flows():
     rep = stability_probe(rotating, [1.0, 0.0], T=2.0 * math.pi, epsilon=3.0,
                           t_end=3.0, dt=1e-3)
     assert same_bits(rep.norms, numpy_ltv_rk4(rotating, [1.0, 0.0], 3000, 1e-3)[1])
+
+
+# dt * trace(A_z) stays below RK4's limit on these references at these steps
+WALK_DT = finite(1e-4, 2e-3)
+
+
+@LTV
+@given(trajectories, WALK_DT, steps_across_blocks)
+def test_lin_checks_walk_gives_the_stage_values_of_closed_loop_ltv(traj, dt, steps):
+    walked = list(zip(_A_z_blocks(traj, dt, steps),
+                      _stage_blocks(closed_loop_ltv(traj), dt, steps)))
+    assert len(walked) == -(-steps // _BLOCK)
+    for (ks, *grids), (expected_ks, *expected) in walked:
+        assert ks == expected_ks
+        assert all(same_bits(a, b) for a, b in zip(grids, expected, strict=True))
+
+
+def test_lin_check_samples_its_reference_once_per_stage_grid():
+    # one walk over the stage grids feeds the step bound and the flow; the only other grid
+    # is the window Gram's, and the structure checks read single poses
+    traj = ellipse_trajectory(3.0, 5.0, 2.0 * math.pi / 5.0)
+    points, grids = [], []
+
+    def state_at(t):
+        points.append(t)
+        return traj.state_at(t)
+
+    def state_on_grid(ts):
+        grids.append(ts)
+        return traj.state_at.array_form(ts)
+
+    state_at.array_form = state_on_grid
+    dt, steps = 0.01, 2 * _BLOCK + 1
+
+    def times(ts):
+        return ts
+
+    times.array_form = times
+    walk = [grid for _, *stage in _stage_blocks(times, dt, steps) for grid in stage]
+    report = lin_check(dataclasses.replace(traj, state_at=state_at), t_end=steps * dt, dt=dt)
+    assert len(grids) == len(walk) + 1 == 3 * 3 + 1
+    assert all(same_bits(a, b) for a, b in zip(grids, walk))
+    assert same_bits(grids[-1], np.linspace(0.0, traj.period, _GRAM_POINTS))
+    assert points == report.sample_times
+    assert report == lin_check(traj, t_end=steps * dt, dt=dt)

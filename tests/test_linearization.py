@@ -136,6 +136,18 @@ def test_probe_refuses_an_initial_state_that_does_not_fit_A(x0, shown):
     assert str(exc.value) == f"initial state x0 {shown}"
 
 
+@pytest.mark.parametrize("A, shown", [
+    (lambda t: np.full((3, 3), math.nan), "A(0.000) is not finite"),
+    (lambda t: np.diag([math.inf, 1.0, 1.0]), "A(0.000) is not finite"),
+    (lambda t: np.diag([1.0, 1.0, math.inf if t > 1.0 else 1.0]), "A(1.091) is not finite"),
+], ids=["nan", "inf", "inf-later"])
+def test_probe_refuses_an_A_that_is_not_finite(A, shown):
+    # NaN passes the symmetry, PSD and epsilon comparisons, and inf - inf warns
+    with pytest.raises(ValueError) as exc:
+        stability_probe(A, [1.0, 0.0, 0.0], T=1.0, epsilon=0.5, t_end=2.0)
+    assert str(exc.value) == shown
+
+
 def test_probe_refuses_an_A_that_is_not_square():
     with pytest.raises(ValueError, match=r"A\(t\) must be a square matrix, got shape \(3, 2\)"):
         stability_probe(lambda t: np.ones((3, 2)), [1.0, 0.0, 0.0], T=1.0, epsilon=0.5, t_end=2.0)
@@ -172,6 +184,24 @@ def test_lin_check_refuses_a_step_past_rk4s_limit():
     with pytest.raises(StepTooLarge, match=r"reaches 2\.812 > 2\.785.*dt <= 0\.0009903 fits"):
         lin_check(traj, t_end=1.0)
     lin_check(traj, t_end=0.1, dt=0.0009903)
+
+
+def test_lin_check_stops_integrating_at_the_first_block_past_the_limit():
+    # dt * (3 + (10 t)^2) passes 2.785 at t = 5.27 s, in block 10, and peaks at t = 10 s; the
+    # refusal names the peak over the whole horizon, as a bound taken before integrating would
+    walked = []
+    with pytest.raises(StepTooLarge, match=r"reaches 10 > 2\.785.*dt <= 0\.0002784 fits"):
+        for ks, *_ in linearization._A_z_blocks(line_trajectory(10.0), 1e-3, 10_000):
+            walked.append(ks)
+    assert walked == [range(k * 512, (k + 1) * 512) for k in range(10)]
+
+
+def test_lin_check_refuses_a_reference_not_finite_past_the_limit():
+    # the trace overflows long before the reference does, at t = 180 s
+    with pytest.raises(ValueError, match="is not finite in floats on the run's times"):
+        lin_check(line_trajectory(1e306), t_end=200.0)
+    with pytest.raises(StepTooLarge, match="reaches inf > 2.785.*no dt fits"):
+        lin_check(line_trajectory(1e306), t_end=100.0)
 
 
 def test_closed_loop_ltv_is_similar_to_raw_linearization():

@@ -142,6 +142,15 @@ def _corpus() -> list:
         ("lin-check-period-overflows", {}, [["lin-check", "--h", "1e-308", "--t-end", "0.01",
                                              "--out", "lin.json"]]),
         ("pe-check-3-points", {}, [["pe-check", "--points", "3", "--out", "pe.json"]]),
+        # a Gram with an infinite entry off its diagonal, on which eigvalsh does not converge
+        ("pe-check-overflowing-gram", {}, [["pe-check", "--traj", "line", "--speed", "1e306",
+                                            "--out", "pe.json"]]),
+        # the step bound is first passed in block 10 of 20 and peaks at the horizon's end;
+        # where the trace overflows, no dt fits
+        ("lin-check-line-step-too-large", {}, [["lin-check", "--traj", "line", "--speed", "10",
+                                                "--t-end", "10", "--out", "lin.json"]]),
+        ("lin-check-line-no-dt-fits", {}, [["lin-check", "--traj", "line", "--speed", "1e306",
+                                            "--t-end", "100", "--out", "lin.json"]]),
     ]
     # exit 2: a usage or configuration error
     usage = [
@@ -166,6 +175,9 @@ def _corpus() -> list:
         # a reference whose values floats cannot hold
         ("lin-check-underflowing-ellipse", ["lin-check", "--a", "1e-300", "--b", "1e-300",
                                             "--t-end", "0.01"]),
+        # past the step limit, which the trace passes first
+        ("lin-check-overflowing-line", ["lin-check", "--traj", "line", "--speed", "1e306",
+                                        "--t-end", "200", "--out", "lin.json"]),
         ("simulate-underflowing-ellipse", ["simulate", "--a", "1e-170", "--b", "1e-170",
                                            "--t-end", "0.01", "--out", "x.csv"]),
         ("simulate-overflowing-ellipse", ["simulate", "--a", "1e300", "--t-end", "0.01",
