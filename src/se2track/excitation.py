@@ -68,7 +68,10 @@ def window_gram(F, t: float, T: float, n: int = _POINTS) -> np.ndarray:
     The square of the step T / (n - 1) must be a normal float, so the
     step about 1.5e-154 to 1.3e154: Simpson's weights hold that square,
     and past either end its middle weights vanish and the Gram would
-    read a third of its value.
+    read a third of its value. The sample times must be strictly
+    increasing: far enough from 0 that floats are spaced wider than the
+    step, they repeat, and the Gram would weigh some times twice and
+    others not at all.
     The result is symmetrized; the raw quadrature is symmetric up to
     rounding anyway. F is evaluated through on_grid, so its array form
     is used when it has one.
@@ -83,6 +86,10 @@ def window_gram(F, t: float, T: float, n: int = _POINTS) -> np.ndarray:
         raise ValueError(f"window length T = {T!r} over n = {n} points gives a step T / (n - 1) "
                          f"whose square floats cannot hold")
     taus = np.linspace(t, t + T, n)
+    if not (taus[1:] > taus[:-1]).all():
+        raise ValueError(f"the window at t = {t!r} of length T = {T!r} over n = {n} points has "
+                         f"sample times that are not strictly increasing: floats near t are "
+                         f"spaced wider than the step T / (n - 1)")
     mats = on_grid(F, taus)
     G = simpson(mats.transpose(0, 2, 1) @ mats, x=taus, axis=0)
     return 0.5 * (G + G.T)
@@ -108,16 +115,18 @@ def pe_epsilon(F, horizon: float, T: float, windows: int = _WINDOWS,
 
     epsilon = min over _window_starts of the smallest eigenvalue of
     window_gram(F, start, T, n). Deterministic for fixed arguments. A
-    window whose Gram is not finite counts as NaN, which min passes
-    over, so a scan of no finite window reads inf.
+    window whose Gram is not finite has no eigenvalues to speak of, so
+    it makes epsilon NaN wherever it falls in the scan; every window is
+    still built, so one that window_gram refuses raises its ValueError.
     """
-    eps = math.inf
+    lams = []
     for s in _window_starts(horizon, T, windows):
         G = window_gram(F, float(s), T, n)
         # eigvalsh gives NaN on such a Gram, or fails to converge with an infinite entry off
         # its diagonal
-        lam = float(np.linalg.eigvalsh(G)[0]) if np.isfinite(G).all() else math.nan
-        eps = min(eps, lam)
+        lams.append(float(np.linalg.eigvalsh(G)[0]) if np.isfinite(G).all() else math.nan)
+    # np.min, unlike min, passes a NaN on
+    eps = float(np.min(lams))
     return PEReport(window_T=T, epsilon=eps, horizon=horizon, grid_points_per_window=n)
 
 

@@ -16,11 +16,16 @@ A finite-difference Jacobian of the genuine nonlinear loop is the
 ground truth the -M S structure is verified against.
 
 The LTV flow is integrated by classical RK4 on the engine's walk over
-the stage grids, _stage_blocks, one block of A at a time. lin_check
-walks its reference there once: each block gives A_z's stage values and
-bounds the step. trace(A_z) = 3 + |p_d|^2 bounds the stiffness of the
-flow, and where dt times it passes RK4's stability limit the flow may
-stay finite yet be wrong, so lin_check stops integrating and raises
+the stage grids, _stage_blocks, one block of A at a time. lin_check's
+state has three entries, as has a 3 x 3 stability_probe's: it is
+stepped as three floats on two preallocated numpy buffers, so that no
+step builds an array. Other sizes run a loop for any size. Both loops
+take the same BLAS products in the same order, bit for bit.
+
+lin_check walks its reference once: each block gives A_z's stage values
+and bounds the step. trace(A_z) = 3 + |p_d|^2 bounds the stiffness of
+the flow, and where dt times it passes RK4's stability limit the flow
+may stay finite yet be wrong, so lin_check stops integrating and raises
 StepTooLarge rather than fit it.
 """
 
@@ -212,41 +217,90 @@ def _ltv_rk4(blocks, x0: np.ndarray, steps: int, dt: float):
 
     blocks is A's walk over the stage times, as _stage_blocks yields it,
     taken one block at a time, so memory does not grow with the horizon.
-    Raises SimulationDiverged, without numpy's overflow warnings, at the
-    first non-finite |x|.
-
-    numpy does only the four products A y of a step and the norm; between
-    them the stages are plain floats, one component at a time, which costs
-    far less than numpy's calls on vectors of a few entries. A.dot(y) is
-    the same BLAS product as A @ y, bit for bit, at less overhead per call.
-    The stage values are those of the per-step loop on k_i = -A y_i bit for
-    bit: negation is exact, so y + h k_i is y - h (A y_i), and the update
-    x + (dt/6) (k1 + 2 k2 + 2 k3 + k4) is x - (dt/6) (((a + 2 b) + 2 c) + d).
-    A block's norms are stored at its end, from a list of floats.
+    A state of three entries, lin_check's, runs on _rk4_states_3, which
+    keeps it as three floats and hands numpy only two preallocated
+    buffers; any other size, which stability_probe accepts, runs on
+    _rk4_states. Both take the same products in the same order, bit for
+    bit, and both yield a block's states, whose norms
+    are taken at its end by one np.vecdot over its rows. That is the
+    BLAS ddot of x.dot(x), row by row. Raises SimulationDiverged, without
+    numpy's overflow warnings, at the first non-finite |x|.
     """
-    norms = np.empty(steps + 1)
     x = np.array(x0, dtype=float)
-    xs = x.tolist()
+    rk4_states = _rk4_states_3 if len(x) == 3 else _rk4_states
+    norms = np.empty(steps + 1)
     norms[0] = math.sqrt(x.dot(x))
-    half, sixth = 0.5 * dt, dt / 6.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for ks, A1s, A2s, A3s in blocks:
-            block = []
-            for A1, A2, A3 in zip(A1s, A2s, A3s):
-                a = A1.dot(x).tolist()
-                b = A2.dot([xi - half * ai for xi, ai in zip(xs, a)]).tolist()
-                c = A2.dot([xi - half * bi for xi, bi in zip(xs, b)]).tolist()
-                d = A3.dot([xi - dt * ci for xi, ci in zip(xs, c)]).tolist()
-                xs = [xi - sixth * (((ai + 2.0 * bi) + 2.0 * ci) + di)
-                      for xi, ai, bi, ci, di in zip(xs, a, b, c, d)]
-                x = np.array(xs)
-                norm = math.sqrt(x.dot(x))
-                block.append(norm)
-                if not math.isfinite(norm):
-                    k = ks.start + len(block)
-                    raise SimulationDiverged(k, k * dt)
-            norms[ks.start + 1:ks.stop + 1] = block
+        for ks, states in rk4_states(blocks, x.tolist(), dt):
+            X = np.array(states)
+            block = norms[ks.start + 1:ks.stop + 1]
+            np.sqrt(np.vecdot(X, X), out=block)
+            finite = np.isfinite(block)
+            if not finite.all():
+                k = ks.start + 1 + int(np.argmin(finite))
+                raise SimulationDiverged(k, k * dt)
     return np.arange(steps + 1) * dt, norms
+
+
+def _rk4_states(blocks, xs: list, dt: float):
+    """RK4 from the state xs, any size: yields (steps, the state after each) per block.
+
+    numpy does only the four products A y of a step; between them the
+    stages are plain floats, one component at a time, which costs far
+    less than numpy's calls on vectors of a few entries. A.dot(y) is the
+    same BLAS product as A @ y, bit for bit, at less overhead per call.
+    The stage values are those of the per-step loop on k_i = -A y_i bit
+    for bit: negation is exact, so y + h k_i is y - h (A y_i), and the
+    update x + (dt/6) (k1 + 2 k2 + 2 k3 + k4) is
+    x - (dt/6) (((a + 2 b) + 2 c) + d).
+    """
+    half, sixth = 0.5 * dt, dt / 6.0
+    for ks, A1s, A2s, A3s in blocks:
+        states = []
+        for A1, A2, A3 in zip(A1s, A2s, A3s):
+            a = A1.dot(xs).tolist()
+            b = A2.dot([xi - half * ai for xi, ai in zip(xs, a)]).tolist()
+            c = A2.dot([xi - half * bi for xi, bi in zip(xs, b)]).tolist()
+            d = A3.dot([xi - dt * ci for xi, ci in zip(xs, c)]).tolist()
+            xs = [xi - sixth * (((ai + 2.0 * bi) + 2.0 * ci) + di)
+                  for xi, ai, bi, ci, di in zip(xs, a, b, c, d)]
+            states.append(xs)
+        yield ks, states
+
+
+def _rk4_states_3(blocks, xs: list, dt: float):
+    """_rk4_states on three entries, with the same products and floats.
+
+    The state is three Python floats. numpy sees only two preallocated
+    buffers: each stage's y is written into one by three scalar stores
+    through a memoryview, and A.dot(y, out=...) writes A y into the
+    other, which is read back through its own. So no step builds an
+    array, and the products are the same BLAS dgemv as A.dot of a list.
+    """
+    half, sixth = 0.5 * dt, dt / 6.0
+    p, q, r = xs
+    y, Ay = np.empty(3), np.empty(3)
+    ys, Ays = memoryview(y), memoryview(Ay)
+    for ks, A1s, A2s, A3s in blocks:
+        states = []
+        for A1, A2, A3 in zip(A1s, A2s, A3s):
+            ys[0], ys[1], ys[2] = p, q, r
+            A1.dot(y, out=Ay)
+            a0, a1, a2 = Ays
+            ys[0], ys[1], ys[2] = p - half * a0, q - half * a1, r - half * a2
+            A2.dot(y, out=Ay)
+            b0, b1, b2 = Ays
+            ys[0], ys[1], ys[2] = p - half * b0, q - half * b1, r - half * b2
+            A2.dot(y, out=Ay)
+            c0, c1, c2 = Ays
+            ys[0], ys[1], ys[2] = p - dt * c0, q - dt * c1, r - dt * c2
+            A3.dot(y, out=Ay)
+            d0, d1, d2 = Ays
+            p = p - sixth * (((a0 + 2.0 * b0) + 2.0 * c0) + d0)
+            q = q - sixth * (((a1 + 2.0 * b1) + 2.0 * c1) + d1)
+            r = r - sixth * (((a2 + 2.0 * b2) + 2.0 * c2) + d2)
+            states.append((p, q, r))
+        yield ks, states
 
 
 def _fit_log_norm(times: np.ndarray, norms: np.ndarray):

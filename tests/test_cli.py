@@ -661,14 +661,42 @@ def test_compare_exits_one_when_its_spatial_run_lyapunov_rises(tmp_path, capsys)
 
 def test_pe_check_without_finite_result_exits_one_without_verdict(tmp_path, capsys):
     out = tmp_path / "p.json"
-    # the reference is finite on the scan's times; its Gram is not, and at 1e306 it holds an
-    # infinite entry off its diagonal, on which eigvalsh does not converge
-    for speed in ("1e200", "1e306"):
+    # the reference is finite on the scan's times; its Gram is not, at 1e153 in 62 of the 64
+    # windows, and at 1e306 it holds an infinite entry off its diagonal, on which eigvalsh does
+    # not converge
+    for speed in ("1e153", "1e200", "1e306"):
         assert main(["pe-check", "--traj", "line", "--speed", speed, "--out", str(out)]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("pe-check failed: epsilon = inf")
+        assert captured.err.startswith("pe-check failed: epsilon = nan")
         assert "PE" not in captured.out
         assert not out.exists()
+
+
+@pytest.mark.parametrize("horizon, t", [("1e17", "1587301587301587.2"),
+                                        ("1e14", "71428571428567.86")])
+def test_pe_check_refuses_a_horizon_whose_windows_repeat_sample_times(tmp_path, capsys,
+                                                                      horizon, t):
+    # floats near t are spaced wider than the step 5 / 400 of the default ellipse's window
+    out = tmp_path / "p.json"
+    assert main(["pe-check", "--horizon", horizon, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: the window at t = {t} of length T = 5.0 over n = 401 "
+                            f"points has sample times that are not strictly increasing: floats "
+                            f"near t are spaced wider than the step T / (n - 1)\n")
+    assert not out.exists()
+
+
+def test_pe_check_certifies_the_ellipse_up_to_a_horizon_whose_windows_hold_their_times(
+        tmp_path):
+    docs = []
+    for horizon in ("25", "1e13"):
+        out = tmp_path / f"p{horizon}.json"
+        assert main(["pe-check", "--horizon", horizon, "--out", str(out)]) == 0
+        docs.append(json.loads(out.read_text()))
+    near, far = (doc["report"]["epsilon"] for doc in docs)
+    assert docs[1]["verdict"] == "PE certified on scanned horizon"
+    assert far == pytest.approx(near, rel=1e-8)
 
 
 @pytest.mark.parametrize("points, residual", [("3", "9.231e-01"), ("5", "3.077e-01")])

@@ -110,6 +110,27 @@ def test_pe_epsilon_zero_and_identity_regressors():
     assert rep.certifies_pe
 
 
+@pytest.mark.parametrize("bad", [0, 3, 7], ids=["first", "middle", "last"])
+def test_pe_epsilon_is_nan_when_any_window_gram_is_not_finite(bad):
+    # the windows span [0, 2], [2, 4], ..., [14, 16]; only window bad samples 2 bad + 1
+    def F(t):
+        return np.full((2, 3), math.inf if t == 2 * bad + 1 else 1.0)
+
+    rep = pe_epsilon(F, horizon=16.0, T=2.0, windows=8, n=9)
+    assert math.isnan(rep.epsilon)
+    assert not rep.certifies_pe
+
+
+def test_window_gram_refuses_a_window_that_repeats_sample_times():
+    # near 2**50 floats are 0.25 apart; the step 1 / 8 is not, near 2**40
+    F = lambda t: np.eye(3)
+    assert window_gram(F, 2.0**40, 1.0, n=9)[0, 0] == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(ValueError, match=re.escape(
+            f"the window at t = {2.0**50!r} of length T = 1.0 over n = 9 points has sample "
+            f"times that are not strictly increasing")):
+        window_gram(F, 2.0**50, 1.0, n=9)
+
+
 def test_pe_epsilon_requires_horizon_at_least_one_window():
     F = controller_regressor(line_trajectory(1.0))
     with pytest.raises(ValueError):

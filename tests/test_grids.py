@@ -4,7 +4,7 @@ pe-check and lin-check evaluate the reference on whole time grids. Their
 reports must not change by a single bit, so each array form is compared
 with the point-by-point values, and the LTV integrator, which works on
 plain floats between its matrix products, with the per-step numpy loop
-it replaced.
+it replaced, and its loop for three entries with its loop for any size.
 """
 
 import dataclasses
@@ -27,7 +27,8 @@ from se2track import (
     window_gram,
 )
 from se2track.engine import _BLOCK, SimulationDiverged, _stage_blocks
-from se2track.linearization import _GRAM_POINTS, _A_z_blocks, _ltv_rk4
+from se2track.linearization import (_GRAM_POINTS, _A_z_blocks, _ltv_rk4, _rk4_states,
+                                    _rk4_states_3)
 
 
 def finite(lo, hi):
@@ -212,6 +213,41 @@ def test_ltv_rk4_diverges_at_the_numpy_loops_step(flow, log_scale, dt):
     outcome = ltv_outcome(ltv_rk4, A, x0, steps, dt)
     assert outcome[0] == "diverged" and 0 < outcome[1] <= steps
     assert outcome == ltv_outcome(numpy_ltv_rk4, A, x0, steps, dt)
+
+
+# a stationary line through the origin: its actuation Gram M holds -0.0 entries, which the
+# products sqrt(S) M sqrt(S) of A_z turn into +0.0
+origin_lines = st.builds(line_trajectory, st.just(0.0), finite(-10.0, 10.0), st.just((0.0, 0.0)))
+signed = st.one_of(finite(-5.0, 5.0), st.sampled_from([0.0, -0.0]))
+
+
+def states(rk4_states, blocks, x0, dt):
+    """The states that rk4_states yields, block after block, as one array."""
+    return np.array([row for _, block in rk4_states(blocks, list(x0), dt) for row in block])
+
+
+@LTV
+@given(st.one_of(trajectories, origin_lines), st.lists(signed, min_size=3, max_size=3),
+       finite(1e-4, 2e-3), steps_across_blocks)
+def test_three_entry_loop_equals_the_general_loop_along_references(traj, x0, dt, steps):
+    walk = lambda: _A_z_blocks(traj, dt, steps)
+    fast, general = states(_rk4_states_3, walk(), x0, dt), states(_rk4_states, walk(), x0, dt)
+    assert fast.shape == general.shape == (steps, 3)
+    assert same_bits(fast, general)
+
+
+def test_three_entry_flow_diverges_in_a_block_at_the_numpy_loops_step():
+    # |x| grows by about e^0.42 a step, so |x|^2 overflows at step 850, inside the second block
+    P = np.array([[1.0, 0.2, 0.0], [0.2, 1.0, 0.1], [0.0, 0.1, 1.0]])
+    dt = 1e-3
+
+    def A(t):
+        return -(0.4 / dt) * (np.eye(3) + 0.1 * math.sin(t) * P)
+
+    x0, steps = [0.6, -0.8, 0.0], 4 * _BLOCK
+    expected = ltv_outcome(numpy_ltv_rk4, A, x0, steps, dt)
+    assert expected[0] == "diverged" and _BLOCK + 1 < expected[1] < 2 * _BLOCK
+    assert ltv_outcome(ltv_rk4, A, x0, steps, dt) == expected
 
 
 def test_blocked_integrator_matches_per_step_loop_on_test_flows():

@@ -111,6 +111,13 @@ def _corpus() -> list:
                                               "--out", "lin.json"]]),
         ("lin-check-offcentre-coarse", {}, [["lin-check", *REFERENCES["offcentre"], "--dt",
                                              "0.0025", "--out", "lin.json"]]),
+        # a reference at rest on the origin, whose actuation Gram holds -0.0 entries; and a
+        # horizon of one full block of 512 steps and a block of one step
+        ("lin-check-origin-at-rest", {}, [["lin-check", "--traj", "line", "--speed", "0",
+                                           "--origin", "0,0", "--out", "lin.json"]]),
+        ("lin-check-513-steps", {}, [["lin-check", "--t-end", "0.513", "--out", "lin.json"]]),
+        # the last horizon below the default ellipse's first window that repeats sample times
+        ("pe-check-far-horizon", {}, [["pe-check", "--horizon", "1e13", "--out", "pe.json"]]),
     ]
     # exit 1: a run that failed
     cases += [
@@ -151,6 +158,9 @@ def _corpus() -> list:
                                                 "--t-end", "10", "--out", "lin.json"]]),
         ("lin-check-line-no-dt-fits", {}, [["lin-check", "--traj", "line", "--speed", "1e306",
                                             "--t-end", "100", "--out", "lin.json"]]),
+        # 62 of the 64 window Grams overflow
+        ("pe-check-partly-overflowing-line", {}, [["pe-check", "--traj", "line", "--speed",
+                                                   "1e153", "--out", "pe.json"]]),
     ]
     # exit 2: a usage or configuration error
     usage = [
@@ -172,6 +182,8 @@ def _corpus() -> list:
         ("pe-check-inf-window", ["pe-check", "--window", "inf"]),
         ("pe-check-nan-horizon", ["pe-check", "--horizon", "nan"]),
         ("pe-check-even-points", ["pe-check", "--points", "4"]),
+        # a window whose sample times repeat
+        ("pe-check-horizon-too-far", ["pe-check", "--horizon", "1e17", "--out", "pe.json"]),
         # a reference whose values floats cannot hold
         ("lin-check-underflowing-ellipse", ["lin-check", "--a", "1e-300", "--b", "1e-300",
                                             "--t-end", "0.01"]),
