@@ -65,7 +65,6 @@ from .linearization import (
     stability_probe,
 )
 from .se2 import (
-    AlgebraVector,
     ControlPair,
     Pose,
     adjoint_matrix,
@@ -91,7 +90,7 @@ from .trajectories import (
 __all__ = [
     "__version__",
     # se2
-    "Pose", "AlgebraVector", "ControlPair", "wrap_angle", "rot", "wedge", "vee",
+    "Pose", "ControlPair", "wrap_angle", "rot", "wedge", "vee",
     "compose", "inverse", "adjoint_matrix", "exp_se2", "log_se2", "se2_project",
     "frobenius_weighted",
     # errors

@@ -11,7 +11,7 @@ Subcommands:
 Exit codes: 0 success, 1 runtime failure (a diverged simulation, L
 rising along a spatial run, a lin-check step too large for its
 reference, a pe-check scan that is not finite or whose quadrature is
-too coarse, a write that failed),
+too coarse, a report value that JSON cannot hold, a write that failed),
 2 usage or config error (an unknown config key, a reference whose
 values floats cannot hold, or an output path that is empty, in no
 directory or a directory, checked before any run), 130
@@ -226,6 +226,27 @@ def _check_outputs(*paths) -> None:
             raise ValueError(f"cannot write {path}: {path.parent} is not a directory")
 
 
+def _require_finite_json(doc, where: str = "") -> None:
+    """Raise FloatingPointError, naming the first value of doc that is a float but not finite.
+
+    NaN and Infinity are not JSON. lin-check, compare and basin check
+    their report before they write a file or print a line, so that such
+    a result ends the run in one line, with exit 1, and leaves no
+    outputs. pe-check checks epsilon and its quadrature residual, from
+    which every other number of its report is finite, and a simulate
+    manifest holds only a checked config, counts and a clock reading.
+    """
+    if isinstance(doc, float):
+        if not math.isfinite(doc):
+            raise FloatingPointError(f"{where} = {doc}")
+    elif isinstance(doc, dict):
+        for key, value in doc.items():
+            _require_finite_json(value, f"{where}.{key}" if where else str(key))
+    elif isinstance(doc, (list, tuple)):
+        for i, value in enumerate(doc):
+            _require_finite_json(value, f"{where}[{i}]")
+
+
 def _write_json(path, doc) -> None:
     # NaN and Infinity are not JSON: a non-finite value raises before the file is opened
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
@@ -333,6 +354,7 @@ def cmd_lin_check(args) -> int:
     _check_outputs(args.out)
     report = lin_check(traj, t_end=args.t_end, dt=args.dt)
     doc = {"trajectory": desc, "report": report.to_dict()}
+    _require_finite_json(doc)
     print(f"structure residual {report.max_structure_residual:.3e}, "
           f"FD residual {report.max_fd_residual:.3e}, "
           f"fitted decay rate {report.fitted_decay_rate:.4f} "
@@ -416,17 +438,17 @@ def cmd_compare(args) -> int:
     summary_path = f"{stem}_summary.json"
     _check_outputs(*paths, long_path, summary_path)
     rows, logs = compare_controllers(cfgs, threshold=threshold)
-
-    for path, log in zip(paths, logs):
-        log.to_csv(path)
-    _write_csv(long_path, ("controller", "run", "t", "variable", "value"), _long_blocks(cfgs, logs))
-
     summary = {
         "threshold": float(threshold),
         "rows": [r.to_dict() for r in rows],
         "csv_files": paths,
         "long_format": str(long_path),
     }
+    _require_finite_json(summary)
+
+    for path, log in zip(paths, logs):
+        log.to_csv(path)
+    _write_csv(long_path, ("controller", "run", "t", "variable", "value"), _long_blocks(cfgs, logs))
     _write_json(summary_path, summary)
     for r in rows:
         tth = "never" if r.time_to_heading is None else f"{r.time_to_heading:g} s"
@@ -442,11 +464,13 @@ def cmd_basin(args) -> int:
     cfg = _resolve_sim_config(args, defaults={"t_end": 60.0, "dt": 5e-3})
     _check_outputs(args.out)
     summary = monte_carlo_basin(cfg, samples=args.samples, threshold=args.threshold)
+    doc = {"config": cfg.to_dict(), "summary": summary.to_dict()}
+    _require_finite_json(doc)
     frac = "n/a" if summary.fraction is None else f"{summary.fraction:.3f}"
     print(f"{summary.converged}/{summary.samples} runs reached "
           f"Lyapunov < {args.threshold:g} by t = {cfg.t_end:g} s "
           f"(fraction {frac}, seed {summary.seed})")
-    _write_report(args.out, {"config": cfg.to_dict(), "summary": summary.to_dict()})
+    _write_report(args.out, doc)
     return 0
 
 

@@ -10,17 +10,17 @@ the two actuated directions transported to the world frame, rank 2 at
 every instant) and S is the algebra weight. Persistent excitation of
 the reference rotates the actuated plane fast enough that the flow
 contracts every direction on average; stability_probe checks that
-mechanism numerically on any symmetric-PSD A(t).
+mechanism numerically on a symmetric-PSD A(t) of size 1 to 3.
 
 A finite-difference Jacobian of the genuine nonlinear loop is the
 ground truth the -M S structure is verified against.
 
 The LTV flow is integrated by classical RK4 on the engine's walk over
-the stage grids, _stage_blocks, one block of A at a time. lin_check's
-state has three entries, as has a 3 x 3 stability_probe's: it is
-stepped as three floats on two preallocated numpy buffers, so that no
-step builds an array. Other sizes run a loop for any size. Both loops
-take the same BLAS products in the same order, bit for bit.
+the stage grids, _stage_blocks, one block of A at a time. There is one
+loop: lin_check's state has three entries, and it is stepped as three
+floats on two preallocated numpy buffers, so that no step builds an
+array. A flow of size 1 or 2 runs in that loop padded with zeros to
+size 3, with the same norms bit for bit.
 
 lin_check walks its reference once: each block gives A_z's stage values
 and bounds the step. trace(A_z) = 3 + |p_d|^2 bounds the stiffness of
@@ -56,6 +56,8 @@ _TAIL_FRACTION = 0.6
 _N_SAMPLES = 10
 # Simpson points of the window Gram over [0, T]
 _GRAM_POINTS = 201
+# central-difference step of fd_closed_loop_jacobian
+_FD_STEP = 1e-6
 # lin_check's LTV probe horizon and step, unless given
 _PROBE_T_END = 25.0
 _PROBE_DT = 1e-3
@@ -131,22 +133,19 @@ def _error_velocity(theta_E: float, p_E: np.ndarray, xd: Pose) -> np.ndarray:
     return np.array([w[0], c * w[1] - s * w[2], s * w[1] + c * w[2]])
 
 
-def fd_closed_loop_jacobian(xd: Pose, step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of the error velocity at zero error.
+def fd_closed_loop_jacobian(xd: Pose) -> np.ndarray:
+    """Central-difference Jacobian of the error velocity at zero error, step _FD_STEP.
 
     Independent oracle for the linearization: nothing of the -M S
     structure is assumed, only the nonlinear loop itself is sampled.
     """
-    require_finite("finite-difference step", step)
-    if not 1e-8 <= step <= 1e-4:
-        raise ValueError("finite-difference step must lie in [1e-8, 1e-4]")
     J = np.empty((3, 3))
     for j in range(3):
         dx = np.zeros(3)
-        dx[j] = step
+        dx[j] = _FD_STEP
         fp = _error_velocity(dx[0], dx[1:], xd)
         fm = _error_velocity(-dx[0], -dx[1:], xd)
-        J[:, j] = (fp - fm) / (2.0 * step)
+        J[:, j] = (fp - fm) / (2.0 * _FD_STEP)
     return J
 
 
@@ -217,21 +216,24 @@ def _ltv_rk4(blocks, x0: np.ndarray, steps: int, dt: float):
 
     blocks is A's walk over the stage times, as _stage_blocks yields it,
     taken one block at a time, so memory does not grow with the horizon.
-    A state of three entries, lin_check's, runs on _rk4_states_3, which
-    keeps it as three floats and hands numpy only two preallocated
-    buffers; any other size, which stability_probe accepts, runs on
-    _rk4_states. Both take the same products in the same order, bit for
-    bit, and both yield a block's states, whose norms
-    are taken at its end by one np.vecdot over its rows. That is the
-    BLAS ddot of x.dot(x), row by row. Raises SimulationDiverged, without
-    numpy's overflow warnings, at the first non-finite |x|.
+    The flow runs on _rk4_states_3. A flow of size 1 or 2, which
+    stability_probe accepts, runs embedded in a 3 x 3 one: its stage
+    grids and x0 are padded with zeros, which add exact zeros to every
+    product and norm, so its norms are its own bit for bit. A block's
+    norms are taken at its end by one np.vecdot over its states' rows.
+    That is the BLAS ddot of x.dot(x), row by row. Raises
+    SimulationDiverged, without numpy's overflow warnings, at the first
+    non-finite |x|.
     """
     x = np.array(x0, dtype=float)
-    rk4_states = _rk4_states_3 if len(x) == 3 else _rk4_states
+    if len(x) < 3:
+        pad = ((0, 0), (0, 3 - len(x)), (0, 3 - len(x)))
+        blocks = ((ks, *(np.pad(grid, pad) for grid in grids)) for ks, *grids in blocks)
+        x = np.pad(x, (0, 3 - len(x)))
     norms = np.empty(steps + 1)
     norms[0] = math.sqrt(x.dot(x))
     with np.errstate(over="ignore", invalid="ignore"):
-        for ks, states in rk4_states(blocks, x.tolist(), dt):
+        for ks, states in _rk4_states_3(blocks, x.tolist(), dt):
             X = np.array(states)
             block = norms[ks.start + 1:ks.stop + 1]
             np.sqrt(np.vecdot(X, X), out=block)
@@ -242,40 +244,20 @@ def _ltv_rk4(blocks, x0: np.ndarray, steps: int, dt: float):
     return np.arange(steps + 1) * dt, norms
 
 
-def _rk4_states(blocks, xs: list, dt: float):
-    """RK4 from the state xs, any size: yields (steps, the state after each) per block.
+def _rk4_states_3(blocks, xs: list, dt: float):
+    """RK4 from the three-entry state xs: yields (steps, the state after each) per block.
 
     numpy does only the four products A y of a step; between them the
-    stages are plain floats, one component at a time, which costs far
-    less than numpy's calls on vectors of a few entries. A.dot(y) is the
-    same BLAS product as A @ y, bit for bit, at less overhead per call.
-    The stage values are those of the per-step loop on k_i = -A y_i bit
-    for bit: negation is exact, so y + h k_i is y - h (A y_i), and the
-    update x + (dt/6) (k1 + 2 k2 + 2 k3 + k4) is
-    x - (dt/6) (((a + 2 b) + 2 c) + d).
-    """
-    half, sixth = 0.5 * dt, dt / 6.0
-    for ks, A1s, A2s, A3s in blocks:
-        states = []
-        for A1, A2, A3 in zip(A1s, A2s, A3s):
-            a = A1.dot(xs).tolist()
-            b = A2.dot([xi - half * ai for xi, ai in zip(xs, a)]).tolist()
-            c = A2.dot([xi - half * bi for xi, bi in zip(xs, b)]).tolist()
-            d = A3.dot([xi - dt * ci for xi, ci in zip(xs, c)]).tolist()
-            xs = [xi - sixth * (((ai + 2.0 * bi) + 2.0 * ci) + di)
-                  for xi, ai, bi, ci, di in zip(xs, a, b, c, d)]
-            states.append(xs)
-        yield ks, states
-
-
-def _rk4_states_3(blocks, xs: list, dt: float):
-    """_rk4_states on three entries, with the same products and floats.
-
-    The state is three Python floats. numpy sees only two preallocated
-    buffers: each stage's y is written into one by three scalar stores
-    through a memoryview, and A.dot(y, out=...) writes A y into the
-    other, which is read back through its own. So no step builds an
-    array, and the products are the same BLAS dgemv as A.dot of a list.
+    stages are plain floats, which costs far less than numpy's calls on
+    vectors of three entries. The state is three Python floats, and
+    numpy sees only two preallocated buffers: each stage's y is written
+    into one by three scalar stores through a memoryview, and
+    A.dot(y, out=...) writes A y into the other, which is read back
+    through its own. So no step builds an array, and each product is
+    the BLAS dgemv of A @ y, bit for bit. The stage values are those of
+    the per-step loop on k_i = -A y_i bit for bit: negation is exact, so
+    y + h k_i is y - h (A y_i), and the update
+    x + (dt/6) (k1 + 2 k2 + 2 k3 + k4) is x - (dt/6) (((a + 2 b) + 2 c) + d).
     """
     half, sixth = 0.5 * dt, dt / 6.0
     p, q, r = xs
@@ -325,7 +307,7 @@ def stability_probe(A: Callable[[float], np.ndarray], x0, T: float, epsilon: flo
 
     Preconditions are checked, not assumed: the horizon as lin_check
     checks it, x0 a flat sequence of finite numbers, one per row of the
-    square A(t), A(t) finite and symmetric PSD at sampled times
+    square A(t) of size 1 to 3, A(t) finite and symmetric PSD at sampled times
     (tolerance 1e-9), epsilon positive, and the window Gram over [0, T]
     of the PSD square root of A dominating epsilon * Id. Reports the
     decay rate fitted on the final 60% of the horizon and whether |x|
@@ -340,6 +322,8 @@ def stability_probe(A: Callable[[float], np.ndarray], x0, T: float, epsilon: flo
     if A_checks.ndim != 3 or A_checks.shape[1] != A_checks.shape[2]:
         raise ValueError(f"A(t) must be a square matrix, got shape {A_checks.shape[1:]}")
     rows = A_checks.shape[1]
+    if not 1 <= rows <= 3:
+        raise ValueError(f"A(t) is {rows} x {rows}, but only flows of size 1 to 3 are integrated")
     entries = list(x0) if np.iterable(x0) else None
     if entries is None or not all(isinstance(v, numbers.Real) for v in entries):
         raise ValueError(f"initial state x0 must be a flat sequence of numbers, got {x0!r}")

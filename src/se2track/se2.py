@@ -115,31 +115,6 @@ class Pose:
         return f"Pose(theta={self.theta!r}, p=({self.p[0]!r}, {self.p[1]!r}))"
 
 
-@dataclass(frozen=True, eq=False)
-class AlgebraVector:
-    """An se(2) element in R^3 coordinates: angular rate + planar velocity."""
-
-    omega: float
-    v: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "v", np.array(self.v, dtype=float))
-        if self.v.shape != (2,):
-            raise ValueError(f"velocity must be a 2-vector, got shape {self.v.shape}")
-
-    def as_array(self) -> np.ndarray:
-        """Coordinates (Omega, vx, vy)."""
-        return np.array([self.omega, self.v[0], self.v[1]])
-
-    @classmethod
-    def from_array(cls, x) -> "AlgebraVector":
-        x = np.asarray(x, dtype=float)
-        return cls(x[0], x[1:3])
-
-    def wedge_matrix(self) -> np.ndarray:
-        return wedge(self.as_array())
-
-
 @dataclass(frozen=True)
 class ControlPair:
     """Unicycle input u = (turn rate Omega, forward speed v)."""
@@ -176,7 +151,7 @@ def vee(M: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     )
     if defect > tol:
         raise ValueError(f"matrix is not in se(2): pattern defect {defect:.3e} > {tol:.3e}")
-    return np.array([0.5 * (M[1, 0] - M[0, 1]), M[0, 2], M[1, 2]])
+    return se2_project(M)
 
 
 def compose(g: Pose, h: Pose) -> Pose:

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import io
 import json
@@ -529,10 +530,12 @@ _ELLIPSE = {"family": "ellipse", "a": 1.0, "b": 1.0, "h": 1.0}
      "gains must be a list of numbers, got False"),
     ("simulate", {"trajectory": {**_ELLIPSE, "family": []}}, "unknown trajectory family: []"),
     ("basin", {"trajectory": {"family": {}}}, "unknown trajectory family: {}"),
+    ("simulate", {"dt": 0.01, "t_end": 2.0}, "lacks a trajectory section"),
 ], ids=["array", "bare-number", "number-entry", "null-threshold", "negative-threshold",
         "zero-threshold", "ellipse-without-axes", "scalar-line-start", "directory",
         "scalar-offset", "scalar-gains", "compare-scalar-offset", "compare-scalar-gains",
-        "compare-zero-gains", "compare-false-gains", "list-family", "object-family"])
+        "compare-zero-gains", "compare-false-gains", "list-family", "object-family",
+        "no-trajectory"])
 def test_malformed_config_files_are_usage_errors(tmp_path, capsys, command, content, shown):
     path = tmp_path / "config.json"
     if content is None:
@@ -788,6 +791,46 @@ def test_a_result_that_overflows_floats_ends_in_one_line(tmp_path, monkeypatch, 
     captured = capsys.readouterr()
     assert re.fullmatch(r"lin-check failed: overflow encountered in [a-z ]+: "
                         r"a result is not finite in floats\n", captured.err)
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
+# a line at 1e170 m/s: off its heading, the spatial error is of the reference's size, and L,
+# its square, overflows to inf while the reference stays finite
+_TOO_FAST = {"family": "line", "speed": 1e170, "heading": 0.0, "start": [0, 0]}
+
+
+@pytest.mark.parametrize("argv, config, shown", [
+    (["basin", "--controller", "feedforward", "--traj", "line", "--speed", "1e170",
+      "--samples", "2", "--t-end", "20", "--dt", "0.01", "--out", "b.json"], None,
+     "basin failed: summary.final_lyapunov[0] = inf"),
+    (["compare", "--config", "c.json", "--out", "cmp"],
+     {"trajectory": _TOO_FAST, "controllers": ["feedforward"], "offset": [1, 1, 1],
+      "dt": 0.01, "t_end": 2}, "compare failed: rows[0].final_lyapunov = inf"),
+], ids=["basin", "compare"])
+def test_a_report_that_json_cannot_hold_ends_in_one_line(tmp_path, monkeypatch, capsys, argv,
+                                                         config, shown):
+    # the report is checked before any output: no summary line, CSV or JSON is left behind
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        Path("c.json").write_text(json.dumps(config))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"{shown}: a result is not finite in floats\n"
+    assert captured.out == ""
+    assert [path.name for path in tmp_path.iterdir()] == ([] if config is None else ["c.json"])
+
+
+def test_a_lin_check_report_that_json_cannot_hold_ends_in_one_line(tmp_path, monkeypatch,
+                                                                  capsys):
+    report = cli.lin_check(cli.trajectory_from_descriptor(_ELLIPSE), t_end=0.01, dt=1e-3)
+    monkeypatch.setattr(cli, "lin_check",
+                        lambda *args, **kwargs: dataclasses.replace(report, r_squared=math.nan))
+    monkeypatch.chdir(tmp_path)
+    assert main(["lin-check", "--out", "lin.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("lin-check failed: report.r_squared = nan: "
+                            "a result is not finite in floats\n")
     assert captured.out == ""
     assert not list(tmp_path.iterdir())
 

@@ -603,6 +603,15 @@ def test_compare_controllers_settling_metrics(ellipse_desc):
     assert feedforward.to_dict()["time_to_position"] is None
 
 
+def test_a_run_below_the_threshold_from_its_first_sample_settles_at_t0(ellipse_desc):
+    # feedforward from zero offset tracks its reference, so no error reaches the threshold
+    cfg = SimConfig(controller="feedforward", trajectory=ellipse_desc, offset=(0.0, 0.0, 0.0),
+                    t_end=1.0, dt=1e-2)
+    (row,), (log,) = compare_controllers([cfg], threshold=1e-2)
+    assert np.all(log.position_error() < 1e-2) and np.all(log.heading_error() < 1e-2)
+    assert row.time_to_position == row.time_to_heading == log.t[0] == 0.0
+
+
 def test_compare_controllers_validation(ellipse_desc, offcenter_desc):
     with pytest.raises(ValueError):
         compare_controllers([])

@@ -51,14 +51,6 @@ def test_fd_jacobian_matches_gram_structure(rng):
         assert np.max(np.abs(J - (-actuation_gram(xd) @ S_WEIGHT))) < 1e-8
 
 
-def test_fd_jacobian_step_validation(rng):
-    xd = random_pose(rng)
-    with pytest.raises(ValueError):
-        fd_closed_loop_jacobian(xd, step=1e-2)
-    with pytest.raises(ValueError):
-        fd_closed_loop_jacobian(xd, step=1e-10)
-
-
 def test_probe_constant_identity_decays_at_unit_rate():
     rep = stability_probe(lambda t: np.eye(3), [1.0, -2.0, 0.5], T=2.0,
                           epsilon=1.5, t_end=8.0, dt=1e-3)
@@ -151,6 +143,14 @@ def test_probe_refuses_an_A_that_is_not_finite(A, shown):
 def test_probe_refuses_an_A_that_is_not_square():
     with pytest.raises(ValueError, match=r"A\(t\) must be a square matrix, got shape \(3, 2\)"):
         stability_probe(lambda t: np.ones((3, 2)), [1.0, 0.0, 0.0], T=1.0, epsilon=0.5, t_end=2.0)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_probe_refuses_an_A_larger_than_3_x_3(n):
+    # the integrator steps states of three entries; smaller flows run padded with zeros
+    with pytest.raises(ValueError) as exc:
+        stability_probe(lambda t: np.eye(n), [1.0] * n, T=1.0, epsilon=0.5, t_end=2.0)
+    assert str(exc.value) == f"A(t) is {n} x {n}, but only flows of size 1 to 3 are integrated"
 
 
 def test_probe_raises_when_rk4_cannot_hold_the_flow():

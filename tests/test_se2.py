@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from se2track import (
-    AlgebraVector,
     ControlPair,
     Pose,
     adjoint_matrix,
@@ -210,13 +209,6 @@ def test_control_pair_embedding():
     u = ControlPair(0.3, -1.2)
     assert np.allclose(u.embed(), [0.3, -1.2, 0.0], atol=0.0)
     assert np.allclose(u.as_array(), [0.3, -1.2], atol=0.0)
-
-
-def test_algebra_vector_round_trip(rng):
-    x = rng.standard_normal(3)
-    v = AlgebraVector.from_array(x)
-    assert np.allclose(v.as_array(), x, atol=0.0)
-    assert np.allclose(v.wedge_matrix(), wedge(x), atol=0.0)
 
 
 def test_rot_values():

@@ -8,13 +8,11 @@ import pytest
 from se2track import (
     Gains,
     KanayamaGains,
-    Pose,
     SimConfig,
     compare_controllers,
     controller_regressor,
     ellipse_pe_closed_form,
     ellipse_trajectory,
-    fd_closed_loop_jacobian,
     flow_consistency_residual,
     line_trajectory,
     monte_carlo_basin,
@@ -188,15 +186,12 @@ _EYE = lambda t: np.eye(2)
     (lambda: compare_controllers([_QUICK], threshold=True), "threshold must be finite, got True"),
     (lambda: SimConfig(trajectory=_CIRCLE, offset=5), "offset must be a list of numbers, got 5"),
     (lambda: SimConfig(trajectory=_CIRCLE, gains=5), "gains must be a list of numbers, got 5"),
-    (lambda: fd_closed_loop_jacobian(Pose(0.0, np.zeros(2)), step="1e-6"),
-     "finite-difference step must be finite, got '1e-6'"),
     (lambda: flow_consistency_residual(line_trajectory(1.0), samples=2.5),
      "sample count must be an integer >= 1, got 2.5"),
 ], ids=["probe-nan-epsilon", "probe-nan-x0", "nan-gain", "nan-baseline-gain",
         "closed-form-nan-h", "fractional-windows", "float-points", "float-samples", "text-dt",
         "bool-t-end", "int-past-float-range", "bool-offset", "text-a", "line-without-speed",
-        "bool-threshold", "scalar-offset", "scalar-gains", "text-fd-step",
-        "fractional-flow-samples"])
+        "bool-threshold", "scalar-offset", "scalar-gains", "fractional-flow-samples"])
 def test_library_refuses_values_that_are_not_finite_numbers_or_counts(call, shown):
     with pytest.raises(ValueError, match=re.escape(shown)):
         call()

@@ -161,6 +161,14 @@ def _corpus() -> list:
         # 62 of the 64 window Grams overflow
         ("pe-check-partly-overflowing-line", {}, [["pe-check", "--traj", "line", "--speed",
                                                    "1e153", "--out", "pe.json"]]),
+        # L overflows to inf on a finite reference: a report that JSON cannot hold
+        ("basin-report-not-finite", {}, [["basin", "--controller", "feedforward", "--traj",
+                                          "line", "--speed", "1e170", "--samples", "2",
+                                          "--t-end", "20", "--dt", "0.01", "--out", "b.json"]]),
+        ("compare-report-not-finite", {"c.json": {
+            "trajectory": {"family": "line", "speed": 1e170, "heading": 0.0, "start": [0, 0]},
+            "controllers": ["feedforward"], "offset": [1, 1, 1], "dt": 0.01, "t_end": 2}},
+         [["compare", "--config", "c.json", "--out", "cmp"]]),
     ]
     # exit 2: a usage or configuration error
     usage = [
