@@ -10,13 +10,15 @@ Subcommands:
 
 Exit codes: 0 success, 1 runtime failure (a diverged simulation, L
 rising along a spatial run, a lin-check step too large for its
-reference, a pe-check scan that is not finite or whose quadrature is
-too coarse, a report value that JSON cannot hold, a write that failed),
-2 usage or config error (an unknown config key, a reference whose
-values floats cannot hold, or an output path that is empty, in no
-directory or a directory, checked before any run), 130
-interrupted. Outputs are deterministic: re-running a written manifest
-reproduces the CSV byte for byte.
+reference, a pe-check quadrature too coarse, a result that is not
+finite in floats, a write that failed), 2 usage or config error (an
+unknown config key, a reference whose values floats cannot hold at a
+time the command samples it, or an output path that is empty, in no
+directory, a directory or not a regular file, checked before any run),
+130 interrupted. Every result that is not finite, in a simulate log, a
+report or a numpy operation, ends in one line from main. Outputs are
+deterministic: re-running a written manifest reproduces the CSV byte
+for byte.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 import time
 from functools import lru_cache, partial
@@ -39,7 +43,7 @@ from .engine import (
     StepTooLarge,
     _BASIN_THRESHOLD,
     _SETTLE_THRESHOLD,
-    _finite_reference,
+    CSV_COLUMNS,
     _replacing,
     _write_csv,
     compare_controllers,
@@ -50,7 +54,6 @@ from .excitation import (
     _POINTS,
     _WINDOWS,
     _default_window,
-    _window_starts,
     controller_regressor,
     ellipse_pe_closed_form,
     pe_epsilon,
@@ -58,7 +61,7 @@ from .excitation import (
     window_gram,
 )
 from .linearization import _PROBE_DT, _PROBE_T_END, lin_check
-from .trajectories import on_grid, require_known_keys, trajectory_from_descriptor
+from .trajectories import require_known_keys, trajectory_from_descriptor
 
 
 def _parse_floats(text: str, n: int, what: str) -> tuple:
@@ -213,6 +216,9 @@ def _check_outputs(*paths) -> None:
     """Raise ValueError, naming the path, unless each path given can be a file in a directory.
 
     A path of None is an output not asked for; an empty one is refused.
+    An existing path must be a regular file: the write renames a new file
+    onto it, which would replace a FIFO, a device, a socket or a symlink
+    itself, not write through it.
     """
     for path in paths:
         if path is None:
@@ -224,17 +230,20 @@ def _check_outputs(*paths) -> None:
             raise ValueError(f"cannot write {path}: it is a directory")
         if not path.parent.is_dir():
             raise ValueError(f"cannot write {path}: {path.parent} is not a directory")
+        if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
+            raise ValueError(f"cannot write {path}: it is not a regular file")
 
 
 def _require_finite_json(doc, where: str = "") -> None:
     """Raise FloatingPointError, naming the first value of doc that is a float but not finite.
 
     NaN and Infinity are not JSON. lin-check, compare and basin check
-    their report before they write a file or print a line, so that such
-    a result ends the run in one line, with exit 1, and leaves no
-    outputs. pe-check checks epsilon and its quadrature residual, from
-    which every other number of its report is finite, and a simulate
-    manifest holds only a checked config, counts and a clock reading.
+    their report, and pe-check its epsilon and quadrature residual, from
+    which every other number of its report is finite, before they write
+    a file or print a line. main turns the error into one line and exit
+    1, so such a result leaves no outputs. A simulate manifest holds
+    only a checked config, counts and a clock reading; its log is
+    checked by _require_finite_log.
     """
     if isinstance(doc, float):
         if not math.isfinite(doc):
@@ -245,6 +254,14 @@ def _require_finite_json(doc, where: str = "") -> None:
     elif isinstance(doc, (list, tuple)):
         for i, value in enumerate(doc):
             _require_finite_json(value, f"{where}[{i}]")
+
+
+def _require_finite_log(log) -> None:
+    """Raise FloatingPointError, naming the column and t of the first value of log not finite."""
+    finite = np.isfinite(log.data)
+    if not finite.all():
+        k, j = np.argwhere(~finite)[0]
+        raise FloatingPointError(f"{CSV_COLUMNS[j]} = {log.data[k, j]} at t = {log.t[k]:g}")
 
 
 def _write_json(path, doc) -> None:
@@ -272,6 +289,7 @@ def cmd_simulate(args) -> int:
     _check_outputs(args.out, _manifest_path(args.out))
     t0 = time.perf_counter()
     log = simulate(cfg)
+    _require_finite_log(log)
     log.to_csv(args.out)
     manifest = {
         "tool": "se2track",
@@ -301,11 +319,8 @@ def cmd_pe_check(args) -> int:
     _check_outputs(args.out)
     T = args.window if args.window is not None else _default_window(traj)
     horizon = args.horizon if args.horizon is not None else 5.0 * T
-    starts = _window_starts(horizon, T, args.windows)
     # a result too large for floats gives inf or nan, checked below, not a warning
     with np.errstate(all="ignore"):
-        # the scan samples the reference where each window starts, as a run on its times
-        _finite_reference(traj, (starts, on_grid(traj.state_at, starts)))
         report = pe_epsilon(controller_regressor(traj), horizon, T,
                             windows=args.windows, n=args.points)
         scalars = {"epsilon": report.epsilon}
@@ -317,11 +332,7 @@ def cmd_pe_check(args) -> int:
                                args.points)
             resid = float(np.max(np.abs(quad - closed)) / np.max(np.abs(closed)))
             scalars["quadrature residual"] = resid
-    if not all(map(math.isfinite, scalars.values())):
-        shown = ", ".join(f"{name} = {value}" for name, value in scalars.items())
-        print(f"pe-check failed: {shown}; a result that is not finite gives no verdict",
-              file=sys.stderr)
-        return 1
+    _require_finite_json(scalars)
     if desc["family"] == "ellipse" and resid > _QUADRATURE_TOL:
         print(f"pe-check failed: quadrature residual {resid:.3e} (relative) exceeds "
               f"{_QUADRATURE_TOL:g}; --points {args.points} is too few Simpson points for "

@@ -430,8 +430,8 @@ def _stage_blocks(F, dt: float, steps: int):
     it ends on the next block's first time; on_mid at k dt + dt/2
     (stages 2 and 3) and on_end at k dt + dt (stage 4) for k < stop.
     The last is not (k + 1) dt: the two differ in the last bit in about
-    a third of the steps. F is sampled without numpy's warnings: a value
-    that is not finite is its caller's to refuse.
+    a third of the steps. F is sampled without numpy's warnings; a
+    reference's grid form refuses a state that is not finite itself.
     """
     for start in range(0, steps, _BLOCK):
         stop = min(start + _BLOCK, steps)
@@ -442,22 +442,13 @@ def _stage_blocks(F, dt: float, steps: int):
         yield range(start, stop), *grids
 
 
-def _finite_reference(traj, block) -> tuple:
-    """block, (times, traj.state_at's grids there...) as _stage_blocks; ValueError unless finite."""
-    if not all(np.isfinite(grid).all() for grid in block[1:]):
-        raise ValueError(f"reference {traj.descriptor} is not finite in floats on the run's "
-                         f"times: its parameters are too large or too small")
-    return block
-
-
 def _setup(cfg: SimConfig) -> tuple:
     """(control, blocks, ref0) of a run: its control law, its reference's _stage_blocks, t = 0 row.
 
     Raises ValueError if the reference is not finite at a stage time.
     """
     traj = trajectory_from_descriptor(cfg.trajectory)
-    blocks = [_finite_reference(traj, block)
-              for block in _stage_blocks(traj.state_at, cfg.dt, cfg.steps)]
+    blocks = list(_stage_blocks(traj.state_at, cfg.dt, cfg.steps))
     return _make_controller(cfg), blocks, blocks[0][1][0].tolist()
 
 

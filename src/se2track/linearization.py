@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .controller import correction_scalars
-from .engine import SimulationDiverged, StepTooLarge, _finite_reference, _stage_blocks
+from .engine import SimulationDiverged, StepTooLarge, _stage_blocks
 from .excitation import PE_FLOOR, _default_window, window_gram
 from .se2 import B_SELECT, S_WEIGHT, Pose, adjoint_matrix, pose_matrix
 from .trajectories import (DesiredTrajectory, _require_positive, _step_count, at_reference,
@@ -178,15 +178,14 @@ def _A_z(state) -> np.ndarray:
 def _A_z_blocks(traj: DesiredTrajectory, dt: float, steps: int):
     """A_z along traj as _stage_blocks yields it, from one walk over the reference.
 
-    Each block of the reference must be finite (ValueError otherwise) and
-    gives its peak of trace(A_z). Blocks are yielded while dt times the
-    peak so far stays within _RK4_LIMIT. From the first block past it the
-    walk goes on without yielding, and then raises StepTooLarge naming
-    the peak over the whole horizon.
+    Each block of the reference, which its grid form finds finite or
+    refuses with ValueError, gives its peak of trace(A_z). Blocks are
+    yielded while dt times the peak so far stays within _RK4_LIMIT. From
+    the first block past it the walk goes on without yielding, and then
+    raises StepTooLarge naming the peak over the whole horizon.
     """
     peak = 0.0
-    for block in _stage_blocks(traj.state_at, dt, steps):
-        ks, *grids = _finite_reference(traj, block)
+    for ks, *grids in _stage_blocks(traj.state_at, dt, steps):
         # the trace of a finite reference may overflow to inf, which the limit refuses
         with np.errstate(all="ignore"):
             peak = max(peak, *(float(np.max(_trace_A_z(grid[:, 1], grid[:, 2])))

@@ -7,9 +7,11 @@ input u_d(t) that generates it, tied by the flow condition
 
 Ellipses are built flatness-style: heading, speed, and turn rate are
 derived from the position path and its first two derivatives, so the
-flow condition holds by construction for any axis ratio. The module also
-holds the package's input checks, which every number and count passes
-before it is coerced or compared, and its count limit _MAX_STEPS.
+flow condition holds by construction for any axis ratio. Each one's
+state_at carries a grid form, which every array of times goes through,
+and which refuses a reference that floats cannot hold there. The module
+also holds the package's input checks, which every number and count
+passes before it is coerced or compared, and its count limit _MAX_STEPS.
 """
 
 from __future__ import annotations
@@ -88,6 +90,20 @@ def on_grid(F, ts) -> np.ndarray:
     return np.array([np.asarray(F(t), dtype=float) for t in ts.tolist()])
 
 
+def _finite_grid(state_on_grid, descriptor: dict):
+    """state_on_grid, computed without numpy's warnings; ValueError unless its states are finite."""
+
+    def checked(ts: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            states = state_on_grid(ts)
+        if not np.isfinite(states).all():
+            raise ValueError(f"reference {descriptor} is not finite in floats on the run's "
+                             f"times: its parameters are too large or too small")
+        return states
+
+    return checked
+
+
 @dataclass(frozen=True)
 class DesiredTrajectory:
     """Reference pose/input pair with a scalar fast path.
@@ -115,7 +131,8 @@ class DesiredTrajectory:
         """(theta_d, pdx, pdy, omega_d, v_d) at a time t, or arrays of them over an array t.
 
         A float t gives state_at(t); each array equals calling state_at at
-        every time, bit for bit.
+        every time, bit for bit, or raises ValueError where floats cannot
+        hold the reference.
         """
         return self.state_at(t) if np.ndim(t) == 0 else tuple(on_grid(self.state_at, t).T)
 
@@ -183,12 +200,9 @@ def ellipse_trajectory(a: float, b: float, h: float, origin=(0.0, 0.0)) -> Desir
         theta = np.array(list(map(math.atan2, dy.tolist(), dx.tolist())))
         return np.stack([theta, px, py, omega, np.sqrt(speed2)], axis=-1)
 
-    state_at.array_form = state_on_grid
-    return DesiredTrajectory(
-        state_at,
-        period=2.0 * math.pi / abs(h),
-        descriptor={"family": "ellipse", "a": a, "b": b, "h": h, "origin": [ox, oy]},
-    )
+    descriptor = {"family": "ellipse", "a": a, "b": b, "h": h, "origin": [ox, oy]}
+    state_at.array_form = _finite_grid(state_on_grid, descriptor)
+    return DesiredTrajectory(state_at, period=2.0 * math.pi / abs(h), descriptor=descriptor)
 
 
 def line_trajectory(speed: float, heading: float = 0.0, start=(0.0, 0.0)) -> DesiredTrajectory:
@@ -203,13 +217,11 @@ def line_trajectory(speed: float, heading: float = 0.0, start=(0.0, 0.0)) -> Des
     def state_at(t: float) -> tuple:
         return (heading, sx + cx * t, sy + cy * t, 0.0, speed)
 
+    descriptor = {"family": "line", "speed": speed, "heading": heading, "start": [sx, sy]}
     # the expression above already works on an array of times
-    state_at.array_form = lambda ts: np.stack(np.broadcast_arrays(*state_at(ts)), axis=-1)
-    return DesiredTrajectory(
-        state_at,
-        period=None,
-        descriptor={"family": "line", "speed": speed, "heading": heading, "start": [sx, sy]},
-    )
+    state_at.array_form = _finite_grid(
+        lambda ts: np.stack(np.broadcast_arrays(*state_at(ts)), axis=-1), descriptor)
+    return DesiredTrajectory(state_at, period=None, descriptor=descriptor)
 
 
 # the keys of each family's descriptor

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import signal
+import stat
 import subprocess
 import sys
 import tempfile
@@ -740,6 +741,20 @@ def test_a_reference_that_floats_cannot_hold_is_a_usage_error(tmp_path, monkeypa
     assert not list(tmp_path.iterdir())
 
 
+def test_a_reference_not_finite_between_window_starts_is_a_usage_error(tmp_path, monkeypatch,
+                                                                     capsys):
+    # finite where each of the 64 windows starts, up to t = 20, and not at t = 25: the scan
+    # ended in epsilon = nan, exit 1
+    monkeypatch.chdir(tmp_path)
+    assert main(["pe-check", "--traj", "line", "--speed", "8e306", "--out", "pe.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: reference {'family': 'line', 'speed': 8e+306, 'heading': 0.0, "
+                            "'start': [0.0, 0.0]} is not finite in floats on the run's times: "
+                            "its parameters are too large or too small\n")
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv, n", [
     (["pe-check", "--h", "1e-300"], 401),
     (["pe-check", "--window", "1e-300"], 401),
@@ -807,10 +822,14 @@ _TOO_FAST = {"family": "line", "speed": 1e170, "heading": 0.0, "start": [0, 0]}
     (["compare", "--config", "c.json", "--out", "cmp"],
      {"trajectory": _TOO_FAST, "controllers": ["feedforward"], "offset": [1, 1, 1],
       "dt": 0.01, "t_end": 2}, "compare failed: rows[0].final_lyapunov = inf"),
-], ids=["basin", "compare"])
+    (["simulate", "--controller", "feedforward", "--traj", "line", "--speed", "1e170",
+      "--t-end", "2", "--dt", "0.01", "--out", "s.csv"], None,
+     "simulate failed: lyap = inf at t = 0.32"),
+], ids=["basin", "compare", "simulate"])
 def test_a_report_that_json_cannot_hold_ends_in_one_line(tmp_path, monkeypatch, capsys, argv,
                                                          config, shown):
-    # the report is checked before any output: no summary line, CSV or JSON is left behind
+    # the report, and simulate's log, are checked before any output: no summary line, CSV or
+    # JSON is left behind
     monkeypatch.chdir(tmp_path)
     if config is not None:
         Path("c.json").write_text(json.dumps(config))
@@ -919,6 +938,41 @@ def test_bad_output_paths_are_usage_errors_before_any_run(tmp_path, capsys, noth
     err = capsys.readouterr().err
     assert err == f"error: cannot write {shown}\n"
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command, out, target", [
+    (["simulate", *QUICK], "run.csv", "run.csv"),
+    (["simulate", *QUICK], "run.csv", "run.manifest.json"),
+    (["compare", "--config", "compare.json"], "cmp", "cmp_0_spatial.csv"),
+    (["compare", "--config", "compare.json"], "cmp", "cmp_summary.json"),
+    (["pe-check"], "pe.json", "pe.json"),
+    (["lin-check"], "lin.json", "lin.json"),
+    (["basin", *QUICK, "--samples", "2"], "b.json", "b.json"),
+], ids=["simulate-csv", "simulate-manifest", "compare-csv", "compare-summary", "pe-check",
+        "lin-check", "basin"])
+@pytest.mark.parametrize("kind", ["fifo", "symlink"])
+def test_an_output_path_that_is_not_a_regular_file_is_a_usage_error(
+        tmp_path, monkeypatch, capsys, nothing_runs, command, out, target, kind):
+    # the write renames a new file onto the path: it replaced the FIFO or the link itself
+    monkeypatch.chdir(tmp_path)
+    Path("compare.json").write_text(json.dumps(
+        {"trajectory": _ELLIPSE, "controllers": ["spatial", "kanayama"]}))
+    if kind == "fifo":
+        os.mkfifo(target)
+    else:
+        Path("kept.txt").write_text("kept\n")
+        os.symlink("kept.txt", target)
+    assert main(command + ["--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {target}: it is not a regular file\n"
+    assert captured.out == ""
+    if kind == "fifo":
+        assert stat.S_ISFIFO(os.lstat(target).st_mode)
+    else:
+        assert os.readlink(target) == "kept.txt"
+        assert Path("kept.txt").read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["compare.json", target] + (["kept.txt"] if kind == "symlink" else []))
 
 
 @pytest.mark.parametrize("stem", ["runs/", "runs", "new/", "."])

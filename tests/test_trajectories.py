@@ -9,6 +9,7 @@ from se2track import (
     Gains,
     KanayamaGains,
     SimConfig,
+    closed_loop_ltv,
     compare_controllers,
     controller_regressor,
     ellipse_pe_closed_form,
@@ -21,6 +22,7 @@ from se2track import (
     trajectory_from_descriptor,
     window_gram,
 )
+from se2track.trajectories import on_grid
 
 
 def test_ellipse_passes_flow_consistency(rng):
@@ -123,6 +125,25 @@ def test_degenerate_parameters_rejected():
 def test_non_finite_parameters_rejected(build):
     with pytest.raises(ValueError, match="must be finite"):
         build()
+
+
+@pytest.mark.parametrize("traj", [ellipse_trajectory(1e300, 5.0, 2.0 * math.pi / 5.0),
+                                  line_trajectory(1e308)], ids=["ellipse", "line"])
+@pytest.mark.parametrize("sample", [
+    lambda traj, ts: traj.sample(ts),
+    lambda traj, ts: on_grid(traj.state_at, ts),
+    lambda traj, ts: controller_regressor(traj)(ts),
+    lambda traj, ts: closed_loop_ltv(traj)(ts),
+], ids=["sample", "on-grid", "regressor", "closed-loop"])
+def test_a_reference_is_refused_on_any_grid_where_floats_cannot_hold_it(traj, sample):
+    # the ellipse's speed overflows wherever sin(ht) is not 0, and its turn rate is inf * 0
+    # where it is; the line's position overflows past t = 1.8. A numpy warning would be an
+    # error here, and fail the test
+    ts = np.linspace(0.0, 10.0, 7)
+    shown = (f"reference {traj.descriptor} is not finite in floats on the run's times: "
+             f"its parameters are too large or too small")
+    with pytest.raises(ValueError, match=f"^{re.escape(shown)}$"):
+        sample(traj, ts)
 
 
 def test_descriptor_round_trip(rng):

@@ -7,10 +7,10 @@ The script extracts BASE with ``git archive`` into a temporary
 directory and runs one fixed corpus of CLI invocations on two trees:
 BASE and the working tree the script lives in, uncommitted changes
 included. For each invocation it compares the exit code, stdout, stderr
-and every file written, and a directory only by its name. A JSON file
-is compared as its document with every ``wall_clock_s`` and
-``timings`` key removed, and by whether it is written in the CLI's
-JSON format; everything else byte for byte.
+and every file written, and a directory or a FIFO only by its name and
+kind. A JSON file is compared as its document with every
+``wall_clock_s`` and ``timings`` key removed, and by whether it is
+written in the CLI's JSON format; everything else byte for byte.
 Tracebacks are compared with each tree's path replaced by ``<tree>``.
 
 It prints one line per invocation that differs and a summary line, and
@@ -50,8 +50,9 @@ COMPARE = {
     "offset": [3.0, -2.0, 1.5708], "dt": 0.01, "t_end": 20.0, "threshold": 0.01,
 }
 CIRCLE = {"family": "ellipse", "a": 1.0, "b": 1.0, "h": 1.0}
-# a config file entry that makes a directory under its name instead of a file
+# config file entries that make a directory, or a FIFO, under their name instead of a file
 DIRECTORY = None
+FIFO = object()
 
 
 def _corpus() -> list:
@@ -165,6 +166,10 @@ def _corpus() -> list:
         ("basin-report-not-finite", {}, [["basin", "--controller", "feedforward", "--traj",
                                           "line", "--speed", "1e170", "--samples", "2",
                                           "--t-end", "20", "--dt", "0.01", "--out", "b.json"]]),
+        # L overflows to inf from t = 0.32 on: a log that floats cannot hold
+        ("simulate-log-not-finite", {}, [["simulate", "--controller", "feedforward", "--traj",
+                                          "line", "--speed", "1e170", "--t-end", "2", "--dt",
+                                          "0.01", "--out", "s.csv"]]),
         ("compare-report-not-finite", {"c.json": {
             "trajectory": {"family": "line", "speed": 1e170, "heading": 0.0, "start": [0, 0]},
             "controllers": ["feedforward"], "offset": [1, 1, 1], "dt": 0.01, "t_end": 2}},
@@ -212,6 +217,9 @@ def _corpus() -> list:
         ("pe-check-short-window", ["pe-check", "--window", "1e-300", "--out", "pe.json"]),
         ("lin-check-slow-ellipse", ["lin-check", "--h", "1e-300", "--t-end", "1",
                                     "--out", "lin.json"]),
+        # finite where each of the 64 windows starts, up to t = 20 s, and not at the scan's end
+        ("pe-check-line-finite-only-at-window-starts", ["pe-check", "--traj", "line", "--speed",
+                                                        "8e306", "--out", "pe.json"]),
     ]
     cases += [(name, {}, [argv]) for name, argv in usage]
     configs = {
@@ -252,17 +260,20 @@ def _corpus() -> list:
            "basin": [*QUICK, "--samples", "2"]}
     for name, (command, doc) in configs.items():
         cases.append((name, {"c.json": doc}, [[command, "--config", "c.json", *run[command]]]))
-    # exit 2: an output path in no directory, or one that is a directory
+    # exit 2: an output path in no directory, one that is a directory, or a FIFO
     for command, argv in (("simulate", [*QUICK, "--out"]), ("pe-check", ["--out"]),
                           ("lin-check", ["--t-end", "5", "--out"]),
                           ("basin", [*QUICK, "--samples", "2", "--out"])):
         cases += [(f"{command}-out-missing-directory", {}, [[command, *argv, "missing/out"]]),
                   (f"{command}-out-directory", {"d": DIRECTORY}, [[command, *argv, "d"]]),
+                  (f"{command}-out-fifo", {"f": FIFO}, [[command, *argv, "f"]]),
                   (f"{command}-out-empty", {}, [[command, *argv, ""]])]
     cases += [
         ("compare-out-missing-directory", {"compare.json": COMPARE},
          [["compare", "--config", "compare.json", "--out", "missing/cmp"]]),
         ("compare-out-directory", {"compare.json": COMPARE, "cmp_summary.json": DIRECTORY},
+         [["compare", "--config", "compare.json", "--out", "cmp"]]),
+        ("compare-out-fifo", {"compare.json": COMPARE, "cmp_summary.json": FIFO},
          [["compare", "--config", "compare.json", "--out", "cmp"]]),
         ("compare-out-empty", {"compare.json": COMPARE},
          [["compare", "--config", "compare.json", "--out", ""]]),
@@ -295,6 +306,8 @@ def _run_corpus(work: Path) -> None:
         for fname, doc in files.items():
             if doc is DIRECTORY:
                 (case / fname).mkdir()
+            elif doc is FIFO:
+                os.mkfifo(case / fname)
             else:
                 (case / fname).write_text(json.dumps(doc))
         for k, argv in enumerate(invocations):
@@ -347,7 +360,8 @@ def _outputs(work: Path, trees, name: str, k: int, last: bool) -> dict:
     """Exit code, stdout and stderr of invocation k; the last one of its case also has the files."""
     out = {what: _comparable(work / f"{name}.{k}.{what}", trees) for what in ("code", "out", "err")}
     for path in sorted((work / name).iterdir()) if last else ():
-        out[path.name] = _comparable(path, trees) if path.is_file() else "directory"
+        out[path.name] = ("directory" if path.is_dir() else "fifo" if path.is_fifo()
+                          else _comparable(path, trees))
     return out
 
 
