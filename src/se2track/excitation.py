@@ -60,21 +60,22 @@ def _default_window(traj: DesiredTrajectory) -> float:
 
 
 def window_gram(F, t: float, T: float, n: int = _POINTS) -> np.ndarray:
-    """Simpson approximation of integral_t^{t+T} F(tau)^T F(tau) dtau.
+    """Simpson integral of F^T F over [t, t + T] on _window_times(t, T, n), F through on_grid."""
+    taus = _window_times(t, T, n)
+    mats = on_grid(F, taus)
+    return _simpson_rule(mats.transpose(0, 2, 1) @ mats, taus)
 
-    t must be finite and T positive. n is the number of sample points
-    (odd, >= 3, so the interval count is even as composite Simpson
-    requires, and at most _MAX_STEPS, checked before any allocation).
-    The square of the step T / (n - 1) must be a normal float, so the
-    step about 1.5e-154 to 1.3e154: Simpson's weights hold that square,
-    and past either end its middle weights vanish and the Gram would
-    read a third of its value. The sample times must be strictly
-    increasing: far enough from 0 that floats are spaced wider than the
-    step, they repeat, and the Gram would weigh some times twice and
-    others not at all.
-    The result is symmetrized; the raw quadrature is symmetric up to
-    rounding anyway. F is evaluated through on_grid, so its array form
-    is used when it has one.
+
+def _window_times(t: float, T: float, n: int) -> np.ndarray:
+    """The n evenly spaced sample times of the window [t, t + T], checked.
+
+    t must be finite, T positive, and n odd, >= 3 (so the interval count is even as
+    composite Simpson requires) and at most _MAX_STEPS, checked before any allocation.
+    The square of the step T / (n - 1) must be a normal float, so the step about 1.5e-154
+    to 1.3e154: Simpson's weights hold that square, and past either end its middle weights
+    vanish and the integral would read a third of its value. The times must be strictly
+    increasing: far enough from 0 that floats are spaced wider than the step, they repeat,
+    and the integral would weigh some times twice and others not at all.
     """
     require_finite("window start t", t)
     _require_positive("window length T", T)
@@ -90,8 +91,12 @@ def window_gram(F, t: float, T: float, n: int = _POINTS) -> np.ndarray:
         raise ValueError(f"the window at t = {t!r} of length T = {T!r} over n = {n} points has "
                          f"sample times that are not strictly increasing: floats near t are "
                          f"spaced wider than the step T / (n - 1)")
-    mats = on_grid(F, taus)
-    G = simpson(mats.transpose(0, 2, 1) @ mats, x=taus, axis=0)
+    return taus
+
+
+def _simpson_rule(mats: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """Composite Simpson integral over taus of a stack of square matrices, symmetrized."""
+    G = simpson(mats, x=taus, axis=0)
     return 0.5 * (G + G.T)
 
 

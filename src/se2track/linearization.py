@@ -10,7 +10,8 @@ the two actuated directions transported to the world frame, rank 2 at
 every instant) and S is the algebra weight. Persistent excitation of
 the reference rotates the actuated plane fast enough that the flow
 contracts every direction on average; stability_probe checks that
-mechanism numerically on a symmetric-PSD A(t) of size 1 to 3.
+mechanism numerically on a symmetric-PSD A(t) of size 1 to 3, whose
+excitation is the smallest eigenvalue of A's Simpson integral over T.
 
 A finite-difference Jacobian of the genuine nonlinear loop is the
 ground truth the -M S structure is verified against.
@@ -40,7 +41,8 @@ import numpy as np
 
 from .controller import correction_scalars
 from .engine import SimulationDiverged, StepTooLarge, _stage_blocks
-from .excitation import PE_FLOOR, _default_window, window_gram
+from .excitation import PE_FLOOR, _default_window, _simpson_rule, _window_times
+from .excitation import window_gram  # noqa: F401 -- kept importable: bench/tracing.py patches it
 from .se2 import B_SELECT, S_WEIGHT, Pose, adjoint_matrix, pose_matrix
 from .trajectories import (DesiredTrajectory, _require_positive, _step_count, at_reference,
                            on_grid, require_finite)
@@ -150,15 +152,9 @@ def fd_closed_loop_jacobian(xd: Pose) -> np.ndarray:
 
 
 def _excitation(A: Callable[[float], np.ndarray], T: float, points: int) -> float:
-    """Smallest eigenvalue of the window Gram over [0, T] of the PSD square root of A."""
-
-    def R(ts) -> np.ndarray:
-        # symmetric PSD square roots by eigendecomposition, negative eigenvalues clamped
-        w, V = np.linalg.eigh(on_grid(A, ts))
-        return (V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(V, -1, -2)
-
-    R.array_form = R
-    return float(np.linalg.eigvalsh(window_gram(R, 0.0, T, points))[0])
+    """Smallest eigenvalue of the Simpson integral of A over [0, T], as window_gram integrates."""
+    taus = _window_times(0.0, T, points)
+    return float(np.linalg.eigvalsh(_simpson_rule(on_grid(A, taus), taus))[0])
 
 
 def _trace_A_z(px, py):
@@ -308,11 +304,10 @@ def stability_probe(A: Callable[[float], np.ndarray], x0, T: float, epsilon: flo
     checks it, x0 a flat sequence of finite numbers, one per row of the
     square A(t) of size 1 to 3, A(t) finite and symmetric PSD at sampled times
     (tolerance 1e-9), epsilon positive, and the window Gram over [0, T]
-    of the PSD square root of A dominating epsilon * Id. Reports the
-    decay rate fitted on the final 60% of the horizon and whether |x|
-    was monotone non-increasing. Raises SimulationDiverged if |x| stops
-    being finite. A is evaluated through on_grid, so its array form is
-    used when it has one.
+    of A dominating epsilon * Id. Reports the decay rate fitted on the
+    final 60% of the horizon and whether |x| was monotone non-increasing.
+    Raises SimulationDiverged if |x| stops being finite. A is evaluated
+    through on_grid, so its array form is used when it has one.
     """
     steps = _check_horizon(t_end, dt)
     _require_positive("excitation level epsilon", epsilon)
@@ -377,7 +372,8 @@ def lin_check(traj: DesiredTrajectory, t_end: float = _PROBE_T_END,
     adjoint product, (2) the -M S closed-loop Jacobian against central
     finite differences of the nonlinear loop, and (3) the decay rate of
     the LTV linearization, fitted as stability_probe fits it. The window
-    Gram over one period (5 s if aperiodic) decides only the verdict.
+    Gram of A_z over one period (5 s if aperiodic), _excitation at
+    _GRAM_POINTS points, decides only the verdict.
     The flow is integrated first, on one walk over the reference that
     also bounds the step: it raises StepTooLarge if dt * trace(A_z)
     exceeds RK4's stability limit _RK4_LIMIT at a stage time, and

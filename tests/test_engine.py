@@ -537,6 +537,39 @@ def test_simulate_stops_when_spatial_lyapunov_rises_in_a_step():
         simulate(cfg)
 
 
+@pytest.mark.parametrize("rise, refused", [(2e-8, True), (5e-9, False)])
+def test_simulate_refuses_a_rise_of_L_above_1e_8_in_one_step(monkeypatch, rise, refused):
+    # a log whose L is 1 and rises once, by rise, at step 40
+    def integrate(control, state, blocks, dt, data):
+        data[:] = 0.0
+        data[:, 0] = np.arange(len(data)) * dt
+        data[:, engine.COL["lyap"]] = 1.0
+        data[40:, engine.COL["lyap"]] += rise
+
+    monkeypatch.setattr(engine, "_integrate", integrate)
+    cfg = SimConfig(trajectory=CIRCLE, dt=1e-2, t_end=1.0)
+    if refused:
+        with pytest.raises(StepTooLarge, match="L rose from 1 to 1 at step 40 "):
+            simulate(cfg)
+    else:
+        assert simulate(cfg).lyap[-1] == 1.0 + rise
+
+
+@pytest.mark.parametrize("growth, refused", [(1.5, True), (1.0, False)])
+def test_basin_refuses_a_spatial_sample_whose_final_L_exceeds_its_start(monkeypatch, growth,
+                                                                        refused):
+    # each sample starts at L = 2 and ends at growth times that
+    monkeypatch.setattr(engine, "_lyapunov_scalars", lambda *draw: 2.0)
+    monkeypatch.setattr(engine, "_integrate",
+                        lambda *_: (2.0 * growth,) * len(CSV_COLUMNS))
+    cfg = SimConfig(trajectory=CIRCLE, dt=1e-2, t_end=1.0, seed=4)
+    if refused:
+        with pytest.raises(StepTooLarge, match="sample 0: L rose from 2 to 3: "):
+            monte_carlo_basin(cfg, samples=1, threshold=10.0)
+    else:
+        assert monte_carlo_basin(cfg, samples=1, threshold=10.0).final_lyapunov == [2.0]
+
+
 @pytest.mark.parametrize("dt,t_end", [(1e-9, 100.0), (5e-324, 1.0)],
                          ids=["1e11-steps", "inf-steps"])
 def test_step_count_is_capped_before_allocation(ellipse_desc, dt, t_end):

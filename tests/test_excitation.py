@@ -194,6 +194,15 @@ def test_certifies_pe_needs_epsilon_above_the_floor():
     assert report(2.0 * PE_FLOOR).certifies_pe
 
 
+@pytest.mark.parametrize("weakest, certified", [(1e-7, True), (1e-10, False)])
+def test_pe_epsilon_certifies_a_weak_direction_above_1e_9(weakest, certified):
+    # a constant regressor whose one-second Gram is diag(1, 1, weakest)
+    F = lambda t: np.diag([1.0, 1.0, math.sqrt(weakest)])
+    report = pe_epsilon(F, horizon=1.0, T=1.0, windows=1, n=3)
+    assert report.epsilon == pytest.approx(weakest, rel=1e-12)
+    assert report.certifies_pe is certified
+
+
 def test_ellipse_closed_form_rejects_zero_rate():
     with pytest.raises(ValueError):
         ellipse_pe_closed_form(1.0, 2.0, 0.0)
@@ -206,8 +215,8 @@ def test_uniform_heading_regressor_rejects_degenerate_ellipses(a, b, h):
 
 
 def test_excitation_transfers_to_actuation_gram():
-    # If the 2x3 regressor F is PE with level eps, the 3x3 closed-loop
-    # matrix M(t) = F(t)^T F(t) (the actuation Gram) satisfies a window
+    # If the 2x3 regressor F is PE with level eps, the 3x3 actuation Gram
+    # M(t), congruent to it by F(t)^T F(t) = S M(t) S, satisfies a window
     # bound with a level of the same order. Record the transfer ratio.
     traj = ellipse_trajectory(3.0, 5.0, 2.0 * math.pi / 5.0)
     F = controller_regressor(traj)
@@ -220,7 +229,7 @@ def test_excitation_transfers_to_actuation_gram():
     lam = float(np.linalg.eigvalsh(GM)[0])
     assert rep.epsilon > 0.0
     assert lam > 0.0
-    # M = F^T F is the square of the object certified PE, so its window
-    # Gram cannot be better conditioned than scale allows; keep the
-    # sanity bound loose but positive.
+    # window_gram(M) integrates M^T M = M^2, the square of a congruent copy
+    # of F^T F, so it cannot be better conditioned than scale allows; keep
+    # the sanity bound loose but positive.
     assert lam > 0.01 * rep.epsilon

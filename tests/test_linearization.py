@@ -18,8 +18,9 @@ from se2track import (
     line_trajectory,
     stability_probe,
 )
-from se2track import linearization
+from se2track import controller_regressor, linearization, window_gram
 from se2track.se2 import B_SELECT, S_WEIGHT
+from se2track.trajectories import on_grid
 
 
 def random_pose(rng, scale=3.0):
@@ -98,6 +99,65 @@ def test_probe_checks_its_horizon_before_any_work(t_end, dt, shown):
     with pytest.raises(ValueError, match=shown):
         stability_probe(lambda t: np.eye(2), [1.0, 0.0], T=1.0, epsilon=0.5,
                         t_end=t_end, dt=dt)
+
+
+@pytest.mark.parametrize("rise, monotone", [(1e-9, False), (1e-13, True)])
+def test_probe_reads_a_rise_of_the_norm_above_1e_12_as_not_monotone(monkeypatch, rise, monotone):
+    # norms of 1 that rise once, by rise, at step 300
+    def ltv_rk4(blocks, x0, steps, dt):
+        norms = np.ones(steps + 1)
+        norms[300:] += rise
+        return np.arange(steps + 1) * dt, norms
+
+    monkeypatch.setattr(linearization, "_ltv_rk4", ltv_rk4)
+    rep = stability_probe(lambda t: np.eye(3), [1.0, 0.0, 0.0], T=1.0, epsilon=0.5, t_end=1.0)
+    assert rep.norm_monotone is monotone
+
+
+def test_probe_fits_the_trailing_six_tenths_of_the_horizon():
+    rep = stability_probe(lambda t: np.eye(3), [1.0, 0.0, 0.0], T=1.0, epsilon=0.5, t_end=5.0,
+                          dt=1e-3)
+    assert rep.fit_window == (2.0, 5.0)
+
+
+def test_excitation_integrates_a_constant_A_exactly():
+    assert linearization._excitation(lambda t: np.diag([1.0, 0.5]), 2.0, 201) == 1.0
+
+
+def _excitation_of_square_roots(A, T, points):
+    """The same level by another route: the window Gram of A's PSD square root R, R^T R = A."""
+
+    def R(ts):
+        w, V = np.linalg.eigh(on_grid(A, ts))
+        return (V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(V, -1, -2)
+
+    R.array_form = R
+    return float(np.linalg.eigvalsh(window_gram(R, 0.0, T, points))[0])
+
+
+axis = st.floats(0.3, 6.0)
+rate = st.one_of(st.floats(0.3, 3.0), st.floats(-3.0, -0.3))
+centre = st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(axis, axis, rate, centre)
+def test_excitation_is_the_window_gram_of_the_square_root_of_A_z(a, b, h, origin):
+    traj = ellipse_trajectory(a, b, h, origin)
+    A = closed_loop_ltv(traj)
+    eps = linearization._excitation(A, traj.period, 201)
+    assert eps == pytest.approx(_excitation_of_square_roots(A, traj.period, 201), rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(axis, axis, rate, centre)
+def test_pe_checks_gram_bounds_lin_checks_excitation_by_congruence(a, b, h, origin):
+    # F^T F = sqrt(S) A_z sqrt(S), and the eigenvalues of S lie in [1, 2]
+    traj = ellipse_trajectory(a, b, h, origin)
+    eps = linearization._excitation(closed_loop_ltv(traj), traj.period, 201)
+    G = window_gram(controller_regressor(traj), 0.0, traj.period, 201)
+    eps_pe = float(np.linalg.eigvalsh(G)[0])
+    assert eps * (1.0 - 1e-12) <= eps_pe <= 2.0 * eps * (1.0 + 1e-12)
 
 
 def test_probe_rejects_bad_inputs():
@@ -237,9 +297,9 @@ def test_lin_check_fits_once_as_stability_probe_does(monkeypatch):
     # probe reports on the same flow
     traj = ellipse_trajectory(3.0, 5.0, 2.0 * math.pi / 5.0)
     grams = []
-    window_gram = linearization.window_gram
-    monkeypatch.setattr(linearization, "window_gram",
-                        lambda *args: grams.append(args) or window_gram(*args))
+    excitation = linearization._excitation
+    monkeypatch.setattr(linearization, "_excitation",
+                        lambda *args: grams.append(args) or excitation(*args))
     monkeypatch.setattr(linearization, "stability_probe", None)
     rep = lin_check(traj, t_end=5.0)
     monkeypatch.undo()

@@ -13,8 +13,10 @@ kind. A JSON file is compared as its document with every
 written in the CLI's JSON format; everything else byte for byte.
 Tracebacks are compared with each tree's path replaced by ``<tree>``.
 
-It prints one line per invocation that differs and a summary line, and
-exits 1 if any differs, 0 if none does. It needs git and a second tree,
+It prints one line per invocation that differs, naming what differs
+(for a JSON document, the key paths that differ, such as
+``lin.json (report.pe_epsilon)``), and a summary line, and exits 1 if
+any differs, 0 if none does. It needs git and a second tree,
 so it is not part of the test suite.
 
 Each tree runs in one process that imports the package once and forks
@@ -365,10 +367,36 @@ def _outputs(work: Path, trees, name: str, k: int, last: bool) -> dict:
     return out
 
 
+def _key_paths(base, head, path: str = "") -> list:
+    """The paths, such as report.pe_epsilon or failures[0], at which two JSON documents differ.
+
+    A key on one side only reads as ... on the other, which no JSON value equals.
+    """
+    if isinstance(base, dict) and isinstance(head, dict):
+        return [p for key in sorted(base.keys() | head.keys())
+                for p in _key_paths(base.get(key, ...), head.get(key, ...),
+                                   f"{path}.{key}" if path else key)]
+    if isinstance(base, list) and isinstance(head, list) and len(base) == len(head):
+        return [p for k, (b, h) in enumerate(zip(base, head))
+                for p in _key_paths(b, h, f"{path}[{k}]")]
+    return [] if base == head else [path or "the document"]
+
+
 def _differences(base: dict, head: dict) -> list:
+    """What differs between two invocations' outputs; a JSON file names its differing key paths."""
     names = {"code": "exit code", "out": "stdout", "err": "stderr"}
-    return [names.get(key, key) for key in sorted(base.keys() | head.keys())
-            if base.get(key) != head.get(key)]
+    diffs = []
+    for key in sorted(base.keys() | head.keys()):
+        b, h = base.get(key), head.get(key)
+        if b == h:
+            continue
+        what = names.get(key, key)
+        if isinstance(b, tuple) and isinstance(h, tuple):
+            # JSON files: (written in the CLI's format, document without timings)
+            paths = (["its format"] if b[0] != h[0] else []) + _key_paths(b[1], h[1])
+            what = f"{what} ({', '.join(paths)})" if paths else what
+        diffs.append(what)
+    return diffs
 
 
 def main(argv=None) -> int:
