@@ -1,10 +1,14 @@
 """Closed-loop simulation, logging, and batch experiments.
 
-The integrator is a classical fixed-step 4th-order scheme on the
-coordinates (theta, px, py); the heading is renormalized to [-pi, pi)
-after every step, so the implied rotation matrix is always exactly
-orthogonal. The control law is algebraic and is re-evaluated at every
-integration substage.
+The integrator is classical fixed-step RK4 on the coordinates
+(theta, px, py). _rk4_step is its one definition: one step of three
+floats under a field that returns their derivative and an aux value.
+It serves this loop and the linearization's LTV flow alike. Here the
+field is the control law followed by the unicycle kinematics, and its
+aux is the stage-1 control, which the log row records. The control law
+is algebraic and is re-evaluated at every stage. The heading is
+renormalized to [-pi, pi) after every step, so the implied rotation
+matrix is always exactly orthogonal.
 
 The reference does not depend on the vehicle state, so a run samples
 it once, up front, on the three RK4 stage grids k dt, k dt + dt/2 and
@@ -17,10 +21,11 @@ basin sweep samples the reference once for all runs.
 
 One setup, _setup, turns a SimConfig into what a run needs: the
 control law, the reference's stage blocks and the reference at t = 0.
-One kernel, _integrate, owns the RK4 loop, the divergence checks and
-the log-row formula. simulate passes it a log array to fill at every
-step; monte_carlo_basin passes none and reads the final Lyapunov value
-from the last row, which the kernel always returns.
+One kernel, _integrate, owns the loop over the steps, the heading's
+wrap, the divergence checks and the log-row formula. simulate passes it
+a log array to fill at every step; monte_carlo_basin passes none and
+reads the final Lyapunov value from the last row, which the kernel
+always returns.
 
 One function starts every worker process. _processes decides how many
 processes a number of jobs may use, one per CPU the process may run on,
@@ -473,6 +478,28 @@ def _log_row(t: float, th: float, px: float, py: float, ref, u: tuple) -> tuple:
             thE, eRx, eRy, _lyapunov_scalars(thE, eRx, eRy)) + u
 
 
+# largest dt * lambda at which _rk4_step holds x_dot = -lambda x, lambda >= 0
+_RK4_LIMIT = 2.785
+
+
+def _rk4_step(field, s1, s2, s3, p: float, q: float, r: float, dt: float) -> tuple:
+    """One classical RK4 step of the three-float state (p, q, r); returns (p, q, r, aux).
+
+    field(s, p, q, r) returns the derivative (a, b, c) and an aux value;
+    s is the stage's sample of the time-varying input: s1 at the step's
+    start, s2 at its midpoint (stages 2 and 3) and s3 at its end. aux is
+    stage 1's. The update is x + (dt/6) (k1 + 2 (k2 + k3) + k4).
+    """
+    half = 0.5 * dt
+    a1, b1, c1, aux = field(s1, p, q, r)
+    a2, b2, c2, _ = field(s2, p + half * a1, q + half * b1, r + half * c1)
+    a3, b3, c3, _ = field(s2, p + half * a2, q + half * b2, r + half * c2)
+    a4, b4, c4, _ = field(s3, p + dt * a3, q + dt * b3, r + dt * c3)
+    sixth = dt / 6.0
+    return (p + sixth * (a1 + 2.0 * (a2 + a3) + a4), q + sixth * (b1 + 2.0 * (b2 + b3) + b4),
+            r + sixth * (c1 + 2.0 * (c2 + c3) + c4), aux)
+
+
 def _integrate(control, state: tuple, blocks, dt: float, data=None) -> tuple:
     """Integrate the closed loop from state = (theta, px, py) at t = 0.
 
@@ -482,34 +509,23 @@ def _integrate(control, state: tuple, blocks, dt: float, data=None) -> tuple:
     Raises SimulationDiverged (with the offending step index) if the
     state leaves the finite range.
     """
-    th, px, py = state
-    half = 0.5 * dt
-    sixth = dt / 6.0
+    def field(ref, th, px, py):
+        # the unicycle under the control law; aux is the control, which the log row records
+        u = control(ref, th, px, py)
+        v = u[1]
+        return u[0], v * math.cos(th), v * math.sin(th), u
 
+    th, px, py = state
     for ks, on_k, on_mid, on_end in blocks:
         for k, ref, ref_mid, ref_end in zip(ks, on_k.tolist(), on_mid.tolist(), on_end.tolist()):
-            u = control(ref, th, px, py)
-            if data is not None:
-                data[k] = _log_row(k * dt, th, px, py, ref, u)
             try:
-                # stage 1 uses the control of the log row
-                a1, v1, _, _ = u
-                b1 = v1 * math.cos(th)
-                c1 = v1 * math.sin(th)
-                a2, v2, _, _ = control(ref_mid, th + half * a1, px + half * b1, py + half * c1)
-                b2 = v2 * math.cos(th + half * a1)
-                c2 = v2 * math.sin(th + half * a1)
-                a3, v3, _, _ = control(ref_mid, th + half * a2, px + half * b2, py + half * c2)
-                b3 = v3 * math.cos(th + half * a2)
-                c3 = v3 * math.sin(th + half * a2)
-                a4, v4, _, _ = control(ref_end, th + dt * a3, px + dt * b3, py + dt * c3)
-                b4 = v4 * math.cos(th + dt * a3)
-                c4 = v4 * math.sin(th + dt * a3)
-                th = wrap_angle(th + sixth * (a1 + 2.0 * (a2 + a3) + a4))
-                px = px + sixth * (b1 + 2.0 * (b2 + b3) + b4)
-                py = py + sixth * (c1 + 2.0 * (c2 + c3) + c4)
+                th1, px1, py1, u = _rk4_step(field, ref, ref_mid, ref_end, th, px, py, dt)
+                th1 = wrap_angle(th1)
             except (OverflowError, ValueError):
                 raise SimulationDiverged(k + 1, k * dt + dt) from None
+            if data is not None:
+                data[k] = _log_row(k * dt, th, px, py, ref, u)
+            th, px, py = th1, px1, py1
             if not (math.isfinite(th) and math.isfinite(px) and math.isfinite(py)):
                 raise SimulationDiverged(k + 1, k * dt + dt)
 

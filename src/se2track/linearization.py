@@ -16,10 +16,11 @@ excitation is the smallest eigenvalue of A's Simpson integral over T.
 A finite-difference Jacobian of the genuine nonlinear loop is the
 ground truth the -M S structure is verified against.
 
-The LTV flow is integrated by classical RK4 on the engine's walk over
-the stage grids, _stage_blocks, one block of A at a time. There is one
-loop: lin_check's state has three entries, and it is stepped as three
-floats on two preallocated numpy buffers, so that no step builds an
+The LTV flow is integrated by the engine's _rk4_step, the same RK4
+step as the nonlinear loop's, on the engine's walk over the stage
+grids, _stage_blocks, one block of A at a time. lin_check's state has
+three entries, and _ltv_rk4 steps it as three floats whose field,
+-A y, runs on two preallocated numpy buffers, so that no step builds an
 array. A flow of size 1 or 2 runs in that loop padded with zeros to
 size 3, with the same norms bit for bit.
 
@@ -40,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .controller import correction_scalars
-from .engine import SimulationDiverged, StepTooLarge, _stage_blocks
+from .engine import _RK4_LIMIT, SimulationDiverged, StepTooLarge, _rk4_step, _stage_blocks
 from .excitation import PE_FLOOR, _default_window, _simpson_rule, _window_times
 from .excitation import window_gram  # noqa: F401 -- kept importable: bench/tracing.py patches it
 from .se2 import B_SELECT, S_WEIGHT, Pose, adjoint_matrix, pose_matrix
@@ -48,9 +49,6 @@ from .trajectories import (DesiredTrajectory, _require_positive, _step_count, at
                            on_grid, require_finite)
 
 _SQRT_S = np.diag([math.sqrt(2.0), 1.0, 1.0])
-
-# largest dt * lambda at which classical RK4 holds x_dot = -lambda x, lambda >= 0
-_RK4_LIMIT = 2.785
 
 # trailing fraction of the horizon that the decay rate is fitted on
 _TAIL_FRACTION = 0.6
@@ -211,24 +209,45 @@ def _ltv_rk4(blocks, x0: np.ndarray, steps: int, dt: float):
 
     blocks is A's walk over the stage times, as _stage_blocks yields it,
     taken one block at a time, so memory does not grow with the horizon.
-    The flow runs on _rk4_states_3. A flow of size 1 or 2, which
-    stability_probe accepts, runs embedded in a 3 x 3 one: its stage
-    grids and x0 are padded with zeros, which add exact zeros to every
-    product and norm, so its norms are its own bit for bit. A block's
-    norms are taken at its end by one np.vecdot over its states' rows.
-    That is the BLAS ddot of x.dot(x), row by row. Raises
-    SimulationDiverged, without numpy's overflow warnings, at the first
-    non-finite |x|.
+    Each step is the engine's _rk4_step on three floats. A flow of size
+    1 or 2, which stability_probe accepts, runs embedded in a 3 x 3 one:
+    its stage grids and x0 are padded with zeros, which add exact zeros
+    to every product and norm, so its norms are its own bit for bit.
+
+    numpy does only the four products A y of a step, on two preallocated
+    buffers: the field writes a stage's y into one by three scalar stores
+    through a memoryview, and A.dot(y, out=...) writes A y into the
+    other, which it reads back through its own and negates. So no step
+    builds an array, each product is the BLAS dgemv of A @ y bit for bit,
+    and negation is exact, so every stage value is that of a per-step
+    numpy loop on k_i = -A y_i. A block's norms are taken at its end by
+    one np.vecdot over its states' rows, the BLAS ddot of x.dot(x) row
+    by row. Raises SimulationDiverged, without numpy's overflow warnings,
+    at the first non-finite |x|.
     """
     x = np.array(x0, dtype=float)
     if len(x) < 3:
         pad = ((0, 0), (0, 3 - len(x)), (0, 3 - len(x)))
         blocks = ((ks, *(np.pad(grid, pad) for grid in grids)) for ks, *grids in blocks)
         x = np.pad(x, (0, 3 - len(x)))
+    y, Ay = np.empty(3), np.empty(3)
+    ys, Ays = memoryview(y), memoryview(Ay)
+
+    def field(A, p, q, r):
+        ys[0], ys[1], ys[2] = p, q, r
+        A.dot(y, out=Ay)
+        a, b, c = Ays
+        return -a, -b, -c, None
+
     norms = np.empty(steps + 1)
     norms[0] = math.sqrt(x.dot(x))
+    p, q, r = x.tolist()
     with np.errstate(over="ignore", invalid="ignore"):
-        for ks, states in _rk4_states_3(blocks, x.tolist(), dt):
+        for ks, A1s, A2s, A3s in blocks:
+            states = []
+            for A1, A2, A3 in zip(A1s, A2s, A3s):
+                p, q, r, _ = _rk4_step(field, A1, A2, A3, p, q, r, dt)
+                states.append((p, q, r))
             X = np.array(states)
             block = norms[ks.start + 1:ks.stop + 1]
             np.sqrt(np.vecdot(X, X), out=block)
@@ -237,47 +256,6 @@ def _ltv_rk4(blocks, x0: np.ndarray, steps: int, dt: float):
                 k = ks.start + 1 + int(np.argmin(finite))
                 raise SimulationDiverged(k, k * dt)
     return np.arange(steps + 1) * dt, norms
-
-
-def _rk4_states_3(blocks, xs: list, dt: float):
-    """RK4 from the three-entry state xs: yields (steps, the state after each) per block.
-
-    numpy does only the four products A y of a step; between them the
-    stages are plain floats, which costs far less than numpy's calls on
-    vectors of three entries. The state is three Python floats, and
-    numpy sees only two preallocated buffers: each stage's y is written
-    into one by three scalar stores through a memoryview, and
-    A.dot(y, out=...) writes A y into the other, which is read back
-    through its own. So no step builds an array, and each product is
-    the BLAS dgemv of A @ y, bit for bit. The stage values are those of
-    the per-step loop on k_i = -A y_i bit for bit: negation is exact, so
-    y + h k_i is y - h (A y_i), and the update
-    x + (dt/6) (k1 + 2 k2 + 2 k3 + k4) is x - (dt/6) (((a + 2 b) + 2 c) + d).
-    """
-    half, sixth = 0.5 * dt, dt / 6.0
-    p, q, r = xs
-    y, Ay = np.empty(3), np.empty(3)
-    ys, Ays = memoryview(y), memoryview(Ay)
-    for ks, A1s, A2s, A3s in blocks:
-        states = []
-        for A1, A2, A3 in zip(A1s, A2s, A3s):
-            ys[0], ys[1], ys[2] = p, q, r
-            A1.dot(y, out=Ay)
-            a0, a1, a2 = Ays
-            ys[0], ys[1], ys[2] = p - half * a0, q - half * a1, r - half * a2
-            A2.dot(y, out=Ay)
-            b0, b1, b2 = Ays
-            ys[0], ys[1], ys[2] = p - half * b0, q - half * b1, r - half * b2
-            A2.dot(y, out=Ay)
-            c0, c1, c2 = Ays
-            ys[0], ys[1], ys[2] = p - dt * c0, q - dt * c1, r - dt * c2
-            A3.dot(y, out=Ay)
-            d0, d1, d2 = Ays
-            p = p - sixth * (((a0 + 2.0 * b0) + 2.0 * c0) + d0)
-            q = q - sixth * (((a1 + 2.0 * b1) + 2.0 * c1) + d1)
-            r = r - sixth * (((a2 + 2.0 * b2) + 2.0 * c2) + d2)
-            states.append((p, q, r))
-        yield ks, states
 
 
 def _fit_log_norm(times: np.ndarray, norms: np.ndarray):

@@ -33,6 +33,7 @@ from se2track import (
     left_error,
     monte_carlo_basin,
     simulate,
+    stability_probe,
     total_control,
     trajectory_from_descriptor,
     wrap_angle,
@@ -292,18 +293,42 @@ def test_small_lyapunov_implies_small_errors(offcenter_log):
     assert np.max(offcenter_log.position_error()[mask]) < 1e-2
 
 
-def test_integrator_is_fourth_order():
-    # halving dt must shrink the endpoint error by about 2^4
-    def end_state(dt):
-        cfg = SimConfig(trajectory=CIRCLE, offset=(0.5, 0.3, 0.4),
-                        dt=dt, t_end=2.0)
-        r = simulate(cfg).data[-1]
-        return np.array([r[1], r[2], r[3]])
+def closed_loop_end(dt):
+    cfg = SimConfig(trajectory=CIRCLE, offset=(0.5, 0.3, 0.4), dt=dt, t_end=2.0)
+    r = simulate(cfg).data[-1]
+    return np.array([r[1], r[2], r[3]])
 
+
+def ltv_flow_end(dt):
+    # the rotating rank-1 projector of criterion 11; at t = 3 the norm's leading error term
+    # is far from a zero crossing, which it passes near t = 2
+    def A(t):
+        c, s = math.cos(t), math.sin(t)
+        return np.array([[c * c, c * s], [c * s, s * s]])
+
+    return stability_probe(A, [1.0, 0.0], T=2.0 * math.pi, epsilon=3.0, t_end=3.0,
+                           dt=dt).norms[-1:]
+
+
+@pytest.mark.parametrize("end_state, dt", [(closed_loop_end, 4e-3), (ltv_flow_end, 2e-2)],
+                         ids=["closed-loop", "ltv-flow"])
+def test_integrator_is_fourth_order(end_state, dt):
+    # halving dt must shrink the endpoint error by about 2^4
     ref = end_state(1.25e-4)
-    e1 = np.linalg.norm(end_state(4e-3) - ref)
-    e2 = np.linalg.norm(end_state(2e-3) - ref)
+    e1 = np.linalg.norm(end_state(dt) - ref)
+    e2 = np.linalg.norm(end_state(dt / 2.0) - ref)
     assert 4.0 < e1 / e2 < 64.0
+
+
+@pytest.mark.parametrize("dt, grows", [(engine._RK4_LIMIT, False), (2.786, True)])
+def test_rk4_limit_is_the_steps_stability_limit(dt, grows):
+    # on x_dot = -x one step multiplies x by R(-dt) = 1 - dt + dt^2/2 - dt^3/6 + dt^4/24,
+    # 0.99956 at the limit and 1.0011 just past it
+    def decay(_, p, q, r):
+        return -p, -q, -r, None
+
+    p, q, r, _ = engine._rk4_step(decay, None, None, None, 1.0, -2.0, 0.5, dt)
+    assert (abs(p) > 1.0, abs(q) > 2.0, abs(r) > 0.5) == (grows,) * 3
 
 
 def test_kanayama_converges_near_track(ellipse_desc):

@@ -3,9 +3,10 @@
 pe-check and lin-check evaluate the reference on whole time grids. Their
 reports must not change by a single bit, so each array form is compared
 with the point-by-point values, and the LTV integrator, which works on
-three plain floats between its matrix products, with the per-step numpy
-loop it replaced, on flows of size 3 and on flows of size 1 and 2, which
-it runs padded with zeros.
+three plain floats between its matrix products, with a per-step numpy
+loop in the update order of the engine's RK4 step,
+x + (dt/6) (k1 + 2 (k2 + k3) + k4), on flows of size 3 and on flows of
+size 1 and 2, which it runs padded with zeros.
 """
 
 import dataclasses
@@ -61,7 +62,7 @@ def plain(F):
 
 
 def numpy_ltv_rk4(A, x0, steps, dt):
-    """The per-step numpy loop that _ltv_rk4 replaced, on the same _stage_blocks."""
+    """A per-step numpy RK4 loop in the engine's update order, on the same _stage_blocks."""
     times = np.arange(steps + 1) * dt
     norms = np.empty(steps + 1)
     x = np.array(x0, dtype=float)
@@ -73,7 +74,7 @@ def numpy_ltv_rk4(A, x0, steps, dt):
                 k2 = -(A2 @ (x + 0.5 * dt * k1))
                 k3 = -(A2 @ (x + 0.5 * dt * k2))
                 k4 = -(A3 @ (x + dt * k3))
-                x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                x = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
                 norms[k] = math.sqrt(x.dot(x))
                 if not math.isfinite(norms[k]):
                     raise SimulationDiverged(k, k * dt)

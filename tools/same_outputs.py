@@ -15,9 +15,11 @@ Tracebacks are compared with each tree's path replaced by ``<tree>``.
 
 It prints one line per invocation that differs, naming what differs
 (for a JSON document, the key paths that differ, such as
-``lin.json (report.pe_epsilon)``), and a summary line, and exits 1 if
-any differs, 0 if none does. It needs git and a second tree,
-so it is not part of the test suite.
+``lin.json (report.pe_epsilon)``), below it one line per differing
+number of a JSON document, such as
+``lin.json report.r_squared: 0.9536797082417197 -> 0.9536797082417195``,
+and a summary line, and exits 1 if any differs, 0 if none does. It needs
+git and a second tree, so it is not part of the test suite.
 
 Each tree runs in one process that imports the package once and forks
 a child per invocation, so the corpus costs two imports; the two trees
@@ -367,25 +369,34 @@ def _outputs(work: Path, trees, name: str, k: int, last: bool) -> dict:
     return out
 
 
-def _key_paths(base, head, path: str = "") -> list:
-    """The paths, such as report.pe_epsilon or failures[0], at which two JSON documents differ.
+def _differing_leaves(base, head, path: str = "") -> list:
+    """(path, base value, head value) at each path, such as report.pe_epsilon or failures[0],
+    at which two JSON documents differ.
 
     A key on one side only reads as ... on the other, which no JSON value equals.
     """
     if isinstance(base, dict) and isinstance(head, dict):
         return [p for key in sorted(base.keys() | head.keys())
-                for p in _key_paths(base.get(key, ...), head.get(key, ...),
-                                   f"{path}.{key}" if path else key)]
+                for p in _differing_leaves(base.get(key, ...), head.get(key, ...),
+                                           f"{path}.{key}" if path else key)]
     if isinstance(base, list) and isinstance(head, list) and len(base) == len(head):
         return [p for k, (b, h) in enumerate(zip(base, head))
-                for p in _key_paths(b, h, f"{path}[{k}]")]
-    return [] if base == head else [path or "the document"]
+                for p in _differing_leaves(b, h, f"{path}[{k}]")]
+    return [] if base == head else [(path or "the document", base, head)]
 
 
-def _differences(base: dict, head: dict) -> list:
-    """What differs between two invocations' outputs; a JSON file names its differing key paths."""
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _differences(base: dict, head: dict) -> tuple:
+    """What differs between two invocations' outputs, and each number that differs.
+
+    A JSON file names its differing key paths, and each of them whose
+    value is a number on both sides gives a line "file path: base -> head".
+    """
     names = {"code": "exit code", "out": "stdout", "err": "stderr"}
-    diffs = []
+    diffs, numbers = [], []
     for key in sorted(base.keys() | head.keys()):
         b, h = base.get(key), head.get(key)
         if b == h:
@@ -393,10 +404,13 @@ def _differences(base: dict, head: dict) -> list:
         what = names.get(key, key)
         if isinstance(b, tuple) and isinstance(h, tuple):
             # JSON files: (written in the CLI's format, document without timings)
-            paths = (["its format"] if b[0] != h[0] else []) + _key_paths(b[1], h[1])
+            leaves = _differing_leaves(b[1], h[1])
+            paths = (["its format"] if b[0] != h[0] else []) + [path for path, _, _ in leaves]
+            numbers += [f"{key} {path}: {x!r} -> {y!r}" for path, x, y in leaves
+                        if _is_number(x) and _is_number(y)]
             what = f"{what} ({', '.join(paths)})" if paths else what
         diffs.append(what)
-    return diffs
+    return diffs, numbers
 
 
 def main(argv=None) -> int:
@@ -435,11 +449,13 @@ def main(argv=None) -> int:
             for k in range(len(invocations)):
                 count += 1
                 last = k == len(invocations) - 1
-                diff = _differences(*(_outputs(tmp / side, trees.values(), name, k, last)
-                                      for side in trees))
+                diff, numbers = _differences(*(_outputs(tmp / side, trees.values(), name, k,
+                                                        last) for side in trees))
                 if diff:
                     differing += 1
                     print(f"DIFF {name}#{k}: {', '.join(diff)}")
+                    for line in numbers:
+                        print(f"  {line}")
     print(f"{differing} of {count} invocations differ between {base_rev} and the working tree")
     return 1 if differing else 0
 
