@@ -2,11 +2,12 @@
 
 The integrator is classical fixed-step RK4 on the coordinates
 (theta, px, py). _rk4_step is its one definition: one step of three
-floats under a field that returns their derivative and an aux value.
-It serves this loop and the linearization's LTV flow alike. Here the
-field is the control law followed by the unicycle kinematics, and its
-aux is the stage-1 control, which the log row records. The control law
-is algebraic and is re-evaluated at every stage. The heading is
+floats, or of three arrays, under a field that returns their derivative
+and an aux value. It serves this loop and the linearization's LTV flow
+alike, the latter on a block of steps at once. Here the field is the
+control law followed by the unicycle kinematics, and its aux is the
+stage-1 control, which the log row records. The control law is
+algebraic and is re-evaluated at every stage. The heading is
 renormalized to [-pi, pi) after every step, so the implied rotation
 matrix is always exactly orthogonal.
 
@@ -488,7 +489,10 @@ def _rk4_step(field, s1, s2, s3, p: float, q: float, r: float, dt: float) -> tup
     field(s, p, q, r) returns the derivative (a, b, c) and an aux value;
     s is the stage's sample of the time-varying input: s1 at the step's
     start, s2 at its midpoint (stages 2 and 3) and s3 at its end. aux is
-    stage 1's. The update is x + (dt/6) (k1 + 2 (k2 + k3) + k4).
+    stage 1's. The update is x + (dt/6) (k1 + 2 (k2 + k3) + k4). p, q
+    and r may as well be numpy arrays, which it steps entry by entry: the
+    linearization passes the rows of a 3 x 3 state, stacked over a block
+    of steps, with the block's stage grids as s1, s2 and s3.
     """
     half = 0.5 * dt
     a1, b1, c1, aux = field(s1, p, q, r)

@@ -18,11 +18,14 @@ ground truth the -M S structure is verified against.
 
 The LTV flow is integrated by the engine's _rk4_step, the same RK4
 step as the nonlinear loop's, on the engine's walk over the stage
-grids, _stage_blocks, one block of A at a time. lin_check's state has
-three entries, and _ltv_rk4 steps it as three floats whose field,
--A y, runs on two preallocated numpy buffers, so that no step builds an
-array. A flow of size 1 or 2 runs in that loop padded with zeros to
-size 3, with the same norms bit for bit.
+grids, _stage_blocks, one block of A at a time. The flow is linear, so
+one RK4 step is a 3 x 3 matrix: one _rk4_step on the rows of the
+identity gives a block's every step matrix at once, and a log-depth
+scan their prefix products, the block's transition matrices, which map
+its first state to each of its states. No Python loop runs per step.
+The products round in another order than a step at a time, so the
+norms are a per-step loop's to rounding, not bit for bit. A flow of
+size 1 or 2 runs padded with zeros to size 3, with its own norms.
 
 lin_check walks its reference once: each block gives A_z's stage values
 and bounds the step. trace(A_z) = 3 + |p_d|^2 bounds the stiffness of
@@ -36,6 +39,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -204,25 +208,41 @@ def _check_horizon(t_end: float, dt: float) -> int:
     return steps
 
 
+def _ltv_field(A, p, q, r):
+    """The LTV field -A X, X the matrix of rows p, q, r; returns its rows and no aux."""
+    Y = -A @ np.stack((p, q, r), axis=-2)
+    return Y[..., 0, :], Y[..., 1, :], Y[..., 2, :], None
+
+
+def _transition_matrices(A1s, A2s, A3s, dt: float) -> np.ndarray:
+    """Each step's RK4 transition matrix of a block of 3 x 3 stage grids, as _stage_blocks yields.
+
+    The flow is linear, so a step is a matrix, M_k, with x_(k+1) = M_k x_k.
+    One engine._rk4_step gives the block's n of them: its state is the
+    rows of the identity, which broadcast over the n steps, under
+    _ltv_field. on_k holds n + 1 rows, of which stage 1 takes the first n.
+    """
+    n = len(A2s)
+    return np.stack(_rk4_step(_ltv_field, A1s[:n], A2s, A3s, *np.eye(3), dt)[:3], axis=-2)
+
+
 def _ltv_rk4(blocks, x0: np.ndarray, steps: int, dt: float):
     """Classical RK4 on x_dot = -A(t) x for steps steps from t = 0; returns (times, |x| at each).
 
     blocks is A's walk over the stage times, as _stage_blocks yields it,
     taken one block at a time, so memory does not grow with the horizon.
-    Each step is the engine's _rk4_step on three floats. A flow of size
-    1 or 2, which stability_probe accepts, runs embedded in a 3 x 3 one:
-    its stage grids and x0 are padded with zeros, which add exact zeros
-    to every product and norm, so its norms are its own bit for bit.
+    A block's states are P_k x, x its first, where P_k = M_k ... M_0 are
+    the prefix products of its _transition_matrices, from a log-depth
+    scan; its norms are one np.vecdot over them. A flow of size 1 or 2,
+    which stability_probe accepts, runs embedded in a 3 x 3 one: its
+    stage grids and x0 are padded with zeros, which add exact zeros to
+    every product and norm.
 
-    numpy does only the four products A y of a step, on two preallocated
-    buffers: the field writes a stage's y into one by three scalar stores
-    through a memoryview, and A.dot(y, out=...) writes A y into the
-    other, which it reads back through its own and negates. So no step
-    builds an array, each product is the BLAS dgemv of A @ y bit for bit,
-    and negation is exact, so every stage value is that of a per-step
-    numpy loop on k_i = -A y_i. A block's norms are taken at its end by
-    one np.vecdot over its states' rows, the BLAS ddot of x.dot(x) row
-    by row. Raises SimulationDiverged, without numpy's overflow warnings,
+    The products round in another order than a step at a time, so the
+    norms are a per-step loop's only to rounding, not bit for bit. P_k
+    may overflow while P_k x is finite, for a tiny x under strong growth,
+    so a block with a norm that is not finite is stepped again one M_k at
+    a time. Raises SimulationDiverged, without numpy's overflow warnings,
     at the first non-finite |x|.
     """
     x = np.array(x0, dtype=float)
@@ -230,31 +250,28 @@ def _ltv_rk4(blocks, x0: np.ndarray, steps: int, dt: float):
         pad = ((0, 0), (0, 3 - len(x)), (0, 3 - len(x)))
         blocks = ((ks, *(np.pad(grid, pad) for grid in grids)) for ks, *grids in blocks)
         x = np.pad(x, (0, 3 - len(x)))
-    y, Ay = np.empty(3), np.empty(3)
-    ys, Ays = memoryview(y), memoryview(Ay)
-
-    def field(A, p, q, r):
-        ys[0], ys[1], ys[2] = p, q, r
-        A.dot(y, out=Ay)
-        a, b, c = Ays
-        return -a, -b, -c, None
-
     norms = np.empty(steps + 1)
     norms[0] = math.sqrt(x.dot(x))
-    p, q, r = x.tolist()
     with np.errstate(over="ignore", invalid="ignore"):
-        for ks, A1s, A2s, A3s in blocks:
-            states = []
-            for A1, A2, A3 in zip(A1s, A2s, A3s):
-                p, q, r, _ = _rk4_step(field, A1, A2, A3, p, q, r, dt)
-                states.append((p, q, r))
-            X = np.array(states)
+        for ks, *grids in blocks:
+            M = _transition_matrices(*grids, dt)
+            P = M.copy()
+            s = 1
+            while s < len(P):
+                P[s:] = P[s:] @ P[:-s]
+                s *= 2
+            X = P @ x
+            squares = np.vecdot(X, X)
+            if not np.isfinite(squares).all():
+                X = np.array(list(accumulate(M, lambda y, M_k: M_k @ y, initial=x))[1:])
+                squares = np.vecdot(X, X)
             block = norms[ks.start + 1:ks.stop + 1]
-            np.sqrt(np.vecdot(X, X), out=block)
+            np.sqrt(squares, out=block)
             finite = np.isfinite(block)
             if not finite.all():
                 k = ks.start + 1 + int(np.argmin(finite))
                 raise SimulationDiverged(k, k * dt)
+            x = X[-1]
     return np.arange(steps + 1) * dt, norms
 
 
