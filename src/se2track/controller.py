@@ -53,10 +53,17 @@ def correction_scalars(theta_E, pEx, pEy, theta_d, pdx, pdy):
     """Correction (omega_tilde, v_tilde) from raw error/reference scalars.
 
     This is the component form of the control law, kept free of array
-    allocation so the simulation loop can call it per integration stage.
+    allocation; see _correction_scalars.
     """
-    sE = math.sin(theta_E)
-    cE = math.cos(theta_E)
+    return _correction_scalars(math.cos(theta_E), math.sin(theta_E), pEx, pEy, theta_d, pdx, pdy)
+
+
+def _correction_scalars(cE, sE, pEx, pEy, theta_d, pdx, pdy):
+    """correction_scalars from cE = cos(theta_E) and sE = sin(theta_E).
+
+    The simulation loop calls it per integration stage with the cosine
+    and sine that it took for the spatial error, so each is taken once.
+    """
     # R_E^T p_E: spatial position error rotated back through the heading error
     q1 = cE * pEx + sE * pEy
     q2 = -sE * pEx + cE * pEy

@@ -23,10 +23,14 @@ basin sweep samples the reference once for all runs.
 One setup, _setup, turns a SimConfig into what a run needs: the
 control law, the reference's stage blocks and the reference at t = 0.
 One kernel, _integrate, owns the loop over the steps, the heading's
-wrap, the divergence checks and the log-row formula. simulate passes it
-a log array to fill at every step; monte_carlo_basin passes none and
-reads the final Lyapunov value from the last row, which the kernel
-always returns.
+wrap, the divergence checks and the log-row formula. It steps a list of
+states that share the reference a block at a time: every state still
+running takes a block's steps before the next block. simulate passes it
+one state and a log array to fill at every step; monte_carlo_basin
+passes the states of a range of samples and no log, and reads each
+final Lyapunov value from its last row. A state that diverges stops,
+with every state after it; the states before it run on, since one of
+them may still fail first.
 
 One function starts every worker process. _processes decides how many
 processes a number of jobs may use, one per CPU the process may run on,
@@ -35,14 +39,18 @@ this process, each other one in a forked worker that answers through a
 pipe. Exceptions cross it as themselves, such as a SimulationDiverged
 at its own sample index or an OSError with its errno and file name, and
 a worker that dies raises ChildProcessError. The samples of a sweep are
-independent, so they run in such parts; each runs the same kernel on
-the same floats, so the summary does not depend on the worker count.
+independent, so they run in such parts; each sample runs the same
+kernel steps on the same floats, so the summary does not depend on the
+worker count.
 
 The hot loop works on plain floats on purpose: a 60 s run at dt = 1e-3
 is 60k steps, and batch experiments multiply that by hundreds. Array
 allocation per substage would dominate the runtime. The sampled
-reference is turned into Python floats one block at a time, so a long
-run never holds floats for all of its steps.
+reference is turned into Python floats one block at a time, once for
+all the states of a kernel, and released before the next block's are
+made, so a long run never holds floats for more than one block. The
+spatial law takes cos and sin of theta - theta_d once per stage, for its
+error and its correction both.
 
 Every output file is written through _replacing: to a temporary file
 beside its name, renamed onto the name once it is whole. _write_csv is
@@ -66,8 +74,9 @@ from typing import Optional
 
 import numpy as np
 
-from .controller import Gains, KanayamaGains, _kanayama_scalars, correction_scalars
-from .errors import _lyapunov_scalars, _spatial_position
+from .controller import Gains, KanayamaGains, _correction_scalars, _kanayama_scalars
+from .controller import correction_scalars  # noqa: F401 -- kept: bench/tracing.py patches it
+from .errors import _lyapunov_cos, _lyapunov_scalars, _spatial_position
 from .se2 import wrap_angle
 from .trajectories import (_is_count, _require_count, _require_positive, _step_count, on_grid,
                            require_finite, require_known_keys, trajectory_from_descriptor)
@@ -410,8 +419,10 @@ def _make_controller(cfg: SimConfig):
         def control(ref, th, px, py):
             thd, pdx, pdy, omd, vd = ref
             thE = th - thd
-            pEx, pEy = _spatial_position(thE, px, py, pdx, pdy)
-            omt, vt = correction_scalars(thE, pEx, pEy, thd, pdx, pdy)
+            cE = math.cos(thE)
+            sE = math.sin(thE)
+            pEx, pEy = _spatial_position(cE, sE, px, py, pdx, pdy)
+            omt, vt = _correction_scalars(cE, sE, pEx, pEy, thd, pdx, pdy)
             omt *= k_om
             vt *= k_v
             return omd + omt, vd + vt, omt, vt
@@ -469,14 +480,15 @@ def _log_row(t: float, th: float, px: float, py: float, ref, u: tuple) -> tuple:
     """The CSV_COLUMNS row at time t: state, reference, both errors, L and the control u."""
     thd, pdx, pdy, _, _ = ref
     thE = wrap_angle(th - thd)
-    eRx, eRy = _spatial_position(thE, px, py, pdx, pdy)
+    cE = math.cos(thE)
+    eRx, eRy = _spatial_position(cE, math.sin(thE), px, py, pdx, pdy)
     cd = math.cos(thd)
     sd = math.sin(thd)
     gx = px - pdx
     gy = py - pdy
     return (t, th, px, py, thd, pdx, pdy,
             thE, cd * gx + sd * gy, -sd * gx + cd * gy,
-            thE, eRx, eRy, _lyapunov_scalars(thE, eRx, eRy)) + u
+            thE, eRx, eRy, _lyapunov_cos(cE, eRx, eRy)) + u
 
 
 # largest dt * lambda at which _rk4_step holds x_dot = -lambda x, lambda >= 0
@@ -504,14 +516,22 @@ def _rk4_step(field, s1, s2, s3, p: float, q: float, r: float, dt: float) -> tup
             r + sixth * (c1 + 2.0 * (c2 + c3) + c4), aux)
 
 
-def _integrate(control, state: tuple, blocks, dt: float, data=None) -> tuple:
-    """Integrate the closed loop from state = (theta, px, py) at t = 0.
+def _integrate(control, states: list, blocks, dt: float, data=None) -> tuple:
+    """Integrate the closed loop from each state = (theta, px, py) of states at t = 0.
 
-    blocks is the reference's _stage_blocks over the run. When data is
-    given, a (steps + 1, len(CSV_COLUMNS)) array, row k of the log is
-    written into it at every step; either way the last row is returned.
-    Raises SimulationDiverged (with the offending step index) if the
-    state leaves the finite range.
+    blocks is the reference's _stage_blocks over the run. Each block's
+    stage values are turned into Python floats once, and every state
+    still running takes the block's steps, in order, before the next
+    block's floats are made. A state that leaves the finite range stops
+    with its SimulationDiverged (with the offending step index), and so
+    does every state after it: a sweep reports its lowest-index failure,
+    which a later state cannot be. The states before it run on.
+
+    Returns (rows, diverged): the last log row of each state before the
+    first that diverged, and that state's SimulationDiverged; or the last
+    rows of all states and None. When data is given, a (steps + 1,
+    len(CSV_COLUMNS)) array, row k of the log of the one state is
+    written into it at every step.
     """
     def field(ref, th, px, py):
         # the unicycle under the control law; aux is the control, which the log row records
@@ -519,25 +539,39 @@ def _integrate(control, state: tuple, blocks, dt: float, data=None) -> tuple:
         v = u[1]
         return u[0], v * math.cos(th), v * math.sin(th), u
 
-    th, px, py = state
+    states = list(states)
+    diverged = None
     for ks, on_k, on_mid, on_end in blocks:
-        for k, ref, ref_mid, ref_end in zip(ks, on_k.tolist(), on_mid.tolist(), on_end.tolist()):
+        if not states:
+            break
+        refs = on_k.tolist(), on_mid.tolist(), on_end.tolist()
+        for i, (th, px, py) in enumerate(states):
             try:
-                th1, px1, py1, u = _rk4_step(field, ref, ref_mid, ref_end, th, px, py, dt)
-                th1 = wrap_angle(th1)
-            except (OverflowError, ValueError):
-                raise SimulationDiverged(k + 1, k * dt + dt) from None
-            if data is not None:
-                data[k] = _log_row(k * dt, th, px, py, ref, u)
-            th, px, py = th1, px1, py1
-            if not (math.isfinite(th) and math.isfinite(px) and math.isfinite(py)):
-                raise SimulationDiverged(k + 1, k * dt + dt)
+                for k, ref, ref_mid, ref_end in zip(ks, *refs):
+                    try:
+                        th1, px1, py1, u = _rk4_step(field, ref, ref_mid, ref_end, th, px, py, dt)
+                        th1 = wrap_angle(th1)
+                    except (OverflowError, ValueError):
+                        raise SimulationDiverged(k + 1, k * dt + dt) from None
+                    if data is not None:
+                        data[k] = _log_row(k * dt, th, px, py, ref, u)
+                    th, px, py = th1, px1, py1
+                    if not (math.isfinite(th) and math.isfinite(px) and math.isfinite(py)):
+                        raise SimulationDiverged(k + 1, k * dt + dt)
+            except SimulationDiverged as exc:
+                diverged = exc
+                del states[i:]
+                break
+            states[i] = th, px, py
+        # released before the next block's floats are made, so that one block's are alive at once
+        del refs
 
     ref = on_k[-1].tolist()
-    row = _log_row(ks.stop * dt, th, px, py, ref, control(ref, th, px, py))
-    if data is not None:
-        data[ks.stop] = row
-    return row
+    rows = [_log_row(ks.stop * dt, th, px, py, ref, control(ref, th, px, py))
+            for th, px, py in states]
+    if data is not None and rows:
+        data[ks.stop] = rows[0]
+    return rows, diverged
 
 
 def simulate(cfg: SimConfig) -> SimLog:
@@ -550,7 +584,9 @@ def simulate(cfg: SimConfig) -> SimLog:
     """
     control, blocks, ref0 = _setup(cfg)
     data = np.empty((cfg.steps + 1, len(CSV_COLUMNS)))
-    _integrate(control, _initial_state(ref0, cfg.offset), blocks, cfg.dt, data)
+    _, diverged = _integrate(control, [_initial_state(ref0, cfg.offset)], blocks, cfg.dt, data)
+    if diverged is not None:
+        raise diverged
     if cfg.controller == "spatial":
         lyap = data[:, COL["lyap"]]
         # a step from inf to inf is no rise: its NaN reads as -inf, without numpy's warning
@@ -597,11 +633,11 @@ def monte_carlo_basin(cfg: SimConfig, samples: int,
     escape times blow up.
 
     The samples run _in_parallel, in as many contiguous ranges as
-    _processes grants them; each range stops at its first failure, and
-    the ranges are read in order. So the lowest-index sample that
-    diverged raises SimulationDiverged, and for the spatial controller
-    the lowest-index one whose L ended above its start raises
-    StepTooLarge, whichever comes first.
+    _processes grants them, each range in one _integrate; each range
+    raises its lowest-index failure, and the ranges are read in order.
+    So the lowest-index sample that diverged raises SimulationDiverged,
+    and for the spatial controller the lowest-index one whose L ended
+    above its start raises StepTooLarge, whichever comes first.
     """
     _require_count("sample count", samples, 0)
     _require_positive("threshold", threshold)
@@ -620,17 +656,23 @@ def monte_carlo_basin(cfg: SimConfig, samples: int,
         draws.append(draw)
         states.append(_initial_state(ref0, (dx, dy, thE)))
 
-    def final_lyapunov(i):
-        final = _integrate(control, states[i], blocks, cfg.dt)[COL["lyap"]]
-        start = _lyapunov_scalars(*draws[i])
-        if cfg.controller == "spatial" and final > start:
-            raise StepTooLarge(f"sample {i}: L rose from {start:.6g} to {final:.6g}: "
-                               f"dt = {cfg.dt:g} is too large a step for this reference")
-        return final
+    def final_lyapunov(part):
+        # the samples of part in one kernel; its lowest-index failure is raised
+        rows, diverged = _integrate(control, [states[i] for i in part], blocks, cfg.dt)
+        finals = []
+        for i, row in zip(part, rows):
+            final = row[COL["lyap"]]
+            start = _lyapunov_scalars(*draws[i])
+            if cfg.controller == "spatial" and final > start:
+                raise StepTooLarge(f"sample {i}: L rose from {start:.6g} to {final:.6g}: "
+                                   f"dt = {cfg.dt:g} is too large a step for this reference")
+            finals.append(final)
+        if diverged is not None:
+            raise diverged
+        return finals
 
     parts = np.array_split(range(samples), _processes(samples))
-    finals = [final for part in _in_parallel(lambda part: list(map(final_lyapunov, part)), parts)
-              for final in part]
+    finals = [final for part in _in_parallel(final_lyapunov, parts) for final in part]
     failures = [{"index": i, "theta_E": thE, "p_E": [pEx, pEy], "final_lyapunov": final}
                 for i, ((thE, pEx, pEy), final) in enumerate(zip(draws, finals))
                 if not final < threshold]

@@ -111,16 +111,21 @@ def lyapunov(err: GroupError) -> float:
 
 def _lyapunov_scalars(theta_E: float, pEx: float, pEy: float) -> float:
     """lyapunov from the error components, as plain floats."""
-    return 2.0 * (1.0 - math.cos(theta_E)) + 0.5 * (pEx * pEx + pEy * pEy)
+    return _lyapunov_cos(math.cos(theta_E), pEx, pEy)
 
 
-def _spatial_position(theta_E: float, px: float, py: float, pdx: float, pdy: float) -> tuple:
+def _lyapunov_cos(cE: float, pEx: float, pEy: float) -> float:
+    """_lyapunov_scalars from cE = cos(theta_E)."""
+    return 2.0 * (1.0 - cE) + 0.5 * (pEx * pEx + pEy * pEy)
+
+
+def _spatial_position(cE: float, sE: float, px: float, py: float, pdx: float,
+                      pdy: float) -> tuple:
     """Position part p - R(theta_E) p_d of the spatial error, on plain floats.
 
-    theta_E = theta - theta_d, wrapped or not: the two differ in sin/cos in the last bit.
+    cE and sE are cos and sin of theta_E = theta - theta_d, wrapped or
+    not: the two differ in sin/cos in the last bit.
     """
-    cE = math.cos(theta_E)
-    sE = math.sin(theta_E)
     return px - (cE * pdx - sE * pdy), py - (sE * pdx + cE * pdy)
 
 

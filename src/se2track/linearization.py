@@ -31,7 +31,8 @@ lin_check walks its reference once: each block gives A_z's stage values
 and bounds the step. trace(A_z) = 3 + |p_d|^2 bounds the stiffness of
 the flow, and where dt times it passes RK4's stability limit the flow
 may stay finite yet be wrong, so lin_check stops integrating and raises
-StepTooLarge rather than fit it.
+StepTooLarge rather than fit it. stability_probe bounds its step the
+same way, by the trace of its A(t), in the one _within_rk4_limit.
 """
 
 from __future__ import annotations
@@ -173,31 +174,46 @@ def _A_z(state) -> np.ndarray:
     return _SQRT_S @ at_reference(_actuation_gram_rows, state) @ _SQRT_S
 
 
-def _A_z_blocks(traj: DesiredTrajectory, dt: float, steps: int):
-    """A_z along traj as _stage_blocks yields it, from one walk over the reference.
+def _within_rk4_limit(blocks, dt: float, trace, trace_of: str, step_for: str):
+    """blocks, as _stage_blocks yields them, while RK4 holds the flow that they sample.
 
-    Each block of the reference, which its grid form finds finite or
-    refuses with ValueError, gives its peak of trace(A_z). Blocks are
-    yielded while dt times the peak so far stays within _RK4_LIMIT. From
-    the first block past it the walk goes on without yielding, and then
-    raises StepTooLarge naming the peak over the whole horizon.
+    trace(grid) gives the trace of the flow's matrix at each time of a
+    stage grid, which bounds its largest eigenvalue where the matrix is
+    symmetric PSD. Blocks are yielded while dt times the peak of the
+    trace so far stays within _RK4_LIMIT. From the first block past it
+    the walk goes on without yielding, and then raises StepTooLarge
+    naming the peak over the whole horizon and a step that fits, in the
+    words trace_of and step_for, such as "trace(A_z)" and "reference".
     """
     peak = 0.0
-    for ks, *grids in _stage_blocks(traj.state_at, dt, steps):
-        # the trace of a finite reference may overflow to inf, which the limit refuses
+    for ks, *grids in blocks:
+        # the trace of a finite matrix may overflow to inf, which the limit refuses
         with np.errstate(all="ignore"):
-            peak = max(peak, *(float(np.max(_trace_A_z(grid[:, 1], grid[:, 2])))
-                               for grid in grids))
+            peak = max(peak, *(float(np.max(trace(grid))) for grid in grids))
         if dt * peak <= _RK4_LIMIT:
-            yield ks, *(_A_z(grid.T) for grid in grids)
+            yield ks, *grids
     if not dt * peak <= _RK4_LIMIT:
         fits = "no dt fits"
         if math.isfinite(peak):
             # rounded down to four digits, so that the step named does fit
             unit = 10.0 ** (math.floor(math.log10(_RK4_LIMIT / peak)) - 3)
             fits = f"dt <= {math.floor(_RK4_LIMIT / peak / unit) * unit:.4g} fits"
-        raise StepTooLarge(f"dt * trace(A_z) reaches {dt * peak:.4g} > {_RK4_LIMIT}: "
-                           f"dt = {dt:g} is too large a step for this reference; {fits}")
+        raise StepTooLarge(f"dt * {trace_of} reaches {dt * peak:.4g} > {_RK4_LIMIT}: "
+                           f"dt = {dt:g} is too large a step for this {step_for}; {fits}")
+
+
+def _A_z_blocks(traj: DesiredTrajectory, dt: float, steps: int):
+    """A_z along traj as _stage_blocks yields it, from one walk over the reference.
+
+    Each block of the reference, which its grid form finds finite or
+    refuses with ValueError, gives its peak of trace(A_z), and
+    _within_rk4_limit decides whether its A_z is yielded.
+    """
+    blocks = _within_rk4_limit(_stage_blocks(traj.state_at, dt, steps), dt,
+                               lambda grid: _trace_A_z(grid[:, 1], grid[:, 2]),
+                               "trace(A_z)", "reference")
+    for ks, *grids in blocks:
+        yield ks, *(_A_z(grid.T) for grid in grids)
 
 
 def _check_horizon(t_end: float, dt: float) -> int:
@@ -301,8 +317,10 @@ def stability_probe(A: Callable[[float], np.ndarray], x0, T: float, epsilon: flo
     (tolerance 1e-9), epsilon positive, and the window Gram over [0, T]
     of A dominating epsilon * Id. Reports the decay rate fitted on the
     final 60% of the horizon and whether |x| was monotone non-increasing.
-    Raises SimulationDiverged if |x| stops being finite. A is evaluated
-    through on_grid, so its array form is used when it has one.
+    As lin_check does, it raises StepTooLarge if dt * trace(A) exceeds
+    RK4's stability limit _RK4_LIMIT at a stage time, and
+    SimulationDiverged if |x| stops being finite. A is evaluated through
+    on_grid, so its array form is used when it has one.
     """
     steps = _check_horizon(t_end, dt)
     _require_positive("excitation level epsilon", epsilon)
@@ -335,7 +353,9 @@ def stability_probe(A: Callable[[float], np.ndarray], x0, T: float, epsilon: flo
             f"window Gram smallest eigenvalue {lam:.3e} does not reach epsilon {epsilon:.3e}"
         )
 
-    times, norms = _ltv_rk4(_stage_blocks(A, dt, steps), x0, steps, dt)
+    blocks = _within_rk4_limit(_stage_blocks(A, dt, steps), dt,
+                               lambda grid: np.trace(grid, axis1=-2, axis2=-1), "trace(A)", "flow")
+    times, norms = _ltv_rk4(blocks, x0, steps, dt)
     monotone = bool(np.all(np.diff(norms) <= 1e-12 * max(1.0, norms[0])))
     rate, r2, window = _fit_log_norm(times, norms)
     return DecayReport(

@@ -437,14 +437,16 @@ def basin_offsets(desc, samples, seed):
 
 @pytest.mark.parametrize("controller", ["spatial", "kanayama", "feedforward"])
 @pytest.mark.parametrize("desc", BIT_DESCS, ids=["ellipse", "line"])
-def test_basin_finals_equal_simulate_bit_for_bit(desc, controller):
-    # a basin sample skips the log but must end on the very same state
-    cfg = SimConfig(trajectory=desc, controller=controller, t_end=3.0, dt=1e-2, seed=11)
-    summary = monte_carlo_basin(cfg, samples=3)
-    for final, offset in zip(summary.final_lyapunov, basin_offsets(desc, 3, 11)):
-        log = simulate(SimConfig(trajectory=desc, controller=controller, offset=offset,
-                                 t_end=3.0, dt=1e-2))
-        assert final == float(log.lyap[-1])
+def test_basin_finals_equal_simulate_bit_for_bit(monkeypatch, desc, controller):
+    # a basin sample skips the log and steps a block of every sample of its range before the
+    # next block, but must end on the very same state as its own run, in one range or in two
+    cfg = SimConfig(trajectory=desc, controller=controller, t_end=8.0, dt=5e-3, seed=11)
+    assert cfg.steps > 3 * _BLOCK
+    finals = [float(simulate(replace(cfg, offset=offset)).lyap[-1])
+              for offset in basin_offsets(desc, 4, 11)]
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: cpus)
+        assert monte_carlo_basin(cfg, samples=4).final_lyapunov == finals
 
 
 def per_step_reference_log(cfg):
@@ -517,18 +519,67 @@ def test_basin_reports_the_lowest_diverged_sample_when_it_finishes_last(monkeypa
     first = engine._initial_state(trajectory_from_descriptor(CIRCLE).state_at(0.0),
                                   basin_offsets(CIRCLE, 1, 8)[0])
 
-    def diverge(control, state, *_):
+    def diverge(control, states, *_):
         # sample 0 diverges late in its run and returns after sample 1
-        if state == first:
+        if states == [first]:
             time.sleep(0.5)
-            raise SimulationDiverged(70, 0.7)
-        raise SimulationDiverged(3, 0.03)
+            return [], SimulationDiverged(70, 0.7)
+        return [], SimulationDiverged(3, 0.03)
 
     monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(engine, "_integrate", diverge)
     with pytest.raises(SimulationDiverged) as exc:
         monte_carlo_basin(cfg, samples=2)
     assert (exc.value.step, exc.value.t) == (70, 0.7)
+
+
+def poison(monkeypatch, when):
+    """Make each run's control law return inf, which diverges at the next step, where when(ref,
+    theta) holds."""
+    make = engine._make_controller
+
+    def make_poisoned(cfg):
+        control = make(cfg)
+
+        def poisoned(ref, th, px, py):
+            return (math.inf,) * 4 if when(ref, th) else control(ref, th, px, py)
+
+        return poisoned
+
+    monkeypatch.setattr(engine, "_make_controller", make_poisoned)
+
+
+def initial_headings(cfg, samples):
+    ref0 = trajectory_from_descriptor(cfg.trajectory).state_at(0.0)
+    return [engine._initial_state(ref0, offset)[0]
+            for offset in basin_offsets(cfg.trajectory, samples, cfg.seed)]
+
+
+def test_a_sample_that_diverges_first_does_not_hide_a_lower_index_divergence(monkeypatch):
+    # all samples in one range: sample 2 diverges at step 1, sample 0 at t = 12, in the third
+    # block, which the sweep still reaches and reports as its own run does
+    cfg = SimConfig(trajectory=CIRCLE, controller="feedforward", t_end=16.0, dt=1e-2, seed=8)
+    late = list(trajectory_from_descriptor(CIRCLE).state_at(12.0))
+    first_heading_of_2 = initial_headings(cfg, 3)[2]
+    poison(monkeypatch, lambda ref, th: th == first_heading_of_2 or ref == late)
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0})
+    with pytest.raises(SimulationDiverged) as exc:
+        monte_carlo_basin(cfg, samples=3)
+    with pytest.raises(SimulationDiverged) as own:
+        simulate(replace(cfg, offset=basin_offsets(CIRCLE, 1, 8)[0]))
+    assert 2 * _BLOCK < own.value.step <= 3 * _BLOCK
+    assert (exc.value.step, exc.value.t) == (own.value.step, own.value.t)
+
+
+def test_a_lower_index_rise_of_L_wins_over_a_divergence_in_an_earlier_block(monkeypatch):
+    # far from the origin sample 0's L ends above its start; sample 1 diverges at step 1
+    cfg = SimConfig(trajectory={**CIRCLE, "origin": [50.0, 0.0]}, t_end=5.0, dt=5e-3, seed=1)
+    assert cfg.steps > _BLOCK
+    first_heading_of_1 = initial_headings(cfg, 2)[1]
+    poison(monkeypatch, lambda ref, th: th == first_heading_of_1)
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0})
+    with pytest.raises(StepTooLarge, match="sample 0: L rose from"):
+        monte_carlo_basin(cfg, samples=2)
 
 
 @pytest.mark.parametrize("cfg, error", [
@@ -565,11 +616,12 @@ def test_simulate_stops_when_spatial_lyapunov_rises_in_a_step():
 @pytest.mark.parametrize("rise, refused", [(2e-8, True), (5e-9, False)])
 def test_simulate_refuses_a_rise_of_L_above_1e_8_in_one_step(monkeypatch, rise, refused):
     # a log whose L is 1 and rises once, by rise, at step 40
-    def integrate(control, state, blocks, dt, data):
+    def integrate(control, states, blocks, dt, data):
         data[:] = 0.0
         data[:, 0] = np.arange(len(data)) * dt
         data[:, engine.COL["lyap"]] = 1.0
         data[40:, engine.COL["lyap"]] += rise
+        return [tuple(data[-1])], None
 
     monkeypatch.setattr(engine, "_integrate", integrate)
     cfg = SimConfig(trajectory=CIRCLE, dt=1e-2, t_end=1.0)
@@ -586,7 +638,7 @@ def test_basin_refuses_a_spatial_sample_whose_final_L_exceeds_its_start(monkeypa
     # each sample starts at L = 2 and ends at growth times that
     monkeypatch.setattr(engine, "_lyapunov_scalars", lambda *draw: 2.0)
     monkeypatch.setattr(engine, "_integrate",
-                        lambda *_: (2.0 * growth,) * len(CSV_COLUMNS))
+                        lambda *_: ([(2.0 * growth,) * len(CSV_COLUMNS)], None))
     cfg = SimConfig(trajectory=CIRCLE, dt=1e-2, t_end=1.0, seed=4)
     if refused:
         with pytest.raises(StepTooLarge, match="sample 0: L rose from 2 to 3: "):
@@ -843,12 +895,12 @@ def test_a_failure_in_the_first_part_wins_over_one_in_a_later_part(monkeypatch):
     first = engine._initial_state(trajectory_from_descriptor(CIRCLE).state_at(0.0),
                                   basin_offsets(CIRCLE, 1, 8)[0])
 
-    def integrate(control, state, *_):
+    def integrate(control, states, *_):
         # sample 0's L rises, after sample 1 diverged
-        if state == first:
+        if states == [first]:
             time.sleep(0.5)
-            return (math.inf,) * len(CSV_COLUMNS)
-        raise SimulationDiverged(3, 0.03)
+            return [(math.inf,) * len(CSV_COLUMNS)], None
+        return [], SimulationDiverged(3, 0.03)
 
     monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(engine, "_integrate", integrate)

@@ -112,7 +112,8 @@ def test_scalar_kernels_match_group_definitions(x, xd):
     frob = 0.5 * np.sum((e.pose.to_matrix() - np.eye(3)) ** 2)
     dth = x.theta - xd.theta
     for theta_E in (dth, wrap_angle(dth)):
-        pEx, pEy = _spatial_position(theta_E, x.p[0], x.p[1], xd.p[0], xd.p[1])
+        pEx, pEy = _spatial_position(math.cos(theta_E), math.sin(theta_E), x.p[0], x.p[1],
+                                     xd.p[0], xd.p[1])
         assert abs(pEx - e.p[0]) < 1e-12 and abs(pEy - e.p[1]) < 1e-12
         assert abs(_lyapunov_scalars(theta_E, pEx, pEy) - frob) < 1e-10
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from se2track import (
     Pose,
-    SimulationDiverged,
     StepTooLarge,
     actuation_gram,
     adjoint_matrix,
@@ -214,12 +213,13 @@ def test_probe_refuses_an_A_larger_than_3_x_3(n):
 
 
 def test_probe_raises_when_rk4_cannot_hold_the_flow():
-    # dt * lambda = 10 lies far outside RK4's stability interval (about
-    # 2.785), so |x| grows by about 290 per step until it overflows
-    with pytest.raises(SimulationDiverged) as exc:
+    # dt * lambda = 10 lies far outside RK4's stability interval (about 2.785), where |x|
+    # would grow by about 290 per step; the probe refuses the step by dt * trace(A) = 30
+    with pytest.raises(StepTooLarge) as exc:
         stability_probe(lambda t: 1e4 * np.eye(3), [1.0, 1.0, 1.0], T=1.0, epsilon=1.0,
                         t_end=1.0, dt=1e-3)
-    assert 0 < exc.value.step < 1000
+    assert str(exc.value) == ("dt * trace(A) reaches 30 > 2.785: dt = 0.001 is too large a step "
+                              "for this flow; dt <= 9.283e-05 fits")
 
 
 coordinates = st.floats(-60.0, 60.0, allow_nan=False, allow_infinity=False)
