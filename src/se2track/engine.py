@@ -292,7 +292,8 @@ def _in_parallel(job, parts) -> list:
     answers are read in order, so the first part's exception is raised
     first, as itself; a worker that ends without answering closes its
     pipe, which raises ChildProcessError. However the call ends, every
-    worker is killed and reaped. One part starts no process.
+    worker is killed and reaped. One part starts no process. A worker
+    inherits the heap that cli.run froze, which its collections skip.
     """
     def answer(part, pipe):
         signal.signal(signal.SIGINT, signal.SIG_IGN)

@@ -1,4 +1,7 @@
+import ast
 import dataclasses
+import gc
+import importlib
 import inspect
 import io
 import json
@@ -59,6 +62,46 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "se2track" in proc.stdout
+
+
+def test_the_process_entry_freezes_the_import_time_heap():
+    # the count is read at exit, after main ran: the heap the imports left is frozen
+    driver = ("import atexit, gc, runpy, sys; sys.argv = ['se2track', '--version']; "
+              "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr)); "
+              "runpy.run_module('se2track.cli', run_name='__main__')")
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", driver], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"se2track {cli.__version__}\n"
+    assert int(proc.stderr.splitlines()[-1]) > 0
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["pe-check", "--windows", "3"]],
+                         ids=["version", "pe-check"])
+def test_main_in_process_leaves_the_collector_as_it_was(capsys, argv):
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+    assert main(argv) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+
+def _main_block_call():
+    """The function that cli.py's `if __name__ == "__main__"` block calls."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    [block] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    [stmt] = block.body
+    return getattr(cli, stmt.value.func.id)
+
+
+def test_the_console_script_runs_the_same_entry_as_the_module():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["se2track"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert entry is _main_block_call()
+    assert entry is not cli.main
 
 
 def test_malformed_offset_and_gains(tmp_path, capsys):
@@ -503,6 +546,73 @@ def test_basin_config_reproduces_the_seeded_summary(tmp_path, capsys):
     assert d2["summary"]["final_lyapunov"] == d1["summary"]["final_lyapunov"]
 
 
+def test_basin_config_replays_the_summary_count_and_threshold(tmp_path, capsys):
+    first, again = tmp_path / "b.json", tmp_path / "again.json"
+    run_ok(["basin"] + ELLIPSE_ARGS + ["--samples", "2", "--t-end", "2", "--dt", "0.01",
+                                       "--threshold", "1e-3", "--seed", "4", "--out", str(first)])
+    shown = capsys.readouterr().out.splitlines()
+    run_ok(["basin", "--config", str(first), "--out", str(again)])
+    replayed = capsys.readouterr().out.splitlines()
+    assert shown[0].startswith("0/2 runs reached Lyapunov < 0.001 by t = 2 s")
+    assert replayed[0] == shown[0]
+    assert again.read_bytes() == first.read_bytes()
+
+
+def test_basin_samples_flag_wins_over_the_replayed_summary(tmp_path, capsys):
+    first, again = tmp_path / "b.json", tmp_path / "again.json"
+    run_ok(["basin"] + ELLIPSE_ARGS + QUICK + ["--samples", "2", "--threshold", "1e-3",
+                                               "--out", str(first)])
+    run_ok(["basin", "--config", str(first), "--samples", "3", "--out", str(again)])
+    assert capsys.readouterr().out.splitlines()[-2].startswith("0/3 runs reached Lyapunov < 0.001")
+    summary = json.loads(again.read_text())["summary"]
+    assert (summary["samples"], summary["threshold"]) == (3, 1e-3)
+
+
+@pytest.mark.parametrize("replayed, shown", [
+    ({"samples": -1}, "sample count must be an integer >= 0, got -1"),
+    ({"samples": 2.0}, "sample count must be an integer >= 0, got 2.0"),
+    ({"samples": True}, "sample count must be an integer >= 0, got True"),
+    ({"threshold": 0}, "threshold must be positive, got 0"),
+    ({"threshold": "1e-3"}, "threshold must be finite, got '1e-3'"),
+    ([2], "'summary' must be a JSON object, got list"),
+], ids=["negative-samples", "float-samples", "bool-samples", "zero-threshold", "text-threshold",
+        "summary-list"])
+def test_basin_summary_values_are_checked_as_the_flags_are(tmp_path, capsys, replayed, shown):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"config": {"trajectory": _ELLIPSE, "dt": 0.01, "t_end": 2.0},
+                                  "summary": replayed}))
+    out = tmp_path / "b.json"
+    assert main(["basin", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and shown in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["none", "bare-config", "manifest"])
+def test_basin_without_a_flag_or_summary_takes_the_library_defaults(tmp_path, capsys,
+                                                                    monkeypatch, source):
+    # --samples and --threshold default to None, so that a summary can fill them in;
+    # without one the sweep runs the library's threshold and 100 draws
+    if source == "none":
+        argv = []
+    elif source == "bare-config":
+        argv = ["--config", write_config(tmp_path)]
+    else:
+        run_ok(["simulate"] + ELLIPSE_ARGS + QUICK + ["--out", str(tmp_path / "x.csv")])
+        argv = ["--config", str(tmp_path / "x.manifest.json")]
+    seen = {}
+
+    def sweep(cfg, samples, threshold):
+        seen.update(samples=samples, threshold=threshold)
+        return engine.BasinSummary(samples=0, converged=0, threshold=threshold,
+                                   t_end=cfg.t_end, seed=0)
+
+    default = inspect.signature(cli.monte_carlo_basin).parameters["threshold"].default
+    monkeypatch.setattr(cli, "monte_carlo_basin", sweep)
+    run_ok(["basin", *argv])
+    assert seen == {"samples": 100, "threshold": default}
+
+
 _ELLIPSE = {"family": "ellipse", "a": 1.0, "b": 1.0, "h": 1.0}
 
 
@@ -860,7 +970,6 @@ def test_a_lin_check_report_that_json_cannot_hold_ends_in_one_line(tmp_path, mon
     ("pe-check", "windows", "pe_epsilon", "windows"),
     ("pe-check", "points", "pe_epsilon", "n"),
     ("pe-check", "points", "window_gram", "n"),
-    ("basin", "threshold", "monte_carlo_basin", "threshold"),
 ])
 def test_a_flag_not_given_takes_the_library_default(command, flag, function, parameter):
     args = cli.build_parser().parse_args([command])
