@@ -15,10 +15,10 @@ The reference does not depend on the vehicle state, so a run samples
 it once, up front, on the three RK4 stage grids k dt, k dt + dt/2 and
 k dt + dt. _stage_blocks, the one walk over those times in blocks of
 _BLOCK steps, serves this loop and the linearization alike: lin_check
-walks its reference on it once, for the step bound and A_z's stage
-values both, and stability_probe walks its A(t). Its values equal the
-per-stage state_at calls bit for bit. A run keeps its blocks, so a
-basin sweep samples the reference once for all runs.
+and stability_probe walk their flow's matrix A(t) on it once, for the
+step bound and the stage values both. Its values equal the per-stage
+state_at calls bit for bit. A run keeps its blocks, so a basin sweep
+samples the reference once for all runs.
 
 One setup, _setup, turns a SimConfig into what a run needs: the
 control law, the reference's stage blocks and the reference at t = 0.

@@ -27,12 +27,12 @@ The products round in another order than a step at a time, so the
 norms are a per-step loop's to rounding, not bit for bit. A flow of
 size 1 or 2 runs padded with zeros to size 3, with its own norms.
 
-lin_check walks its reference once: each block gives A_z's stage values
-and bounds the step. trace(A_z) = 3 + |p_d|^2 bounds the stiffness of
-the flow, and where dt times it passes RK4's stability limit the flow
-may stay finite yet be wrong, so lin_check stops integrating and raises
-StepTooLarge rather than fit it. stability_probe bounds its step the
-same way, by the trace of its A(t), in the one _within_rk4_limit.
+lin_check and stability_probe bound their step alike, in the one
+_within_rk4_limit, on the walk that feeds the flow: the trace of A(t)
+at every stage time, which is 3 + |p_d|^2 for A_z, bounds the
+stiffness of the flow. Where dt times it passes RK4's stability limit
+the flow may stay finite yet be wrong, so the integration stops and
+StepTooLarge is raised rather than fit it.
 """
 
 from __future__ import annotations
@@ -154,42 +154,29 @@ def fd_closed_loop_jacobian(xd: Pose) -> np.ndarray:
     return J
 
 
-def _excitation(A: Callable[[float], np.ndarray], T: float, points: int) -> float:
-    """Smallest eigenvalue of the Simpson integral of A over [0, T], as window_gram integrates."""
-    taus = _window_times(0.0, T, points)
+def _excitation(A: Callable[[float], np.ndarray], T: float) -> float:
+    """Smallest eigenvalue of A's Simpson integral over [0, T] at _GRAM_POINTS, as window_gram."""
+    taus = _window_times(0.0, T, _GRAM_POINTS)
     return float(np.linalg.eigvalsh(_simpson_rule(on_grid(A, taus), taus))[0])
 
 
-def _trace_A_z(px, py):
-    """trace(A_z) at the reference position (px, py), floats or arrays: 3 + |p_d|^2.
+def _within_rk4_limit(A, dt: float, steps: int, trace_of: str, step_for: str):
+    """A's _stage_blocks over steps steps, while RK4 holds the flow that they sample.
 
-    It is 2 M[0, 0] + M[1, 1] + M[2, 2] of _actuation_gram_rows. A_z is
-    symmetric PSD, so the trace bounds its largest eigenvalue from above.
-    """
-    return 3.0 + px * px + py * py
-
-
-def _A_z(state) -> np.ndarray:
-    """A_z = sqrt(S) M sqrt(S) at reference states, as at_reference takes them."""
-    return _SQRT_S @ at_reference(_actuation_gram_rows, state) @ _SQRT_S
-
-
-def _within_rk4_limit(blocks, dt: float, trace, trace_of: str, step_for: str):
-    """blocks, as _stage_blocks yields them, while RK4 holds the flow that they sample.
-
-    trace(grid) gives the trace of the flow's matrix at each time of a
-    stage grid, which bounds its largest eigenvalue where the matrix is
-    symmetric PSD. Blocks are yielded while dt times the peak of the
-    trace so far stays within _RK4_LIMIT. From the first block past it
-    the walk goes on without yielding, and then raises StepTooLarge
+    The trace of A at each stage time bounds its largest eigenvalue, A
+    being symmetric PSD. Blocks are yielded while dt times the peak of
+    the trace so far stays within _RK4_LIMIT. From the first block past
+    it the walk goes on without yielding, and then raises StepTooLarge
     naming the peak over the whole horizon and a step that fits, in the
     words trace_of and step_for, such as "trace(A_z)" and "reference".
     """
     peak = 0.0
-    for ks, *grids in blocks:
+    for ks, *grids in _stage_blocks(A, dt, steps):
         # the trace of a finite matrix may overflow to inf, which the limit refuses
         with np.errstate(all="ignore"):
-            peak = max(peak, *(float(np.max(trace(grid))) for grid in grids))
+            top = float(np.max([np.max(np.trace(grid, axis1=-2, axis2=-1)) for grid in grids]))
+        # a NaN trace, as 0 * inf in A gives, is past every limit too; max would pass over it
+        peak = max(peak, math.inf if math.isnan(top) else top)
         if dt * peak <= _RK4_LIMIT:
             yield ks, *grids
     if not dt * peak <= _RK4_LIMIT:
@@ -200,20 +187,6 @@ def _within_rk4_limit(blocks, dt: float, trace, trace_of: str, step_for: str):
             fits = f"dt <= {math.floor(_RK4_LIMIT / peak / unit) * unit:.4g} fits"
         raise StepTooLarge(f"dt * {trace_of} reaches {dt * peak:.4g} > {_RK4_LIMIT}: "
                            f"dt = {dt:g} is too large a step for this {step_for}; {fits}")
-
-
-def _A_z_blocks(traj: DesiredTrajectory, dt: float, steps: int):
-    """A_z along traj as _stage_blocks yields it, from one walk over the reference.
-
-    Each block of the reference, which its grid form finds finite or
-    refuses with ValueError, gives its peak of trace(A_z), and
-    _within_rk4_limit decides whether its A_z is yielded.
-    """
-    blocks = _within_rk4_limit(_stage_blocks(traj.state_at, dt, steps), dt,
-                               lambda grid: _trace_A_z(grid[:, 1], grid[:, 2]),
-                               "trace(A_z)", "reference")
-    for ks, *grids in blocks:
-        yield ks, *(_A_z(grid.T) for grid in grids)
 
 
 def _check_horizon(t_end: float, dt: float) -> int:
@@ -347,15 +320,13 @@ def stability_probe(A: Callable[[float], np.ndarray], x0, T: float, epsilon: flo
         if float(np.linalg.eigvalsh(0.5 * (Ak + Ak.T))[0]) < -1e-9:
             raise ValueError(f"A({t_chk:.3f}) is not positive semi-definite")
 
-    lam = _excitation(A, T, _GRAM_POINTS)
+    lam = _excitation(A, T)
     if not lam >= epsilon:
         raise ValueError(
             f"window Gram smallest eigenvalue {lam:.3e} does not reach epsilon {epsilon:.3e}"
         )
 
-    blocks = _within_rk4_limit(_stage_blocks(A, dt, steps), dt,
-                               lambda grid: np.trace(grid, axis1=-2, axis2=-1), "trace(A)", "flow")
-    times, norms = _ltv_rk4(blocks, x0, steps, dt)
+    times, norms = _ltv_rk4(_within_rk4_limit(A, dt, steps, "trace(A)", "flow"), x0, steps, dt)
     monotone = bool(np.all(np.diff(norms) <= 1e-12 * max(1.0, norms[0])))
     rate, r2, window = _fit_log_norm(times, norms)
     return DecayReport(
@@ -373,7 +344,7 @@ def closed_loop_ltv(traj: DesiredTrajectory) -> Callable[[float], np.ndarray]:
     returned callable takes a time or an array of times.
     """
     def A_z(t) -> np.ndarray:
-        return _A_z(traj.sample(t))
+        return _SQRT_S @ at_reference(_actuation_gram_rows, traj.sample(t)) @ _SQRT_S
 
     A_z.array_form = A_z
     return A_z
@@ -387,15 +358,16 @@ def lin_check(traj: DesiredTrajectory, t_end: float = _PROBE_T_END,
     adjoint product, (2) the -M S closed-loop Jacobian against central
     finite differences of the nonlinear loop, and (3) the decay rate of
     the LTV linearization, fitted as stability_probe fits it. The window
-    Gram of A_z over one period (5 s if aperiodic), _excitation at
-    _GRAM_POINTS points, decides only the verdict.
-    The flow is integrated first, on one walk over the reference that
-    also bounds the step: it raises StepTooLarge if dt * trace(A_z)
-    exceeds RK4's stability limit _RK4_LIMIT at a stage time, and
-    SimulationDiverged if the LTV flow does not stay finite.
+    Gram of A_z over one period (5 s if aperiodic), _excitation, decides
+    only the verdict. The flow is integrated first, on the walk over
+    A_z's stage values that also bounds the step, as stability_probe's
+    does: it raises StepTooLarge if dt * trace(A_z) exceeds RK4's
+    stability limit _RK4_LIMIT at a stage time, and SimulationDiverged
+    if the LTV flow does not stay finite.
     """
     steps = _check_horizon(t_end, dt)
-    times, norms = _ltv_rk4(_A_z_blocks(traj, dt, steps),
+    A_z = closed_loop_ltv(traj)
+    times, norms = _ltv_rk4(_within_rk4_limit(A_z, dt, steps, "trace(A_z)", "reference"),
                             np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0), steps, dt)
     # the window is one period, which overflows for a rate too small for floats
     T = _default_window(traj)
@@ -412,7 +384,7 @@ def lin_check(traj: DesiredTrajectory, t_end: float = _PROBE_T_END,
         structure = max(structure, float(np.max(np.abs(M - Ad @ B_SELECT @ B_SELECT.T @ Ad.T))))
         fd = max(fd, float(np.max(np.abs(fd_closed_loop_jacobian(xd) - (-M @ S_WEIGHT)))))
 
-    eps = _excitation(closed_loop_ltv(traj), T, _GRAM_POINTS)
+    eps = _excitation(A_z, T)
     rate, r2, fit_window = _fit_log_norm(times, norms)
     verdict = ("PE: linearization decays exponentially" if eps > PE_FLOOR
                else "not PE: no exponential certificate")

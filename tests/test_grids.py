@@ -36,7 +36,7 @@ from se2track import (
     window_gram,
 )
 from se2track.engine import _BLOCK, _RK4_LIMIT, SimulationDiverged, StepTooLarge, _stage_blocks
-from se2track.linearization import _GRAM_POINTS, _A_z_blocks, _ltv_rk4, _transition_matrices
+from se2track.linearization import _GRAM_POINTS, _ltv_rk4, _transition_matrices
 
 
 def finite(lo, hi):
@@ -368,21 +368,6 @@ def test_blocked_integrator_matches_per_step_loop_on_test_flows():
                           t_end=3.0, dt=1e-3)
     assert within_rounding(rep.norms, numpy_ltv_rk4(rotating, [1.0, 0.0], 3000, 1e-3)[1],
                            *step_gains(rotating, 1e-3, 3000))
-
-
-# dt * trace(A_z) stays below RK4's limit on these references at these steps
-WALK_DT = finite(1e-4, 2e-3)
-
-
-@LTV
-@given(trajectories, WALK_DT, steps_across_blocks)
-def test_lin_checks_walk_gives_the_stage_values_of_closed_loop_ltv(traj, dt, steps):
-    walked = list(zip(_A_z_blocks(traj, dt, steps),
-                      _stage_blocks(closed_loop_ltv(traj), dt, steps)))
-    assert len(walked) == -(-steps // _BLOCK)
-    for (ks, *grids), (expected_ks, *expected) in walked:
-        assert ks == expected_ks
-        assert all(same_bits(a, b) for a, b in zip(grids, expected, strict=True))
 
 
 def test_lin_check_samples_its_reference_once_per_stage_grid():

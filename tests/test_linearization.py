@@ -120,7 +120,7 @@ def test_probe_fits_the_trailing_six_tenths_of_the_horizon():
 
 
 def test_excitation_integrates_a_constant_A_exactly():
-    assert linearization._excitation(lambda t: np.diag([1.0, 0.5]), 2.0, 201) == 1.0
+    assert linearization._excitation(lambda t: np.diag([1.0, 0.5]), 2.0) == 1.0
 
 
 def _excitation_of_square_roots(A, T, points):
@@ -144,7 +144,7 @@ centre = st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
 def test_excitation_is_the_window_gram_of_the_square_root_of_A_z(a, b, h, origin):
     traj = ellipse_trajectory(a, b, h, origin)
     A = closed_loop_ltv(traj)
-    eps = linearization._excitation(A, traj.period, 201)
+    eps = linearization._excitation(A, traj.period)
     assert eps == pytest.approx(_excitation_of_square_roots(A, traj.period, 201), rel=1e-9)
 
 
@@ -153,7 +153,7 @@ def test_excitation_is_the_window_gram_of_the_square_root_of_A_z(a, b, h, origin
 def test_pe_checks_gram_bounds_lin_checks_excitation_by_congruence(a, b, h, origin):
     # F^T F = sqrt(S) A_z sqrt(S), and the eigenvalues of S lie in [1, 2]
     traj = ellipse_trajectory(a, b, h, origin)
-    eps = linearization._excitation(closed_loop_ltv(traj), traj.period, 201)
+    eps = linearization._excitation(closed_loop_ltv(traj), traj.period)
     G = window_gram(controller_regressor(traj), 0.0, traj.period, 201)
     eps_pe = float(np.linalg.eigvalsh(G)[0])
     assert eps * (1.0 - 1e-12) <= eps_pe <= 2.0 * eps * (1.0 + 1e-12)
@@ -222,18 +222,30 @@ def test_probe_raises_when_rk4_cannot_hold_the_flow():
                               "for this flow; dt <= 9.283e-05 fits")
 
 
+def test_probe_refuses_a_flow_whose_trace_is_nan():
+    # a NaN trace, as 0 * inf in A gives, is past every limit, as inf is; the checks
+    # at 23 sample times miss the NaN between 5.1 s and 5.2 s
+    def A(t):
+        return np.full((2, 2), math.nan) if 5.1 < t < 5.2 else np.eye(2)
+
+    with pytest.raises(StepTooLarge) as exc:
+        stability_probe(A, [1.0, 0.5], T=1.0, epsilon=0.5, t_end=10.0, dt=0.01)
+    assert str(exc.value) == ("dt * trace(A) reaches inf > 2.785: dt = 0.01 is too large a step "
+                              "for this flow; no dt fits")
+
+
 coordinates = st.floats(-60.0, 60.0, allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.floats(-math.pi, math.pi), coordinates, coordinates)
 def test_trace_of_A_z_bounds_the_rates_of_the_loop(theta, px, py):
-    # lin_check bounds its step with 3 + |p_d|^2: that is trace(A_z), and no
+    # lin_check bounds its step with trace(A_z), which is 3 + |p_d|^2, and no
     # rate of the linearized nonlinear loop exceeds it
     xd = Pose(theta, np.array([px, py]))
-    bound = linearization._trace_A_z(px, py)
+    bound = 3.0 + px * px + py * py
     A_z = linearization._SQRT_S @ actuation_gram(xd) @ linearization._SQRT_S
-    assert bound == pytest.approx(np.trace(A_z), rel=1e-12)
+    assert np.trace(A_z) == pytest.approx(bound, rel=1e-12)
     rates = np.real(np.linalg.eigvals(-fd_closed_loop_jacobian(xd)))
     assert np.max(rates) <= bound * (1.0 + 1e-6)
 
@@ -251,7 +263,8 @@ def test_lin_check_stops_integrating_at_the_first_block_past_the_limit():
     # refusal names the peak over the whole horizon, as a bound taken before integrating would
     walked = []
     with pytest.raises(StepTooLarge, match=r"reaches 10 > 2\.785.*dt <= 0\.0002784 fits"):
-        for ks, *_ in linearization._A_z_blocks(line_trajectory(10.0), 1e-3, 10_000):
+        for ks, *_ in linearization._within_rk4_limit(closed_loop_ltv(line_trajectory(10.0)),
+                                                      1e-3, 10_000, "trace(A_z)", "reference"):
             walked.append(ks)
     assert walked == [range(k * 512, (k + 1) * 512) for k in range(10)]
 
@@ -262,6 +275,29 @@ def test_lin_check_refuses_a_reference_not_finite_past_the_limit():
         lin_check(line_trajectory(1e306), t_end=200.0)
     with pytest.raises(StepTooLarge, match="reaches inf > 2.785.*no dt fits"):
         lin_check(line_trajectory(1e306), t_end=100.0)
+
+
+@pytest.mark.parametrize("r, h", [(1.0, 1.0), (3.0, 2.0 * math.pi / 5.0), (2.0, -0.7),
+                                  (0.5, 3.0)])
+def test_lin_checks_flow_on_a_centred_circle_is_its_closed_form(monkeypatch, r, h):
+    # on the circle A_z(t) = Q(t) A0 Q(t)^T with Q = diag(1, R(ht)), so y = Q^T z obeys
+    # y' = -(A0 + K) y, and |z(t)| = |exp(-(A0 + K) t) z0|
+    flows = []
+    fit = linearization._fit_log_norm
+    monkeypatch.setattr(linearization, "_fit_log_norm",
+                        lambda times, norms: flows.append((times, norms)) or fit(times, norms))
+    lin_check(ellipse_trajectory(r, r, h), t_end=25.0, dt=1e-3)
+    [(times, norms)] = flows
+
+    sqrt_S = np.sqrt(S_WEIGHT)
+    M0 = np.array(linearization._actuation_gram_rows(0.0, math.copysign(1.0, h), r, 0.0))
+    A0 = sqrt_S @ M0 @ sqrt_S
+    K = h * np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+    w, V = np.linalg.eig(A0 + K)
+    c = np.linalg.solve(V, np.ones(3) / math.sqrt(3.0))
+    exact = np.linalg.norm((np.exp(-np.outer(times, w)) * c) @ V.T, axis=1)
+    assert len(times) == 25_001
+    assert np.max(np.abs(norms - exact) / exact) < 1e-10
 
 
 def test_closed_loop_ltv_is_similar_to_raw_linearization():

@@ -163,6 +163,9 @@ def _corpus() -> list:
                                                 "--t-end", "10", "--out", "lin.json"]]),
         ("lin-check-line-no-dt-fits", {}, [["lin-check", "--traj", "line", "--speed", "1e306",
                                             "--t-end", "100", "--out", "lin.json"]]),
+        # |p_d|^2 overflows from t = 13.4 s on, where trace(A_z) is NaN, past every limit as inf is
+        ("lin-check-line-overflows-mid-horizon", {}, [["lin-check", "--traj", "line", "--speed",
+                                                       "1e153", "--t-end", "20"]]),
         # 62 of the 64 window Grams overflow
         ("pe-check-partly-overflowing-line", {}, [["pe-check", "--traj", "line", "--speed",
                                                    "1e153", "--out", "pe.json"]]),
