@@ -24,13 +24,26 @@ Both ways of starting the CLI, the installed `se2track` script and
 `python -m se2track.cli`, go through run, which freezes the heap that
 the imports left (gc.freeze) before main runs. The modules, functions,
 classes and constants of numpy, scipy and this package live until the
-process exits, so neither the run's collections nor the interpreter's
-teardown walk them, and the forked workers of a basin sweep or a CSV
-write inherit them frozen. A library caller of main, such as the tests,
-keeps its collector as it was. On 2 CPUs with Python 3.11 this took 60
-to 100 ms off every process: medians of 9, `--version` 0.607 -> 0.546 s,
-`simulate` 1.218 -> 1.127 s, `compare` 0.792 -> 0.704 s, `pe-check`
-0.643 -> 0.576 s, `lin-check` 0.698 -> 0.617 s, `basin` 0.725 -> 0.627 s.
+process exits, so the run's collections do not walk them, and the
+forked workers of a basin sweep or a CSV write inherit them frozen. A
+library caller of main, such as the tests, keeps its collector as it
+was. On 2 CPUs with Python 3.11 this took 60 to 100 ms off every
+process: medians of 9, `--version` 0.607 -> 0.546 s, `simulate` 1.218
+-> 1.127 s, `compare` 0.792 -> 0.704 s, `pe-check` 0.643 -> 0.576 s,
+`lin-check` 0.698 -> 0.617 s, `basin` 0.725 -> 0.627 s.
+
+Once main returns its exit code, run flushes stdout and stderr (a
+stream that is None, as under `--version >&-`, is skipped) and ends the
+process with os._exit. No module teardown, atexit hook or destructor of
+an extension module runs. Those destructors (scipy's) paged in about
+1.8 MB after the run, so the teardown, not the run, had set the
+process's peak resident set. Nothing is lost by skipping it: every
+output file is closed, and renamed onto its name, inside
+engine._replacing; _in_parallel kills and reaps its workers however it
+ends; and the package registers no exit hook. Where a flush raises
+OSError or ValueError (a closed pipe, a closed stream), run falls back
+to sys.exit, so the interpreter reports the failure as it always did;
+an exception out of main also ends through the interpreter.
 """
 
 from __future__ import annotations
@@ -549,10 +562,21 @@ def run() -> None:
 
     Everything alive now, the imported modules and what they hold, lives
     until the process exits: gc.freeze moves it to the permanent
-    generation, which no collection walks, the teardown's included.
+    generation, which no collection walks. Once main returns, the process
+    flushes stdout and stderr and ends through os._exit, with no teardown
+    (see the module docstring). A flush that fails, and an exception out
+    of main, end through the interpreter as before.
     """
     gc.freeze()
-    sys.exit(main())
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            # None where Python started with the descriptor closed
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":
