@@ -137,7 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tracking control experiments for the kinematic unicycle on SE(2).",
     )
     top.add_argument("--version", action="version", version=f"se2track {__version__}")
-    sub = top.add_subparsers(dest="command", required=True)
+    # not required here: argparse would report a missing command before an unknown flag, so
+    # main refuses a missing command itself, once parse_args has refused every unknown flag
+    sub = top.add_subparsers(dest="command")
 
     p = sub.add_parser("simulate", help="run one closed-loop simulation")
     p.set_defaults(run=cmd_simulate)
@@ -531,6 +533,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command is None:
+            parser.error("the following arguments are required: command")
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -23,14 +23,20 @@ samples the reference once for all runs.
 One setup, _setup, turns a SimConfig into what a run needs: the
 control law, the reference's stage blocks and the reference at t = 0.
 One kernel, _integrate, owns the loop over the steps, the heading's
-wrap, the divergence checks and the log-row formula. It steps a list of
-states that share the reference a block at a time: every state still
-running takes a block's steps before the next block. simulate passes it
-one state and a log array to fill at every step; monte_carlo_basin
-passes the states of a range of samples and no log, and reads each
-final Lyapunov value from its last row. A state that diverges stops,
-with every state after it; the states before it run on, since one of
-them may still fail first.
+wrap and the divergence checks. It steps a list of states that share
+the reference a block at a time: every state still running takes a
+block's steps before the next block. simulate passes it one state and a
+log array; monte_carlo_basin passes the states of a range of samples
+and no log, and reads each final Lyapunov value from its last row. A
+state that diverges stops, with every state after it; the states before
+it run on, since one of them may still fail first.
+
+One array function, _log_rows, holds the log-row formula: the
+reference, both errors, L and the wrapped heading error, from a block
+of states and controls. Its values are the scalar arithmetic's bit for
+bit. It fills simulate's log one block at a time, once the block's
+steps are done, and it forms the last row of every state that
+_integrate returns, so basin's final L comes from it too.
 
 One function starts every worker process. _processes decides how many
 processes a number of jobs may use, one per CPU the process may run on,
@@ -48,9 +54,12 @@ is 60k steps, and batch experiments multiply that by hundreds. Array
 allocation per substage would dominate the runtime. The sampled
 reference is turned into Python floats one block at a time, once for
 all the states of a kernel, and released before the next block's are
-made, so a long run never holds floats for more than one block. The
-spatial law takes cos and sin of theta - theta_d once per stage, for its
-error and its correction both.
+made, so a long run never holds floats for more than one block. A step
+of a logged run appends only its state and control to the block's
+array of doubles, and the block's floats are released before its rows
+are made; the basin's steps keep nothing. The spatial law takes cos and
+sin of theta - theta_d once per stage, for its error and its correction
+both.
 
 Every output file is written through _replacing: to a temporary file
 beside its name, renamed onto the name once it is whole. _write_csv is
@@ -66,6 +75,7 @@ import os
 import shutil
 import signal
 import tempfile
+from array import array
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
@@ -77,7 +87,7 @@ import numpy as np
 from .controller import Gains, KanayamaGains, _correction_scalars, _kanayama_scalars
 from .controller import correction_scalars  # noqa: F401 -- kept: bench/tracing.py patches it
 from .errors import _lyapunov_cos, _lyapunov_scalars, _spatial_position
-from .se2 import wrap_angle
+from .se2 import cos_sin, wrap_angle
 from .trajectories import (_is_count, _require_count, _require_positive, _step_count, on_grid,
                            require_finite, require_known_keys, trajectory_from_descriptor)
 
@@ -477,23 +487,66 @@ def _initial_state(ref0, offset) -> tuple:
     return wrap_angle(thd0 + dth0), pdx0 + dx0, pdy0 + dy0
 
 
-def _log_row(t: float, th: float, px: float, py: float, ref, u: tuple) -> tuple:
-    """The CSV_COLUMNS row at time t: state, reference, both errors, L and the control u."""
-    thd, pdx, pdy, _, _ = ref
-    thE = wrap_angle(th - thd)
-    cE = math.cos(thE)
-    eRx, eRy = _spatial_position(cE, math.sin(thE), px, py, pdx, pdy)
-    cd = math.cos(thd)
-    sd = math.sin(thd)
-    gx = px - pdx
-    gy = py - pdy
-    return (t, th, px, py, thd, pdx, pdy,
-            thE, cd * gx + sd * gy, -sd * gx + cd * gy,
-            thE, eRx, eRy, _lyapunov_cos(cE, eRx, eRy)) + u
+def _log_rows(t: np.ndarray, steps: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """The CSV_COLUMNS rows at times t: state, reference, both errors, L and the control.
+
+    steps holds one row (theta, px, py, omega, v, omega_tilde, v_tilde)
+    per time, and ref the reference's (theta_d, pdx, pdy, omega_d, v_d)
+    at that time. Each value is the scalar formula's bit for bit: the
+    same operations in the same order, with the heading's wrap on Python
+    floats and cos and sin through se2.cos_sin. The one exception,
+    cd gy - sd gx for -sd gx + cd gy, is the same IEEE value. So neither
+    numpy's remainder nor its negative runs: no other code of a basin
+    sweep does, and paging in their code would raise its peak RSS.
+    A value that floats cannot hold comes out inf or NaN, without numpy's
+    warnings, for the caller to refuse.
+    """
+    th, px, py = steps[:, 0], steps[:, 1], steps[:, 2]
+    thd, pdx, pdy = ref[:, 0], ref[:, 1], ref[:, 2]
+    with np.errstate(all="ignore"):
+        thE = np.array(list(map(wrap_angle, (th - thd).tolist())))
+        cE, sE = cos_sin(thE)
+        eRx, eRy = _spatial_position(cE, sE, px, py, pdx, pdy)
+        cd, sd = cos_sin(thd)
+        gx = px - pdx
+        gy = py - pdy
+        return np.column_stack((t, steps[:, :3], ref[:, :3],
+                                thE, cd * gx + sd * gy, cd * gy - sd * gx,
+                                thE, eRx, eRy, _lyapunov_cos(cE, eRx, eRy), steps[:, 3:]))
 
 
 # largest dt * lambda at which _rk4_step holds x_dot = -lambda x, lambda >= 0
 _RK4_LIMIT = 2.785
+
+
+def _fitting_dt(peak: float) -> str:
+    """The clause of a StepTooLarge that names a step within _RK4_LIMIT for a peak trace.
+
+    "dt <= X fits", where X is _RK4_LIMIT / peak rounded down to four
+    digits, so that the step named does fit; "no dt fits" where peak is
+    not finite. A peak so small that X is inf, as at zero gains, bounds
+    no step, and the clause says so.
+    """
+    if not math.isfinite(peak):
+        return "no dt fits"
+    fit = _RK4_LIMIT / peak if peak else math.inf
+    if fit == math.inf:
+        return "the trace bounds no dt"
+    unit = 10.0 ** (math.floor(math.log10(fit)) - 3)
+    return f"dt <= {math.floor(fit / unit) * unit:.4g} fits"
+
+
+def _spatial_fitting_dt(cfg: SimConfig, blocks) -> str:
+    """_fitting_dt of a spatial run: the peak of k_omega (2 + |p_d|^2) + k_v on blocks' grids.
+
+    That is the trace of the loop's matrix near zero error, which bounds
+    its largest eigenvalue. |p_d|^2 may overflow to inf, where no dt fits.
+    """
+    g = Gains(*(cfg.gains or ()))
+    with np.errstate(all="ignore"):
+        sq = max(float(np.max(grid[:, 1] * grid[:, 1] + grid[:, 2] * grid[:, 2]))
+                 for _, *grids in blocks for grid in grids)
+        return _fitting_dt(g.k_omega * (2.0 + sq) + g.k_v)
 
 
 def _rk4_step(field, s1, s2, s3, p: float, q: float, r: float, dt: float) -> tuple:
@@ -530,12 +583,16 @@ def _integrate(control, states: list, blocks, dt: float, data=None) -> tuple:
 
     Returns (rows, diverged): the last log row of each state before the
     first that diverged, and that state's SimulationDiverged; or the last
-    rows of all states and None. When data is given, a (steps + 1,
-    len(CSV_COLUMNS)) array, row k of the log of the one state is
-    written into it at every step.
+    rows of all states and None. The rows are _log_rows', from each last
+    state and its control at the reference's last grid time. When data
+    is given, a (steps + 1, len(CSV_COLUMNS)) array, the log of the one
+    state is written into it: each step appends only the state and its
+    control to an array of doubles, and one _log_rows call fills the
+    block's rows once its steps are done, so that one block's array is
+    alive at a time.
     """
     def field(ref, th, px, py):
-        # the unicycle under the control law; aux is the control, which the log row records
+        # the unicycle under the control law; aux is the control, which the log records
         u = control(ref, th, px, py)
         v = u[1]
         return u[0], v * math.cos(th), v * math.sin(th), u
@@ -547,6 +604,7 @@ def _integrate(control, states: list, blocks, dt: float, data=None) -> tuple:
             break
         refs = on_k.tolist(), on_mid.tolist(), on_end.tolist()
         for i, (th, px, py) in enumerate(states):
+            steps = array("d")
             try:
                 for k, ref, ref_mid, ref_end in zip(ks, *refs):
                     try:
@@ -555,7 +613,7 @@ def _integrate(control, states: list, blocks, dt: float, data=None) -> tuple:
                     except (OverflowError, ValueError):
                         raise SimulationDiverged(k + 1, k * dt + dt) from None
                     if data is not None:
-                        data[k] = _log_row(k * dt, th, px, py, ref, u)
+                        steps.extend((th, px, py, *u))
                     th, px, py = th1, px1, py1
                     if not (math.isfinite(th) and math.isfinite(px) and math.isfinite(py)):
                         raise SimulationDiverged(k + 1, k * dt + dt)
@@ -564,14 +622,22 @@ def _integrate(control, states: list, blocks, dt: float, data=None) -> tuple:
                 del states[i:]
                 break
             states[i] = th, px, py
-        # released before the next block's floats are made, so that one block's are alive at once
+        # released before the log's rows and the next block's floats are made, so that one
+        # block's floats are alive at once
         del refs
+        if data is not None and states:
+            # data comes with one state, and steps holds its block
+            data[ks.start:ks.stop] = _log_rows(np.arange(ks.start, ks.stop) * dt,
+                                               np.frombuffer(steps).reshape(-1, 7), on_k[:-1])
 
-    ref = on_k[-1].tolist()
-    rows = [_log_row(ks.stop * dt, th, px, py, ref, control(ref, th, px, py))
-            for th, px, py in states]
-    if data is not None and rows:
-        data[ks.stop] = rows[0]
+    rows = []
+    if states:
+        ref = on_k[-1].tolist()
+        last = [(th, px, py, *control(ref, th, px, py)) for th, px, py in states]
+        rows = _log_rows(np.full(len(last), ks.stop * dt), np.array(last),
+                         np.broadcast_to(on_k[-1], (len(last), len(ref)))).tolist()
+        if data is not None:
+            data[ks.stop] = rows[0]
     return rows, diverged
 
 
@@ -597,7 +663,7 @@ def simulate(cfg: SimConfig) -> SimLog:
         if rise[k] > _LYAP_RISE_TOL:
             raise StepTooLarge(f"L rose from {lyap[k]:.6g} to {lyap[k + 1]:.6g} at step {k + 1} "
                                f"(t = {data[k + 1, 0]:.6g}): dt = {cfg.dt:g} is too large a step "
-                               f"for this reference")
+                               f"for this reference; {_spatial_fitting_dt(cfg, blocks)}")
     return SimLog(data=data, config=cfg)
 
 
@@ -666,7 +732,8 @@ def monte_carlo_basin(cfg: SimConfig, samples: int,
             start = _lyapunov_scalars(*draws[i])
             if cfg.controller == "spatial" and final > start:
                 raise StepTooLarge(f"sample {i}: L rose from {start:.6g} to {final:.6g}: "
-                                   f"dt = {cfg.dt:g} is too large a step for this reference")
+                                   f"dt = {cfg.dt:g} is too large a step for this reference; "
+                                   f"{_spatial_fitting_dt(cfg, blocks)}")
             finals.append(final)
         if diverged is not None:
             raise diverged

@@ -46,7 +46,8 @@ from typing import Callable
 import numpy as np
 
 from .controller import correction_scalars
-from .engine import _RK4_LIMIT, SimulationDiverged, StepTooLarge, _rk4_step, _stage_blocks
+from .engine import (_RK4_LIMIT, SimulationDiverged, StepTooLarge, _fitting_dt, _rk4_step,
+                     _stage_blocks)
 from .excitation import PE_FLOOR, _default_window, _simpson_rule, _window_times
 from .excitation import window_gram  # noqa: F401 -- kept importable: bench/tracing.py patches it
 from .se2 import B_SELECT, S_WEIGHT, Pose, adjoint_matrix, pose_matrix
@@ -180,13 +181,9 @@ def _within_rk4_limit(A, dt: float, steps: int, trace_of: str, step_for: str):
         if dt * peak <= _RK4_LIMIT:
             yield ks, *grids
     if not dt * peak <= _RK4_LIMIT:
-        fits = "no dt fits"
-        if math.isfinite(peak):
-            # rounded down to four digits, so that the step named does fit
-            unit = 10.0 ** (math.floor(math.log10(_RK4_LIMIT / peak)) - 3)
-            fits = f"dt <= {math.floor(_RK4_LIMIT / peak / unit) * unit:.4g} fits"
         raise StepTooLarge(f"dt * {trace_of} reaches {dt * peak:.4g} > {_RK4_LIMIT}: "
-                           f"dt = {dt:g} is too large a step for this {step_for}; {fits}")
+                           f"dt = {dt:g} is too large a step for this {step_for}; "
+                           f"{_fitting_dt(peak)}")
 
 
 def _check_horizon(t_end: float, dt: float) -> int:

@@ -48,6 +48,18 @@ def test_no_command_is_usage_error():
     assert main([]) == 2
 
 
+@pytest.mark.parametrize("argv, shown", [
+    ([], "the following arguments are required: command"),
+    (["--bogus"], "unrecognized arguments: --bogus"),
+    (["--bogus", "pe-check"], "unrecognized arguments: --bogus"),
+], ids=["no-command", "unknown-flag", "unknown-flag-before-a-command"])
+def test_an_unknown_flag_is_named_and_not_reported_as_a_missing_command(capsys, argv, shown):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.endswith(f"se2track: error: {shown}\n")
+    assert captured.out == ""
+
+
 def test_bad_controller_choice(capsys):
     assert main(["simulate", "--controller", "pid", "--out", "x.csv"]) == 2
 
@@ -767,6 +779,44 @@ def test_simulate_exits_one_when_spatial_lyapunov_rises(tmp_path, capsys):
     assert not (tmp_path / "x.manifest.json").exists()
 
 
+# a line's |p_d| grows with t, and the trace k_omega (2 + |p_d|^2) + k_v of the spatial loop's
+# matrix with it, until dt times the trace passes RK4's limit
+@pytest.mark.parametrize("argv, fits, rows", [
+    (["--traj", "line", "--offset", "0.5,0.5,0.3", "--speed", "1.5"], "0.0007729", 51754),
+    (["--traj", "line", "--offset", "0.5,0.5,0.3", "--speed", "2"], "0.0004349", 91976),
+    (["--origin", "50,0", "--offset", "1,1,0.5", "--t-end", "5"], "0.0009903", 5050),
+], ids=["line-speed-1.5", "line-speed-2", "ellipse-far-out"])
+def test_a_spatial_run_whose_L_rises_names_a_dt_that_fits(tmp_path, capsys, argv, fits, rows):
+    out = tmp_path / "x.csv"
+    assert main(["simulate", *argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("simulation failed: L rose from ")
+    assert err.endswith(f"dt = 0.001 is too large a step for this reference; dt <= {fits} fits\n")
+    assert main(["simulate", *argv, "--dt", fits, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote {out} ({rows} rows)")
+
+
+def test_a_basin_sample_whose_L_rises_names_a_dt_that_fits(capsys):
+    argv = ["basin", "--origin", "50,0", "--samples", "4", "--t-end", "20"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.endswith(
+        "dt = 0.005 is too large a step for this reference; dt <= 0.0009903 fits\n")
+    assert main([*argv, "--dt", "0.0009903"]) == 0
+    assert capsys.readouterr().out.startswith("0/4 runs reached Lyapunov < 1e-06 by t = 20 s")
+
+
+@pytest.mark.parametrize("argv, clause", [
+    # |p_d|^2 overflows to inf
+    (["--traj", "line", "--speed", "1.1394893775162892e+228", "--t-end", "0.05"], "no dt fits"),
+    # zero gains leave the trace 0; RK4's own error still lets L rise
+    (["--gains", "0,0", "--offset", "1,1,1", "--dt", "0.5", "--t-end", "100"],
+     "the trace bounds no dt"),
+], ids=["trace-overflows", "zero-gains"])
+def test_a_rise_of_L_that_no_trace_bound_explains_names_no_dt(tmp_path, capsys, argv, clause):
+    assert main(["simulate", *argv, "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err.endswith(f"for this reference; {clause}\n")
+
+
 def test_basin_exits_one_when_a_spatial_sample_ends_above_its_start(tmp_path, capsys):
     out = tmp_path / "b.json"
     assert main(["basin", "--origin", "50,0", "--samples", "2", "--seed", "1",
@@ -1243,7 +1293,7 @@ _ON_TWO_CPUS = ("import os; os.sched_getaffinity = lambda pid: {0, 1}; "
 
 @pytest.mark.parametrize("argv, code, err", [
     (["--version"], 0, ""),
-    (["--bogus"], 2, "se2track: error: the following arguments are required: command\n"),
+    (["--bogus"], 2, "se2track: error: unrecognized arguments: --bogus\n"),
     (["simulate", "--dt", "100", "--t-end", "10000", "--out", "x.csv"], 1,
      "simulation failed: non-finite state at step 57 (t = 5700)\n"),
 ], ids=["version", "usage-error", "diverges"])
@@ -1341,7 +1391,7 @@ def test_a_closed_stdout_ends_through_the_interpreter_with_mains_code():
               "cli.main = closing; cli.run()")
     proc = _entry(["--bogus"], driver, capture_output=True, text=True)
     assert proc.returncode == 2
-    assert proc.stderr.endswith("error: the following arguments are required: command\n"
+    assert proc.stderr.endswith("error: unrecognized arguments: --bogus\n"
                                 "exit hook\n")
 
 

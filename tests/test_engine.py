@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from se2track import (
@@ -39,7 +39,8 @@ from se2track import (
     wrap_angle,
 )
 from se2track import engine
-from se2track.engine import _BLOCK, _make_controller
+from se2track.engine import _BLOCK, _log_rows, _make_controller
+from se2track.errors import _lyapunov_cos, _spatial_position
 from se2track.trajectories import _MAX_STEPS
 
 CIRCLE = {"family": "ellipse", "a": 1.0, "b": 1.0, "h": 1.0, "origin": [0.0, 0.0]}
@@ -449,9 +450,24 @@ def test_basin_finals_equal_simulate_bit_for_bit(monkeypatch, desc, controller):
         assert monte_carlo_basin(cfg, samples=4).final_lyapunov == finals
 
 
+def _log_row(t: float, th: float, px: float, py: float, ref, u: tuple) -> tuple:
+    """The CSV_COLUMNS row at time t: state, reference, both errors, L and the control u."""
+    thd, pdx, pdy, _, _ = ref
+    thE = wrap_angle(th - thd)
+    cE = math.cos(thE)
+    eRx, eRy = _spatial_position(cE, math.sin(thE), px, py, pdx, pdy)
+    cd = math.cos(thd)
+    sd = math.sin(thd)
+    gx = px - pdx
+    gy = py - pdy
+    return (t, th, px, py, thd, pdx, pdy,
+            thE, cd * gx + sd * gy, -sd * gx + cd * gy,
+            thE, eRx, eRy, _lyapunov_cos(cE, eRx, eRy)) + u
+
+
 def per_step_reference_log(cfg):
     """The log of the per-step loop that called state_at at every RK4 stage."""
-    from se2track.engine import _initial_state, _log_row
+    from se2track.engine import _initial_state
 
     state_at = trajectory_from_descriptor(cfg.trajectory).state_at
     control = _make_controller(cfg)
@@ -486,6 +502,31 @@ def test_sampled_reference_log_equals_per_step_loop(desc, controller):
                     t_end=12.0, dt=1e-2)
     assert cfg.steps > 2 * 512
     assert np.array_equal(simulate(cfg).data, per_step_reference_log(cfg))
+
+
+# a log value: mostly of a run's size, but also any finite float, and ones whose squares and
+# products pass the float limit, where L overflows to inf and its terms to NaN
+_LOG_VALUE = st.one_of(finite(-10.0, 10.0), st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from([1e154, -1e155, 1e200, -1e300, 1.7976931348623157e308]))
+
+
+def _same_bits(a, b) -> bool:
+    """Whether arrays a and b hold the same floats bit for bit, any NaN matching any NaN."""
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(block=st.lists(st.tuples(*[_LOG_VALUE] * 13), min_size=1, max_size=16))
+# L overflows to inf, and an eL_* to NaN
+@example(block=[(0.5, 0.3, 1e200, -1e200, 1.0, 2.0, 0.0, 0.0, 0.1, -1e200, 1e200, 1.0, 1.0),
+                (0.5, 0.3, 1.7e308, -1.7e308, 1.0, 2.0, 0.0, 0.0, 0.1, -1.7e308, 1.7e308, 1.0, 1.0)])
+def test_log_rows_are_the_scalar_rows_bit_for_bit(block):
+    # each row of block is (t, theta, px, py, omega, v, omega_tilde, v_tilde, then the reference)
+    expected = np.array([_log_row(row[0], *row[1:4], row[8:], row[4:8]) for row in block])
+    rows = np.array(block)
+    assert _same_bits(_log_rows(rows[:, 0], rows[:, 1:8], rows[:, 8:]), expected)
 
 
 def test_basin_divergence_matches_simulate(ellipse_desc):

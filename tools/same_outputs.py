@@ -51,6 +51,7 @@ REFERENCES = {
     "line": ["--traj", "line", "--speed", "1.3", "--heading", "0.7", "--origin", "0.5,0.2"],
 }
 QUICK = ["--dt", "0.01", "--t-end", "10"]
+LINE_RISES = ["--traj", "line", "--offset", "0.5,0.5,0.3", "--speed", "1.5"]
 COMPARE = {
     "trajectory": {"family": "ellipse", "a": 3.0, "b": 5.0, "h": 1.2566, "origin": [0.0, 0.0]},
     "controllers": ["spatial", {"name": "kanayama", "gains": [2, 8, 4]}, "feedforward"],
@@ -146,6 +147,12 @@ def _corpus() -> list:
     cases += [
         ("simulate-lyapunov-rises", {}, [["simulate", "--origin", "50,0", "--offset", "1,1,0.5",
                                           "--dt", "1e-3", "--t-end", "5", "--out", "x.csv"]]),
+        # a line's |p_d| grows until dt = 1e-3 is too large a step; the message names a dt that
+        # fits, and the rerun at it writes the whole log
+        ("simulate-line-lyapunov-rises", {}, [
+            ["simulate", *LINE_RISES, "--out", "x.csv"],
+            ["simulate", *LINE_RISES, "--dt", "0.0007729", "--out", "run.csv"],
+        ]),
         ("simulate-diverges", {}, [["simulate", "--offset", "3,-2,1.5", "--dt", "100",
                                     "--t-end", "10000", "--out", "x.csv"]]),
         ("compare-lyapunov-rises", {"c.json": {**COMPARE, "trajectory": {
