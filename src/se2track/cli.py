@@ -27,10 +27,8 @@ classes and constants of numpy, scipy and this package live until the
 process exits, so the run's collections do not walk them, and the
 forked workers of a basin sweep or a CSV write inherit them frozen. A
 library caller of main, such as the tests, keeps its collector as it
-was. On 2 CPUs with Python 3.11 this took 60 to 100 ms off every
-process: medians of 9, `--version` 0.607 -> 0.546 s, `simulate` 1.218
--> 1.127 s, `compare` 0.792 -> 0.704 s, `pe-check` 0.643 -> 0.576 s,
-`lin-check` 0.698 -> 0.617 s, `basin` 0.725 -> 0.627 s.
+was. BENCH_30.json records what the freeze took off each workload,
+measured before run ended through os._exit.
 
 Once main returns its exit code, run flushes stdout and stderr (a
 stream that is None, as under `--version >&-`, is skipped) and ends the

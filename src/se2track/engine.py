@@ -519,13 +519,15 @@ def _log_rows(t: np.ndarray, steps: np.ndarray, ref: np.ndarray) -> np.ndarray:
 _RK4_LIMIT = 2.785
 
 
-def _fitting_dt(peak: float) -> str:
-    """The clause of a StepTooLarge that names a step within _RK4_LIMIT for a peak trace.
+def _fitting_dt(peak: float, dt: float) -> str:
+    """The clause of a StepTooLarge at step dt naming a step within _RK4_LIMIT for a peak trace.
 
     "dt <= X fits", where X is _RK4_LIMIT / peak rounded down to four
     digits, so that the step named does fit; "no dt fits" where peak is
     not finite. A peak so small that X is inf, as at zero gains, bounds
-    no step, and the clause says so.
+    no step, and the clause says so. The trace bound is necessary, not
+    sufficient: a run may fail at a dt that it admits, and where X is not
+    below dt, the clause names no step and says that the bound holds.
     """
     if not math.isfinite(peak):
         return "no dt fits"
@@ -533,7 +535,10 @@ def _fitting_dt(peak: float) -> str:
     if fit == math.inf:
         return "the trace bounds no dt"
     unit = 10.0 ** (math.floor(math.log10(fit)) - 3)
-    return f"dt <= {math.floor(fit / unit) * unit:.4g} fits"
+    fit = math.floor(fit / unit) * unit
+    if fit >= dt:
+        return "the trace bound holds at this dt"
+    return f"dt <= {fit:.4g} fits"
 
 
 def _spatial_fitting_dt(cfg: SimConfig, blocks) -> str:
@@ -546,7 +551,7 @@ def _spatial_fitting_dt(cfg: SimConfig, blocks) -> str:
     with np.errstate(all="ignore"):
         sq = max(float(np.max(grid[:, 1] * grid[:, 1] + grid[:, 2] * grid[:, 2]))
                  for _, *grids in blocks for grid in grids)
-        return _fitting_dt(g.k_omega * (2.0 + sq) + g.k_v)
+        return _fitting_dt(g.k_omega * (2.0 + sq) + g.k_v, cfg.dt)
 
 
 def _rk4_step(field, s1, s2, s3, p: float, q: float, r: float, dt: float) -> tuple:

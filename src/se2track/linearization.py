@@ -51,8 +51,8 @@ from .engine import (_RK4_LIMIT, SimulationDiverged, StepTooLarge, _fitting_dt, 
 from .excitation import PE_FLOOR, _default_window, _simpson_rule, _window_times
 from .excitation import window_gram  # noqa: F401 -- kept importable: bench/tracing.py patches it
 from .se2 import B_SELECT, S_WEIGHT, Pose, adjoint_matrix, pose_matrix
-from .trajectories import (DesiredTrajectory, _require_positive, _step_count, at_reference,
-                           on_grid, require_finite)
+from .trajectories import (DesiredTrajectory, _require_positive, _step_count, along, on_grid,
+                           require_finite)
 
 _SQRT_S = np.diag([math.sqrt(2.0), 1.0, 1.0])
 
@@ -183,7 +183,7 @@ def _within_rk4_limit(A, dt: float, steps: int, trace_of: str, step_for: str):
     if not dt * peak <= _RK4_LIMIT:
         raise StepTooLarge(f"dt * {trace_of} reaches {dt * peak:.4g} > {_RK4_LIMIT}: "
                            f"dt = {dt:g} is too large a step for this {step_for}; "
-                           f"{_fitting_dt(peak)}")
+                           f"{_fitting_dt(peak, dt)}")
 
 
 def _check_horizon(t_end: float, dt: float) -> int:
@@ -340,8 +340,10 @@ def closed_loop_ltv(traj: DesiredTrajectory) -> Callable[[float], np.ndarray]:
     is the form stability_probe accepts. Decay rates agree. The
     returned callable takes a time or an array of times.
     """
+    M = along(traj, _actuation_gram_rows)
+
     def A_z(t) -> np.ndarray:
-        return _SQRT_S @ at_reference(_actuation_gram_rows, traj.sample(t)) @ _SQRT_S
+        return _SQRT_S @ M(t) @ _SQRT_S
 
     A_z.array_form = A_z
     return A_z

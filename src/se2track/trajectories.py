@@ -9,9 +9,11 @@ Ellipses are built flatness-style: heading, speed, and turn rate are
 derived from the position path and its first two derivatives, so the
 flow condition holds by construction for any axis ratio. Each one's
 state_at carries a grid form, which every array of times goes through,
-and which refuses a reference that floats cannot hold there. The module
-also holds the package's input checks, which every number and count
-passes before it is coerced or compared, and its count limit _MAX_STEPS.
+and which refuses a reference that floats cannot hold there; along is
+the one builder of a matrix function of time along a reference. The
+module also holds the package's input checks, which every number and
+count passes before it is coerced or compared, and its count limit
+_MAX_STEPS.
 """
 
 from __future__ import annotations
@@ -110,9 +112,9 @@ class DesiredTrajectory:
 
     state_at(t) returns (theta_d, pdx, pdy, omega_d, v_d) as plain
     floats; pose_at / input_at wrap it in the structured types, and
-    sample evaluates it on a time grid. period is None for aperiodic
-    references. descriptor records the family and parameters for
-    manifests and round-trip reconstruction.
+    on_grid(state_at, ts) evaluates it on a time grid. period is None
+    for aperiodic references. descriptor records the family and
+    parameters for manifests and round-trip reconstruction.
     """
 
     state_at: Callable[[float], tuple]
@@ -127,36 +129,20 @@ class DesiredTrajectory:
         _, _, _, omega, v = self.state_at(t)
         return ControlPair(omega, v)
 
-    def sample(self, t) -> tuple:
-        """(theta_d, pdx, pdy, omega_d, v_d) at a time t, or arrays of them over an array t.
-
-        A float t gives state_at(t); each array equals calling state_at at
-        every time, bit for bit, or raises ValueError where floats cannot
-        hold the reference.
-        """
-        return self.state_at(t) if np.ndim(t) == 0 else tuple(on_grid(self.state_at, t).T)
-
-
-def at_reference(rows, state) -> np.ndarray:
-    """pose_matrix(rows, ...) at the reference pose of state (theta_d, pdx, pdy, ...).
-
-    state is what sample gives: floats give one matrix, arrays the stack of
-    them. The angle is wrapped as Pose wraps it.
-    """
-    theta, px, py = state[:3]
-    return pose_matrix(rows, wrap_angle(theta), px, py)
-
 
 def along(traj: DesiredTrajectory, rows, heading=None):
-    """t -> at_reference(rows, ...) at the reference X_d(t), for a time or an array of times.
+    """t -> pose_matrix(rows, ...) at the reference pose X_d(t), for a time or an array of times.
 
-    heading, when given, is a function of time that replaces theta_d.
-    The returned function is its own array_form.
+    A float t reads traj.state_at(t), and an array on_grid(traj.state_at,
+    t), whose matrices equal the float ones bit for bit. The angle is
+    wrapped as Pose wraps it. heading, when given, is a function of time
+    that replaces theta_d. The returned function is its own array_form.
     """
 
     def F(t):
-        state = traj.sample(t)
-        return at_reference(rows, state if heading is None else (heading(t), *state[1:]))
+        theta, px, py = (traj.state_at(t) if np.ndim(t) == 0
+                         else on_grid(traj.state_at, t).T)[:3]
+        return pose_matrix(rows, wrap_angle(theta if heading is None else heading(t)), px, py)
 
     F.array_form = F
     return F

@@ -811,7 +811,12 @@ def test_a_basin_sample_whose_L_rises_names_a_dt_that_fits(capsys):
     # zero gains leave the trace 0; RK4's own error still lets L rise
     (["--gains", "0,0", "--offset", "1,1,1", "--dt", "0.5", "--t-end", "100"],
      "the trace bounds no dt"),
-], ids=["trace-overflows", "zero-gains"])
+    # the trace admits these steps, rounded down to 0.3151 and to 0.09946 itself, yet L rises
+    (["--a", "2.416", "--b", "0.5", "--h", "-2", "--offset", "0.5,0.5,0.3", "--dt", "0.3",
+      "--t-end", "10"], "the trace bound holds at this dt"),
+    (["--offset", "1,-0.5,3", "--dt", "0.09946", "--t-end", "10"],
+     "the trace bound holds at this dt"),
+], ids=["trace-overflows", "zero-gains", "thin-ellipse-within-trace", "ellipse-at-trace-bound"])
 def test_a_rise_of_L_that_no_trace_bound_explains_names_no_dt(tmp_path, capsys, argv, clause):
     assert main(["simulate", *argv, "--out", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err.endswith(f"for this reference; {clause}\n")

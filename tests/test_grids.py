@@ -189,14 +189,6 @@ LTV = settings(max_examples=40, deadline=None)
 
 @GRID
 @given(trajectories, times)
-def test_sample_equals_state_at(traj, ts):
-    cols = traj.sample(ts)
-    assert len(cols) == 5
-    assert same_bits(np.stack(cols, axis=-1), [traj.state_at(t) for t in ts])
-
-
-@GRID
-@given(trajectories, times)
 def test_trajectory_array_forms_equal_scalar_forms(traj, ts):
     for F in (controller_regressor(traj), closed_loop_ltv(traj)):
         assert same_bits(F.array_form(np.array(ts)), [F(t) for t in ts])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from se2track import (
     Pose,
+    SimConfig,
     StepTooLarge,
     actuation_gram,
     adjoint_matrix,
@@ -15,6 +16,7 @@ from se2track import (
     fd_closed_loop_jacobian,
     lin_check,
     line_trajectory,
+    simulate,
     stability_probe,
 )
 from se2track import controller_regressor, linearization, window_gram
@@ -277,11 +279,22 @@ def test_lin_check_refuses_a_reference_not_finite_past_the_limit():
         lin_check(line_trajectory(1e306), t_end=100.0)
 
 
-@pytest.mark.parametrize("r, h", [(1.0, 1.0), (3.0, 2.0 * math.pi / 5.0), (2.0, -0.7),
-                                  (0.5, 3.0)])
+# centred circles (r, h), on which the linearization is time-invariant in a rotating frame
+CIRCLES = [(1.0, 1.0), (3.0, 2.0 * math.pi / 5.0), (2.0, -0.7), (0.5, 3.0)]
+
+
+def rotating_frame_generator(r, h):
+    """A0 + K of the circle: A_z(t) = Q(t) A0 Q(t)^T with Q = diag(1, R(ht)), so y = Q^T z
+    obeys y' = -(A0 + K) y, and the Floquet rate is min Re eig(A0 + K)."""
+    sqrt_S = np.sqrt(S_WEIGHT)
+    M0 = np.array(linearization._actuation_gram_rows(0.0, math.copysign(1.0, h), r, 0.0))
+    K = h * np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+    return sqrt_S @ M0 @ sqrt_S + K
+
+
+@pytest.mark.parametrize("r, h", CIRCLES)
 def test_lin_checks_flow_on_a_centred_circle_is_its_closed_form(monkeypatch, r, h):
-    # on the circle A_z(t) = Q(t) A0 Q(t)^T with Q = diag(1, R(ht)), so y = Q^T z obeys
-    # y' = -(A0 + K) y, and |z(t)| = |exp(-(A0 + K) t) z0|
+    # |z(t)| = |y(t)| = |exp(-(A0 + K) t) z0|
     flows = []
     fit = linearization._fit_log_norm
     monkeypatch.setattr(linearization, "_fit_log_norm",
@@ -289,15 +302,41 @@ def test_lin_checks_flow_on_a_centred_circle_is_its_closed_form(monkeypatch, r, 
     lin_check(ellipse_trajectory(r, r, h), t_end=25.0, dt=1e-3)
     [(times, norms)] = flows
 
-    sqrt_S = np.sqrt(S_WEIGHT)
-    M0 = np.array(linearization._actuation_gram_rows(0.0, math.copysign(1.0, h), r, 0.0))
-    A0 = sqrt_S @ M0 @ sqrt_S
-    K = h * np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-    w, V = np.linalg.eig(A0 + K)
+    w, V = np.linalg.eig(rotating_frame_generator(r, h))
     c = np.linalg.solve(V, np.ones(3) / math.sqrt(3.0))
     exact = np.linalg.norm((np.exp(-np.outer(times, w)) * c) @ V.T, axis=1)
     assert len(times) == 25_001
     assert np.max(np.abs(norms - exact) / exact) < 1e-10
+
+
+@pytest.mark.parametrize("r, h", CIRCLES)
+def test_the_probes_rate_on_a_centred_circle_is_its_floquet_rate(r, h):
+    # at 25 s the fit still reads the fast modes' tail, off by up to 7.7e-3; at 100 s by 5.9e-4
+    circle = ellipse_trajectory(r, r, h)
+    rate = float(np.min(np.linalg.eigvals(rotating_frame_generator(r, h)).real))
+    report = stability_probe(closed_loop_ltv(circle), np.ones(3) / math.sqrt(3.0),
+                             T=circle.period, epsilon=1e-9, t_end=100.0, dt=1e-3)
+    assert report.fitted_rate == pytest.approx(rate, rel=1e-3)
+
+
+@pytest.mark.parametrize("circle, t_end", zip(CIRCLES, [60.0, 150.0, 120.0, 40.0]))
+def test_log_L_of_a_spatial_run_on_a_centred_circle_decays_at_twice_its_floquet_rate(
+        circle, t_end):
+    # L is quadratic in the error, whose slow modes are a complex pair -rate +- i omega; so
+    # ln L falls by 2 rate per unit time over whole periods pi / omega of its ripple. Above
+    # L = 1e-6 the nonlinear terms still count, and near 1e-16 2 (1 - cos theta_E) rounds to 0
+    r, h = circle
+    w = np.linalg.eigvals(rotating_frame_generator(r, h))
+    slow = w[np.argmin(w.real)]
+    log = simulate(SimConfig(trajectory=ellipse_trajectory(r, r, h).descriptor,
+                             offset=(0.3, -0.2, 0.4), dt=1e-3, t_end=t_end))
+    t, L = log.t, log.lyap
+    t0, t1 = t[np.argmax(L < 1e-6)], t[np.argmax(L < 1e-14)]
+    period = math.pi / abs(slow.imag)
+    span = math.floor((t1 - t0) / period) * period
+    assert span > 0.0
+    slope = (math.log(np.interp(t0 + span, t, L)) - math.log(np.interp(t0, t, L))) / span
+    assert slope == pytest.approx(-2.0 * slow.real, rel=1e-2)
 
 
 def test_closed_loop_ltv_is_similar_to_raw_linearization():

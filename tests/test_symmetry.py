@@ -37,7 +37,7 @@ and the largest translated ones 1.9e-14 (kanayama) and 4.5e-13
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from se2track.engine import CONTROLLERS, SimConfig, simulate
@@ -87,7 +87,12 @@ def _gap(a, b) -> float:
     return float(np.max(np.abs(a - b)))
 
 
-@settings(max_examples=60, deadline=None)
+# a failing draw is reported as drawn, not minimized: shrinking one took minutes of whole runs
+WHOLE_RUNS = settings(max_examples=60, deadline=None, report_multiple_bugs=False,
+                      phases=[p for p in Phase if p not in (Phase.shrink, Phase.explain)])
+
+
+@WHOLE_RUNS
 @given(controller=st.sampled_from(CONTROLLERS), line=lines, offset=offsets,
        alpha=finite(-3.0, 3.0))
 def test_rotating_the_world_rotates_every_run(controller, line, offset, alpha):
@@ -101,7 +106,7 @@ def test_rotating_the_world_rotates_every_run(controller, line, offset, alpha):
     assert _gap(base.lyap, rotated.lyap) <= (2 + 2 * S) * delta
 
 
-@settings(max_examples=60, deadline=None)
+@WHOLE_RUNS
 @given(controller=st.sampled_from(["kanayama", "feedforward"]),
        trajectory=st.one_of(lines, ellipses), offset=offsets, shift=shifts)
 def test_translating_the_world_leaves_the_body_frame_laws_runs(controller, trajectory, offset,

@@ -130,11 +130,10 @@ def test_non_finite_parameters_rejected(build):
 @pytest.mark.parametrize("traj", [ellipse_trajectory(1e300, 5.0, 2.0 * math.pi / 5.0),
                                   line_trajectory(1e308)], ids=["ellipse", "line"])
 @pytest.mark.parametrize("sample", [
-    lambda traj, ts: traj.sample(ts),
     lambda traj, ts: on_grid(traj.state_at, ts),
     lambda traj, ts: controller_regressor(traj)(ts),
     lambda traj, ts: closed_loop_ltv(traj)(ts),
-], ids=["sample", "on-grid", "regressor", "closed-loop"])
+], ids=["on-grid", "regressor", "closed-loop"])
 def test_a_reference_is_refused_on_any_grid_where_floats_cannot_hold_it(traj, sample):
     # the ellipse's speed overflows wherever sin(ht) is not 0, and its turn rate is inf * 0
     # where it is; the line's position overflows past t = 1.8. A numpy warning would be an

@@ -153,6 +153,10 @@ def _corpus() -> list:
             ["simulate", *LINE_RISES, "--out", "x.csv"],
             ["simulate", *LINE_RISES, "--dt", "0.0007729", "--out", "run.csv"],
         ]),
+        # the trace admits dt = 0.3 on this thin ellipse, and L rises all the same
+        ("simulate-lyapunov-rises-within-trace", {}, [
+            ["simulate", "--a", "2.416", "--b", "0.5", "--h", "-2", "--offset", "0.5,0.5,0.3",
+             "--dt", "0.3", "--t-end", "10", "--out", "x.csv"]]),
         ("simulate-diverges", {}, [["simulate", "--offset", "3,-2,1.5", "--dt", "100",
                                     "--t-end", "10000", "--out", "x.csv"]]),
         ("compare-lyapunov-rises", {"c.json": {**COMPARE, "trajectory": {
