@@ -86,7 +86,7 @@ import numpy as np
 
 from .controller import Gains, KanayamaGains, _correction_scalars, _kanayama_scalars
 from .controller import correction_scalars  # noqa: F401 -- kept: bench/tracing.py patches it
-from .errors import _lyapunov_cos, _lyapunov_scalars, _spatial_position
+from .errors import _lyapunov_cos, _spatial_position
 from .se2 import cos_sin, wrap_angle
 from .trajectories import (_is_count, _require_count, _require_positive, _step_count, on_grid,
                            require_finite, require_known_keys, trajectory_from_descriptor)
@@ -202,7 +202,8 @@ class SimConfig:
 
     @property
     def steps(self) -> int:
-        """Number of integration steps; the log has one more row."""
+        """Number of integration steps, round(t_end / dt) with halves to even; the log has one
+        more row. So the last row's t is steps * dt, which may fall before or after t_end."""
         return _step_count(self.t_end, self.dt)
 
     def to_dict(self) -> dict:
@@ -541,17 +542,19 @@ def _fitting_dt(peak: float, dt: float) -> str:
     return f"dt <= {fit:.4g} fits"
 
 
-def _spatial_fitting_dt(cfg: SimConfig, blocks) -> str:
-    """_fitting_dt of a spatial run: the peak of k_omega (2 + |p_d|^2) + k_v on blocks' grids.
+def _spatial_step_too_large(head: str, cfg: SimConfig, blocks) -> StepTooLarge:
+    """The StepTooLarge of a spatial run whose L rose as head says.
 
-    That is the trace of the loop's matrix near zero error, which bounds
-    its largest eigenvalue. |p_d|^2 may overflow to inf, where no dt fits.
+    Its clause is _fitting_dt of the peak trace k_omega (2 + |p_d|^2) + k_v
+    of the loop's matrix near zero error on blocks' grids, which bounds its
+    largest eigenvalue. |p_d|^2 may overflow to inf, where no dt fits.
     """
     g = Gains(*(cfg.gains or ()))
     with np.errstate(all="ignore"):
         sq = max(float(np.max(grid[:, 1] * grid[:, 1] + grid[:, 2] * grid[:, 2]))
                  for _, *grids in blocks for grid in grids)
-        return _fitting_dt(g.k_omega * (2.0 + sq) + g.k_v, cfg.dt)
+    clause = _fitting_dt(g.k_omega * (2.0 + sq) + g.k_v, cfg.dt)
+    return StepTooLarge(f"{head}: dt = {cfg.dt:g} is too large a step for this reference; {clause}")
 
 
 def _rk4_step(field, s1, s2, s3, p: float, q: float, r: float, dt: float) -> tuple:
@@ -666,9 +669,8 @@ def simulate(cfg: SimConfig) -> SimLog:
             rise = np.fmax(np.diff(lyap), -math.inf)
         k = int(np.argmax(rise))
         if rise[k] > _LYAP_RISE_TOL:
-            raise StepTooLarge(f"L rose from {lyap[k]:.6g} to {lyap[k + 1]:.6g} at step {k + 1} "
-                               f"(t = {data[k + 1, 0]:.6g}): dt = {cfg.dt:g} is too large a step "
-                               f"for this reference; {_spatial_fitting_dt(cfg, blocks)}")
+            raise _spatial_step_too_large(f"L rose from {lyap[k]:.6g} to {lyap[k + 1]:.6g} at "
+                                          f"step {k + 1} (t = {data[k + 1, 0]:.6g})", cfg, blocks)
     return SimLog(data=data, config=cfg)
 
 
@@ -717,7 +719,7 @@ def monte_carlo_basin(cfg: SimConfig, samples: int,
     _, pdx0, pdy0, _, _ = ref0
     seed = 0 if cfg.seed is None else cfg.seed
     rng = np.random.default_rng(seed)
-    draws, states = [], []
+    draws, states, starts = [], [], []
     for _ in range(samples):
         thE, pEx, pEy = draw = (rng.uniform(-math.pi + _THETA_MARGIN, math.pi - _THETA_MARGIN),
                                 rng.uniform(-_P_BOX, _P_BOX), rng.uniform(-_P_BOX, _P_BOX))
@@ -727,6 +729,7 @@ def monte_carlo_basin(cfg: SimConfig, samples: int,
         dy = pEy + (s * pdx0 + c * pdy0) - pdy0
         draws.append(draw)
         states.append(_initial_state(ref0, (dx, dy, thE)))
+        starts.append(_lyapunov_cos(c, pEx, pEy))
 
     def final_lyapunov(part):
         # the samples of part in one kernel; its lowest-index failure is raised
@@ -734,11 +737,9 @@ def monte_carlo_basin(cfg: SimConfig, samples: int,
         finals = []
         for i, row in zip(part, rows):
             final = row[COL["lyap"]]
-            start = _lyapunov_scalars(*draws[i])
-            if cfg.controller == "spatial" and final > start:
-                raise StepTooLarge(f"sample {i}: L rose from {start:.6g} to {final:.6g}: "
-                                   f"dt = {cfg.dt:g} is too large a step for this reference; "
-                                   f"{_spatial_fitting_dt(cfg, blocks)}")
+            if cfg.controller == "spatial" and final > starts[i]:
+                raise _spatial_step_too_large(f"sample {i}: L rose from {starts[i]:.6g} to "
+                                              f"{final:.6g}", cfg, blocks)
             finals.append(final)
         if diverged is not None:
             raise diverged

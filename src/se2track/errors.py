@@ -106,16 +106,11 @@ def lyapunov(err: GroupError) -> float:
     error matrix and the identity. Zero iff the error is the identity;
     maximal in angle at theta_E = pi, where the value is 4 + 0.5|p_E|^2.
     """
-    return _lyapunov_scalars(err.theta, float(err.p[0]), float(err.p[1]))
-
-
-def _lyapunov_scalars(theta_E: float, pEx: float, pEy: float) -> float:
-    """lyapunov from the error components, as plain floats."""
-    return _lyapunov_cos(math.cos(theta_E), pEx, pEy)
+    return _lyapunov_cos(math.cos(err.theta), float(err.p[0]), float(err.p[1]))
 
 
 def _lyapunov_cos(cE: float, pEx: float, pEy: float) -> float:
-    """_lyapunov_scalars from cE = cos(theta_E)."""
+    """lyapunov from cE = cos(theta_E) and p_E = (pEx, pEy), as plain floats."""
     return 2.0 * (1.0 - cE) + 0.5 * (pEx * pEx + pEy * pEy)
 
 

@@ -112,7 +112,7 @@ class Pose:
         return dth <= tol and float(np.max(np.abs(self.p - other.p))) <= tol
 
     def __repr__(self):
-        return f"Pose(theta={self.theta!r}, p=({self.p[0]!r}, {self.p[1]!r}))"
+        return f"Pose(theta={self.theta!r}, p=({float(self.p[0])!r}, {float(self.p[1])!r}))"
 
 
 @dataclass(frozen=True)

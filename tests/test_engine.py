@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import re
 import signal
 import tempfile
 import threading
@@ -21,7 +22,9 @@ from hypothesis import strategies as st
 from se2track import (
     CSV_COLUMNS,
     BasinSummary,
+    ErrorKind,
     Gains,
+    GroupError,
     KanayamaGains,
     Pose,
     SimConfig,
@@ -31,6 +34,7 @@ from se2track import (
     compare_controllers,
     kanayama_control,
     left_error,
+    lyapunov,
     monte_carlo_basin,
     simulate,
     stability_probe,
@@ -39,6 +43,7 @@ from se2track import (
     wrap_angle,
 )
 from se2track import engine
+from se2track.cli import _write_json
 from se2track.engine import _BLOCK, _log_rows, _make_controller
 from se2track.errors import _lyapunov_cos, _spatial_position
 from se2track.trajectories import _MAX_STEPS
@@ -421,15 +426,18 @@ def test_basin_draw_mapping_hits_requested_error():
     assert summary.final_lyapunov[0] == pytest.approx(float(log.lyap[-1]), rel=1e-12)
 
 
+def basin_draws(samples, seed):
+    """The spatial errors (theta_E, p_Ex, p_Ey) that monte_carlo_basin draws, in order."""
+    rng = np.random.default_rng(seed)
+    return [(rng.uniform(-math.pi + 0.05, math.pi - 0.05), rng.uniform(-5.0, 5.0),
+             rng.uniform(-5.0, 5.0)) for _ in range(samples)]
+
+
 def basin_offsets(desc, samples, seed):
     """The offsets monte_carlo_basin runs, in draw order (default margins)."""
-    rng = np.random.default_rng(seed)
     _, pdx0, pdy0, _, _ = trajectory_from_descriptor(desc).state_at(0.0)
     offsets = []
-    for _ in range(samples):
-        thE = rng.uniform(-math.pi + 0.05, math.pi - 0.05)
-        pEx = rng.uniform(-5.0, 5.0)
-        pEy = rng.uniform(-5.0, 5.0)
+    for thE, pEx, pEy in basin_draws(samples, seed):
         c, s = math.cos(thE), math.sin(thE)
         offsets.append((pEx + (c * pdx0 - s * pdy0) - pdx0,
                         pEy + (s * pdx0 + c * pdy0) - pdy0, thE))
@@ -639,7 +647,10 @@ def test_a_failed_sweep_leaves_no_worker(monkeypatch, cfg, error):
 def test_basin_stops_at_a_spatial_sample_whose_lyapunov_rose():
     # far from the origin the loop is too stiff for RK4 at this dt
     cfg = SimConfig(trajectory={**CIRCLE, "origin": [50.0, 0.0]}, t_end=5.0, dt=5e-3, seed=1)
-    with pytest.raises(StepTooLarge, match="sample 0: L rose from"):
+    # the rise is measured from the L of the sample's own draw, 16.4823
+    (thE, pEx, pEy), = basin_draws(1, 1)
+    start = lyapunov(GroupError(ErrorKind.SPATIAL, Pose(thE, (pEx, pEy))))
+    with pytest.raises(StepTooLarge, match=re.escape(f"sample 0: L rose from {start:.6g} to ")):
         monte_carlo_basin(cfg, samples=2)
     # the Kanayama law is not checked: its L need not descend
     summary = monte_carlo_basin(replace(cfg, controller="kanayama"), samples=2)
@@ -677,7 +688,7 @@ def test_simulate_refuses_a_rise_of_L_above_1e_8_in_one_step(monkeypatch, rise, 
 def test_basin_refuses_a_spatial_sample_whose_final_L_exceeds_its_start(monkeypatch, growth,
                                                                         refused):
     # each sample starts at L = 2 and ends at growth times that
-    monkeypatch.setattr(engine, "_lyapunov_scalars", lambda *draw: 2.0)
+    monkeypatch.setattr(engine, "_lyapunov_cos", lambda *draw: 2.0)
     monkeypatch.setattr(engine, "_integrate",
                         lambda *_: ([(2.0 * growth,) * len(CSV_COLUMNS)], None))
     cfg = SimConfig(trajectory=CIRCLE, dt=1e-2, t_end=1.0, seed=4)
@@ -1001,6 +1012,23 @@ def test_a_written_file_replaces_the_older_one_whole(tmp_path, monkeypatch):
     engine._write_csv(path, ("k",), [partial(lambda k: [str(k)], k) for k in range(3)])
     assert path.read_text() == "k\n0\n1\n2\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+@pytest.mark.parametrize("name, write", [
+    ("out.json", lambda path: _write_json(path, {"k": [1.5, None]})),
+    ("out.csv", lambda path: SimLog(data=np.eye(3, len(CSV_COLUMNS))).to_csv(path)),
+], ids=["json", "csv"])
+def test_a_temporary_name_that_is_taken_is_passed_over(tmp_path, name, write):
+    # a file already holds the first temporary name beside the output; the writer takes the next
+    # name, leaves that file as it is, and writes what it writes where no name is taken
+    (tmp_path / "clear").mkdir()
+    write(tmp_path / "clear" / name)
+    squatter = tmp_path / f".{name}.{os.getpid()}.0.tmp"
+    squatter.write_bytes(b"not the writer's\n")
+    write(tmp_path / name)
+    assert (tmp_path / name).read_bytes() == (tmp_path / "clear" / name).read_bytes()
+    assert squatter.read_bytes() == b"not the writer's\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [squatter.name, "clear", name]
 
 
 @pytest.mark.parametrize("char", ["x", "\u00e9", "\u20ac"], ids=["1-byte", "2-byte", "3-byte"])

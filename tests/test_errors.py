@@ -20,7 +20,7 @@ from se2track import (
     wedge,
     wrap_angle,
 )
-from se2track.errors import _lyapunov_scalars, _spatial_position
+from se2track.errors import _lyapunov_cos, _spatial_position
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 poses = st.builds(Pose, st.floats(-math.pi, math.pi), st.tuples(finite, finite))
@@ -115,7 +115,7 @@ def test_scalar_kernels_match_group_definitions(x, xd):
         pEx, pEy = _spatial_position(math.cos(theta_E), math.sin(theta_E), x.p[0], x.p[1],
                                      xd.p[0], xd.p[1])
         assert abs(pEx - e.p[0]) < 1e-12 and abs(pEy - e.p[1]) < 1e-12
-        assert abs(_lyapunov_scalars(theta_E, pEx, pEy) - frob) < 1e-10
+        assert abs(_lyapunov_cos(math.cos(theta_E), pEx, pEy) - frob) < 1e-10
 
 
 def test_lyapunov_accepts_both_kinds(rng):

@@ -136,6 +136,11 @@ def test_inverse_cancels_on_both_sides(g):
     assert compose(inverse(g), g).isclose(Pose.identity(), tol=1e-12)
 
 
+@given(poses)
+def test_a_pose_repr_evaluates_to_the_pose(g):
+    assert eval(repr(g), {"Pose": Pose}).isclose(g)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.floats(-math.pi + 1e-3, math.pi - 1e-3), finite, finite,
        st.floats(-math.pi, math.pi, exclude_max=True))
