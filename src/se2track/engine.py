@@ -12,24 +12,29 @@ renormalized to [-pi, pi) after every step, so the implied rotation
 matrix is always exactly orthogonal.
 
 The reference does not depend on the vehicle state, so a run samples
-it once, up front, on the three RK4 stage grids k dt, k dt + dt/2 and
-k dt + dt. _stage_blocks, the one walk over those times in blocks of
-_BLOCK steps, serves this loop and the linearization alike: lin_check
-and stability_probe walk their flow's matrix A(t) on it once, for the
-step bound and the stage values both. Its values equal the per-stage
-state_at calls bit for bit. A run keeps its blocks, so a basin sweep
-samples the reference once for all runs.
+it on the three RK4 stage grids k dt, k dt + dt/2 and k dt + dt, a
+block of _BLOCK steps at a time. _stage_blocks, the one walk over those
+times, serves this loop and the linearization alike: lin_check and
+stability_probe walk their flow's matrix A(t) on it once, for the step
+bound and the stage values both. Its values equal the per-stage
+state_at calls bit for bit. A run holds one block of its reference at a
+time, so the memory that the reference takes does not grow with t_end;
+each range of a basin sweep walks the shared reference itself, in its
+own process.
 
 One setup, _setup, turns a SimConfig into what a run needs: the
-control law, the reference's stage blocks and the reference at t = 0.
-One kernel, _integrate, owns the loop over the steps, the heading's
-wrap and the divergence checks. It steps a list of states that share
-the reference a block at a time: every state still running takes a
-block's steps before the next block. simulate passes it one state and a
-log array; monte_carlo_basin passes the states of a range of samples
-and no log, and reads each final Lyapunov value from its last row. A
-state that diverges stops, with every state after it; the states before
-it run on, since one of them may still fail first.
+control law, a walk of the reference's stage blocks and the reference
+at t = 0. One kernel, _integrate, owns the loop over the steps, the
+heading's wrap and the divergence checks. It steps a list of states
+that share the reference a block at a time: every state still running
+takes a block's steps before the next block. simulate passes it one
+state and a log array; monte_carlo_basin passes the states of a range
+of samples and no log, and reads each final Lyapunov value from its
+last row. A state that diverges stops, with every state after it; the
+states before it run on, since one of them may still fail first. The
+walk goes on to the last block even when no state is left, so that a
+reference that floats cannot hold at a later stage time is refused
+whether or not a state diverged before it.
 
 One array function, _log_rows, holds the log-row formula: the
 reference, both errors, L and the wrapped heading error, from a block
@@ -472,13 +477,17 @@ def _stage_blocks(F, dt: float, steps: int):
 
 
 def _setup(cfg: SimConfig) -> tuple:
-    """(control, blocks, ref0) of a run: its control law, its reference's _stage_blocks, t = 0 row.
+    """(control, walk, ref0) of a run: its control law, a walk of its reference, the t = 0 row.
 
-    Raises ValueError if the reference is not finite at a stage time.
+    walk() starts a fresh _stage_blocks of the reference over the run's
+    steps, which samples one block at a time and raises ValueError at
+    the first block where the reference is not finite at a stage time.
+    ref0 is the reference on the one-point grid t = 0, which equals the
+    first block's first row bit for bit; ValueError if it is not finite.
     """
     traj = trajectory_from_descriptor(cfg.trajectory)
-    blocks = list(_stage_blocks(traj.state_at, cfg.dt, cfg.steps))
-    return _make_controller(cfg), blocks, blocks[0][1][0].tolist()
+    return (_make_controller(cfg), partial(_stage_blocks, traj.state_at, cfg.dt, cfg.steps),
+            on_grid(traj.state_at, np.zeros(1))[0].tolist())
 
 
 def _initial_state(ref0, offset) -> tuple:
@@ -542,17 +551,20 @@ def _fitting_dt(peak: float, dt: float) -> str:
     return f"dt <= {fit:.4g} fits"
 
 
-def _spatial_step_too_large(head: str, cfg: SimConfig, blocks) -> StepTooLarge:
+def _spatial_step_too_large(head: str, cfg: SimConfig) -> StepTooLarge:
     """The StepTooLarge of a spatial run whose L rose as head says.
 
     Its clause is _fitting_dt of the peak trace k_omega (2 + |p_d|^2) + k_v
-    of the loop's matrix near zero error on blocks' grids, which bounds its
-    largest eigenvalue. |p_d|^2 may overflow to inf, where no dt fits.
+    of the loop's matrix near zero error on the run's stage grids, which
+    bounds its largest eigenvalue. Only this refusal needs the peak, so it
+    walks cfg's reference again, a block at a time. |p_d|^2 may overflow
+    to inf, where no dt fits.
     """
     g = Gains(*(cfg.gains or ()))
+    _, walk, _ = _setup(cfg)
     with np.errstate(all="ignore"):
         sq = max(float(np.max(grid[:, 1] * grid[:, 1] + grid[:, 2] * grid[:, 2]))
-                 for _, *grids in blocks for grid in grids)
+                 for _, *grids in walk() for grid in grids)
     clause = _fitting_dt(g.k_omega * (2.0 + sq) + g.k_v, cfg.dt)
     return StepTooLarge(f"{head}: dt = {cfg.dt:g} is too large a step for this reference; {clause}")
 
@@ -581,13 +593,16 @@ def _rk4_step(field, s1, s2, s3, p: float, q: float, r: float, dt: float) -> tup
 def _integrate(control, states: list, blocks, dt: float, data=None) -> tuple:
     """Integrate the closed loop from each state = (theta, px, py) of states at t = 0.
 
-    blocks is the reference's _stage_blocks over the run. Each block's
-    stage values are turned into Python floats once, and every state
-    still running takes the block's steps, in order, before the next
-    block's floats are made. A state that leaves the finite range stops
-    with its SimulationDiverged (with the offending step index), and so
-    does every state after it: a sweep reports its lowest-index failure,
-    which a later state cannot be. The states before it run on.
+    blocks is a walk of the reference's _stage_blocks over the run, which
+    is read once, a block at a time. Each block's stage values are turned
+    into Python floats once, and every state still running takes the
+    block's steps, in order, before the next block's floats are made. A
+    state that leaves the finite range stops with its SimulationDiverged
+    (with the offending step index), and so does every state after it: a
+    sweep reports its lowest-index failure, which a later state cannot
+    be. The states before it run on. Once no state runs, the walk still
+    goes on to its end, stepping nothing, so that a reference that is not
+    finite at a later stage time raises its ValueError all the same.
 
     Returns (rows, diverged): the last log row of each state before the
     first that diverged, and that state's SimulationDiverged; or the last
@@ -609,7 +624,7 @@ def _integrate(control, states: list, blocks, dt: float, data=None) -> tuple:
     diverged = None
     for ks, on_k, on_mid, on_end in blocks:
         if not states:
-            break
+            continue
         refs = on_k.tolist(), on_mid.tolist(), on_end.tolist()
         for i, (th, px, py) in enumerate(states):
             steps = array("d")
@@ -657,9 +672,9 @@ def simulate(cfg: SimConfig) -> SimLog:
     StepTooLarge if L rises by more than _LYAP_RISE_TOL in one step of
     a spatial run.
     """
-    control, blocks, ref0 = _setup(cfg)
+    control, walk, ref0 = _setup(cfg)
     data = np.empty((cfg.steps + 1, len(CSV_COLUMNS)))
-    _, diverged = _integrate(control, [_initial_state(ref0, cfg.offset)], blocks, cfg.dt, data)
+    _, diverged = _integrate(control, [_initial_state(ref0, cfg.offset)], walk(), cfg.dt, data)
     if diverged is not None:
         raise diverged
     if cfg.controller == "spatial":
@@ -670,7 +685,7 @@ def simulate(cfg: SimConfig) -> SimLog:
         k = int(np.argmax(rise))
         if rise[k] > _LYAP_RISE_TOL:
             raise _spatial_step_too_large(f"L rose from {lyap[k]:.6g} to {lyap[k + 1]:.6g} at "
-                                          f"step {k + 1} (t = {data[k + 1, 0]:.6g})", cfg, blocks)
+                                          f"step {k + 1} (t = {data[k + 1, 0]:.6g})", cfg)
     return SimLog(data=data, config=cfg)
 
 
@@ -703,8 +718,10 @@ def monte_carlo_basin(cfg: SimConfig, samples: int,
     initial spatial error is exactly the draw, runs each case, and
     counts final Lyapunov values below threshold; samples may be 0 to
     _MAX_STEPS. Deterministic for a fixed cfg.seed (None draws as 0).
-    The margin keeps draws away from the antipodal equilibrium, where
-    escape times blow up.
+    The margin keeps draws away from the antipodal equilibrium, a saddle:
+    a draw at theta_E = pi - delta leaves it in a time that grows only
+    like ln(1/delta) over the saddle's unstable rate, 0.4377 per second on
+    the default ellipse, where the margin's delta = 0.05 takes about 9.7 s.
 
     The samples run _in_parallel, in as many contiguous ranges as
     _processes grants them, each range in one _integrate; each range
@@ -715,7 +732,7 @@ def monte_carlo_basin(cfg: SimConfig, samples: int,
     """
     _require_count("sample count", samples, 0)
     _require_positive("threshold", threshold)
-    control, blocks, ref0 = _setup(cfg)
+    control, walk, ref0 = _setup(cfg)
     _, pdx0, pdy0, _, _ = ref0
     seed = 0 if cfg.seed is None else cfg.seed
     rng = np.random.default_rng(seed)
@@ -733,13 +750,13 @@ def monte_carlo_basin(cfg: SimConfig, samples: int,
 
     def final_lyapunov(part):
         # the samples of part in one kernel; its lowest-index failure is raised
-        rows, diverged = _integrate(control, [states[i] for i in part], blocks, cfg.dt)
+        rows, diverged = _integrate(control, [states[i] for i in part], walk(), cfg.dt)
         finals = []
         for i, row in zip(part, rows):
             final = row[COL["lyap"]]
             if cfg.controller == "spatial" and final > starts[i]:
                 raise _spatial_step_too_large(f"sample {i}: L rose from {starts[i]:.6g} to "
-                                              f"{final:.6g}", cfg, blocks)
+                                              f"{final:.6g}", cfg)
             finals.append(final)
         if diverged is not None:
             raise diverged

@@ -8,6 +8,7 @@ import signal
 import tempfile
 import threading
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -642,6 +643,63 @@ def test_a_failed_sweep_leaves_no_worker(monkeypatch, cfg, error):
     with pytest.raises(error):
         monte_carlo_basin(cfg, samples=4)
     _no_child_left()
+
+
+# p_d = 1e307 t passes float range near t = 18 s, in the fourth block at dt = 1e-2
+OVERFLOWS_LATE = {"family": "line", "speed": 1e307, "heading": 0.0, "start": [0.0, 0.0]}
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+@pytest.mark.parametrize("samples", [0, 2])
+def test_a_sweep_refuses_a_reference_that_overflows_after_its_samples_diverged(monkeypatch, cpus,
+                                                                               samples):
+    cfg = SimConfig(trajectory=OVERFLOWS_LATE, dt=1e-2, t_end=20.0)
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: cpus)
+    if samples:
+        # within the reference's finite span, every sample diverges at step 1
+        with pytest.raises(SimulationDiverged) as exc:
+            monte_carlo_basin(replace(cfg, t_end=15.0), samples=samples)
+        assert exc.value.step == 1
+    with pytest.raises(ValueError, match="is not finite in floats on the run's times"):
+        monte_carlo_basin(cfg, samples=samples)
+    _no_child_left()
+
+
+def test_a_run_refuses_a_reference_that_overflows_after_it_diverged(monkeypatch):
+    # the run diverges once p_d passes 1e307, at t = 1 s, in the first block
+    cfg = SimConfig(trajectory=OVERFLOWS_LATE, controller="feedforward", dt=1e-2, t_end=20.0)
+    poison(monkeypatch, lambda ref, th: ref[1] > 1e307)
+    with pytest.raises(SimulationDiverged) as exc:
+        simulate(replace(cfg, t_end=15.0))
+    assert exc.value.step < _BLOCK
+    with pytest.raises(ValueError, match="is not finite in floats on the run's times"):
+        simulate(cfg)
+
+
+def peak_mb(run) -> tuple:
+    """(run(), the peak of the memory that tracemalloc traced during it, in MB)."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_runs_memory_beyond_its_log_does_not_grow_with_its_length(monkeypatch):
+    # a run holds one block of its reference at a time; ten times the steps would hold ten
+    # times the reference's blocks, about 0.12 MB per 1000 steps, had it kept them
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0})
+    sweeps = [peak_mb(lambda: monte_carlo_basin(SimConfig(trajectory=CIRCLE, dt=0.05,
+                                                          t_end=t_end), samples=1))[1]
+              for t_end in (60.0, 600.0)]
+    assert abs(sweeps[1] - sweeps[0]) < 0.25, sweeps
+    runs = []
+    for steps in (2_000, 20_000):
+        log, peak = peak_mb(lambda: simulate(SimConfig(trajectory=CIRCLE, controller="kanayama",
+                                                       dt=1e-2, t_end=steps * 1e-2)))
+        runs.append(peak - log.data.nbytes / 2**20)
+    assert abs(runs[1] - runs[0]) < 0.25, runs
 
 
 def test_basin_stops_at_a_spatial_sample_whose_lyapunov_rose():

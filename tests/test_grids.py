@@ -35,7 +35,8 @@ from se2track import (
     uniform_heading_ellipse_regressor,
     window_gram,
 )
-from se2track.engine import _BLOCK, _RK4_LIMIT, SimulationDiverged, StepTooLarge, _stage_blocks
+from se2track.engine import (_BLOCK, _RK4_LIMIT, SimConfig, SimulationDiverged, StepTooLarge,
+                             _setup, _stage_blocks)
 from se2track.linearization import _GRAM_POINTS, _ltv_rk4, _transition_matrices
 
 
@@ -257,6 +258,15 @@ def test_stage_blocks_equal_the_values_at_each_stage_time(traj, dt, steps):
             t = k * dt
             assert same_bits([A1, A2, A3], [A(t), A(t + 0.5 * dt), A(t + dt)]), k
     assert walked == list(range(steps))
+
+
+@GRID
+@given(st.one_of(trajectories, origin_lines), finite(1e-4, 2e-2), steps_across_blocks)
+def test_setup_takes_the_reference_at_t_0_as_the_first_blocks_first_row(traj, dt, steps):
+    # a basin sweep places its draws, and simulate its initial state, on this row
+    _, walk, ref0 = _setup(SimConfig(trajectory=traj.descriptor, dt=dt, t_end=steps * dt))
+    _, on_k, _, _ = next(walk())
+    assert same_bits(ref0, on_k[0])
 
 
 @LTV

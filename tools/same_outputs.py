@@ -31,10 +31,10 @@ second tree, so it is not part of the test suite.
 
 Each tree runs in one process that imports the package once and forks
 a child per invocation, which calls ``main``; the two trees run side by
-side. The entry group (``ENTRY``) is the exception: each of its five
+side. The entry group (``ENTRY``) is the exception: each of its seven
 invocations is a fresh ``python -m se2track.cli`` process, which goes
 through ``cli.run`` and its own exit, with Python's default buffering.
-It adds about 3 s to each tree's run (2 CPUs, Python 3.11).
+It adds about 4.5 s to each tree's run (2 CPUs, Python 3.11).
 """
 
 from __future__ import annotations
@@ -69,12 +69,16 @@ CIRCLE = {"family": "ellipse", "a": 1.0, "b": 1.0, "h": 1.0}
 # config file entries that make a directory, or a FIFO, under their name instead of a file
 DIRECTORY = None
 FIFO = object()
+# a line whose p_d passes float range near t = 18 s, in the fourth block of 512 steps of 0.01 s,
+# after each basin sample on it diverged at step 1
+OVERFLOWS_LATE = ["--traj", "line", "--speed", "1e307", "--dt", "0.01", "--t-end", "20"]
 # the entry group: each runs as a fresh process through cli.run, the installed script's entry,
-# which the rest of the corpus, calling main in a forked child, never reaches; the two-CPU case
-# patches the CPU count first, so that the CSV writer forks a worker for two of its three blocks
+# which the rest of the corpus, calling main in a forked child, never reaches; the one- and
+# two-CPU cases patch the CPU count first, so that a sweep runs its samples in one process or
+# two, and the CSV writer forks a worker for two of its three blocks
 MODULE = ["-m", "se2track.cli"]
-TWO_CPUS = ["-c", "import os; os.sched_getaffinity = lambda pid: {0, 1}; "
-                  "from se2track import cli; cli.run()"]
+ONE_CPU, TWO_CPUS = (["-c", f"import os; os.sched_getaffinity = lambda pid: {cpus}; "
+                            "from se2track import cli; cli.run()"] for cpus in ("{0}", "{0, 1}"))
 ENTRY = {
     "entry-version": [*MODULE, "--version"],
     "entry-usage-error": [*MODULE, "--bogus"],
@@ -83,6 +87,8 @@ ENTRY = {
                                 "--out", "x.csv"],
     "entry-simulate-two-cpus": [*TWO_CPUS, "simulate", "--dt", "0.01", "--t-end", "10.24",
                                 "--out", "run.csv"],
+    "entry-basin-overflows-late-one-cpu": [*ONE_CPU, "basin", *OVERFLOWS_LATE, "--samples", "2"],
+    "entry-basin-overflows-late-two-cpus": [*TWO_CPUS, "basin", *OVERFLOWS_LATE, "--samples", "2"],
 }
 
 
@@ -264,6 +270,8 @@ def _corpus() -> list:
         # finite where each of the 64 windows starts, up to t = 20 s, and not at the scan's end
         ("pe-check-line-finite-only-at-window-starts", ["pe-check", "--traj", "line", "--speed",
                                                         "8e306", "--out", "pe.json"]),
+        # not finite from the fourth block on, which a sweep of no sample still walks
+        ("basin-0-samples-overflows-late", ["basin", *OVERFLOWS_LATE, "--samples", "0"]),
     ]
     cases += [(name, {}, [argv]) for name, argv in usage]
     configs = {
