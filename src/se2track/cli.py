@@ -15,7 +15,8 @@ finite in floats, a write that failed), 2 usage or config error (an
 unknown config key, a reference whose values floats cannot hold at a
 time the command samples it, or an output path that is empty, in no
 directory, a directory or not a regular file, checked before any run),
-130 interrupted. Every result that is not finite, in a simulate log, a
+130 interrupted. Every result that is not finite, in a run's log
+(engine.simulate refuses it, for simulate and each run of compare), a
 report or a numpy operation, ends in one line from main. Outputs are
 deterministic: re-running a written manifest reproduces the CSV byte
 for byte.
@@ -63,11 +64,11 @@ from . import __version__
 from .engine import (
     CONTROLLERS,
     SimConfig,
+    SimLog,
     SimulationDiverged,
     StepTooLarge,
     _BASIN_THRESHOLD,
     _SETTLE_THRESHOLD,
-    CSV_COLUMNS,
     _replacing,
     _write_csv,
     compare_controllers,
@@ -275,8 +276,8 @@ def _require_finite_json(doc, where: str = "") -> None:
     which every other number of its report is finite, before they write
     a file or print a line. main turns the error into one line and exit
     1, so such a result leaves no outputs. A simulate manifest holds
-    only a checked config, counts and a clock reading; its log is
-    checked by _require_finite_log.
+    only a checked config, counts and a clock reading; engine.simulate
+    refuses a log that is not finite, for simulate and compare alike.
     """
     if isinstance(doc, float):
         if not math.isfinite(doc):
@@ -287,14 +288,6 @@ def _require_finite_json(doc, where: str = "") -> None:
     elif isinstance(doc, (list, tuple)):
         for i, value in enumerate(doc):
             _require_finite_json(value, f"{where}[{i}]")
-
-
-def _require_finite_log(log) -> None:
-    """Raise FloatingPointError, naming the column and t of the first value of log not finite."""
-    finite = np.isfinite(log.data)
-    if not finite.all():
-        k, j = np.argwhere(~finite)[0]
-        raise FloatingPointError(f"{CSV_COLUMNS[j]} = {log.data[k, j]} at t = {log.t[k]:g}")
 
 
 def _write_json(path, doc) -> None:
@@ -322,7 +315,6 @@ def cmd_simulate(args) -> int:
     _check_outputs(args.out, _manifest_path(args.out))
     t0 = time.perf_counter()
     log = simulate(cfg)
-    _require_finite_log(log)
     log.to_csv(args.out)
     manifest = {
         "tool": "se2track",
@@ -334,8 +326,10 @@ def cmd_simulate(args) -> int:
         "wall_clock_s": round(time.perf_counter() - t0, 6),
     }
     _write_json(_manifest_path(args.out), manifest)
-    final_pos = float(log.position_error()[-1])
-    final_head = float(log.heading_error()[-1])
+    # from the last row alone, so that no array the length of the log is made
+    last = SimLog(data=log.data[-1:])
+    final_pos = float(last.position_error()[0])
+    final_head = float(last.heading_error()[0])
     print(f"wrote {args.out} ({len(log)} rows); final position error "
           f"{final_pos:.3e} m, heading error {final_head:.3e} rad")
     return 0

@@ -668,9 +668,10 @@ def simulate(cfg: SimConfig) -> SimLog:
     """Integrate the closed loop and return the populated log.
 
     Deterministic for a fixed config. Raises SimulationDiverged (with
-    the offending step index) if the state leaves the finite range, and
-    StepTooLarge if L rises by more than _LYAP_RISE_TOL in one step of
-    a spatial run.
+    the offending step index) if the state leaves the finite range,
+    StepTooLarge at the largest rise of L above _LYAP_RISE_TOL in one
+    step of a spatial run, and then FloatingPointError at the first value
+    of the log that is not finite. Both checks read _BLOCK rows at a time.
     """
     control, walk, ref0 = _setup(cfg)
     data = np.empty((cfg.steps + 1, len(CSV_COLUMNS)))
@@ -679,13 +680,24 @@ def simulate(cfg: SimConfig) -> SimLog:
         raise diverged
     if cfg.controller == "spatial":
         lyap = data[:, COL["lyap"]]
-        # a step from inf to inf is no rise: its NaN reads as -inf, without numpy's warning
-        with np.errstate(invalid="ignore"):
-            rise = np.fmax(np.diff(lyap), -math.inf)
-        k = int(np.argmax(rise))
-        if rise[k] > _LYAP_RISE_TOL:
+        k, rise = 0, -math.inf
+        for start in range(0, cfg.steps, _BLOCK):
+            # a step from inf to inf is no rise: its NaN reads as -inf, without numpy's warning
+            with np.errstate(invalid="ignore"):
+                block = np.fmax(np.diff(lyap[start:start + _BLOCK + 1]), -math.inf)
+            j = int(np.argmax(block))
+            # the first of equal rises is kept, as one argmax over the whole log keeps it
+            if block[j] > rise:
+                k, rise = start + j, block[j]
+        if rise > _LYAP_RISE_TOL:
             raise _spatial_step_too_large(f"L rose from {lyap[k]:.6g} to {lyap[k + 1]:.6g} at "
                                           f"step {k + 1} (t = {data[k + 1, 0]:.6g})", cfg)
+    for start in range(0, len(data), _BLOCK):
+        block = data[start:start + _BLOCK]
+        finite = np.isfinite(block)
+        if not finite.all():
+            k, j = np.argwhere(~finite)[0]
+            raise FloatingPointError(f"{CSV_COLUMNS[j]} = {block[k, j]} at t = {block[k, 0]:g}")
     return SimLog(data=data, config=cfg)
 
 

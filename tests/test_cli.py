@@ -1000,14 +1000,19 @@ _TOO_FAST = {"family": "line", "speed": 1e170, "heading": 0.0, "start": [0, 0]}
      "basin failed: summary.final_lyapunov[0] = inf"),
     (["compare", "--config", "c.json", "--out", "cmp"],
      {"trajectory": _TOO_FAST, "controllers": ["feedforward"], "offset": [1, 1, 1],
-      "dt": 0.01, "t_end": 2}, "compare failed: rows[0].final_lyapunov = inf"),
+      "dt": 0.01, "t_end": 2}, "compare failed: lyap = inf at t = 0.28"),
     (["simulate", "--controller", "feedforward", "--traj", "line", "--speed", "1e170",
       "--t-end", "2", "--dt", "0.01", "--out", "s.csv"], None,
      "simulate failed: lyap = inf at t = 0.32"),
-], ids=["basin", "compare", "simulate"])
+    # L(0) = (2e154)^2 / 2 overflows in a kanayama run, whose L no check of a rise covers
+    (["compare", "--config", "c.json", "--out", "c"],
+     {"trajectory": {"family": "ellipse", "a": 1e154, "b": 1e154, "h": 1e-10, "origin": [0, 0]},
+      "controllers": ["kanayama"], "offset": [0, 2e154, 0], "dt": 0.01, "t_end": 5},
+     "compare failed: lyap = inf at t = 0"),
+], ids=["basin", "compare", "simulate", "compare-log"])
 def test_a_report_that_json_cannot_hold_ends_in_one_line(tmp_path, monkeypatch, capsys, argv,
                                                          config, shown):
-    # the report, and simulate's log, are checked before any output: no summary line, CSV or
+    # the report, and each run's log, are checked before any output: no summary line, CSV or
     # JSON is left behind
     monkeypatch.chdir(tmp_path)
     if config is not None:

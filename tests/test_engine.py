@@ -44,7 +44,7 @@ from se2track import (
     wrap_angle,
 )
 from se2track import engine
-from se2track.cli import _write_json
+from se2track.cli import _write_json, main
 from se2track.engine import _BLOCK, _log_rows, _make_controller
 from se2track.errors import _lyapunov_cos, _spatial_position
 from se2track.trajectories import _MAX_STEPS
@@ -702,6 +702,27 @@ def test_a_runs_memory_beyond_its_log_does_not_grow_with_its_length(monkeypatch)
     assert abs(runs[1] - runs[0]) < 0.25, runs
 
 
+def test_a_spatial_runs_checks_and_the_cli_hold_memory_that_does_not_grow_with_t_end(
+        monkeypatch, tmp_path):
+    # simulate checks its log a block at a time, and the CLI takes its two final errors from
+    # the last row. Checking the whole log at once added 0.50 MB to simulate's peak at 60k
+    # steps, but only 0.19 MB at 40k, within the bound, so the long run takes 60k steps
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.chdir(tmp_path)
+    runs, commands = [], []
+    for steps in (2_000, 60_000):
+        cfg = SimConfig(trajectory=CIRCLE, offset=(0.3, -0.2, 0.4), dt=1e-2, t_end=steps * 1e-2)
+        log, peak = peak_mb(lambda: simulate(cfg))
+        runs.append(peak - log.data.nbytes / 2**20)
+        code, peak = peak_mb(lambda: main(["simulate", "--a", "1", "--b", "1", "--h", "1",
+                                           "--offset", "0.3,-0.2,0.4", "--dt", "0.01",
+                                           "--t-end", str(steps * 1e-2), "--out", "run.csv"]))
+        assert code == 0
+        commands.append(peak - (steps + 1) * len(CSV_COLUMNS) * 8 / 2**20)
+    assert abs(runs[1] - runs[0]) < 0.25, runs
+    assert abs(commands[1] - commands[0]) < 0.25, commands
+
+
 def test_basin_stops_at_a_spatial_sample_whose_lyapunov_rose():
     # far from the origin the loop is too stiff for RK4 at this dt
     cfg = SimConfig(trajectory={**CIRCLE, "origin": [50.0, 0.0]}, t_end=5.0, dt=5e-3, seed=1)
@@ -725,21 +746,68 @@ def test_simulate_stops_when_spatial_lyapunov_rises_in_a_step():
 
 @pytest.mark.parametrize("rise, refused", [(2e-8, True), (5e-9, False)])
 def test_simulate_refuses_a_rise_of_L_above_1e_8_in_one_step(monkeypatch, rise, refused):
-    # a log whose L is 1 and rises once, by rise, at step 40
+    # a log of 1025 steps whose L is 1 and rises by rise at step, on either side of the first
+    # block's end; it falls back to 1 at step 800 and rises by the same rise at step 1025, the
+    # last, which is a block of its own. So the first of two equal rises is the one named, and
+    # the last is named where L starts above 1
     def integrate(control, states, blocks, dt, data):
         data[:] = 0.0
         data[:, 0] = np.arange(len(data)) * dt
-        data[:, engine.COL["lyap"]] = 1.0
-        data[40:, engine.COL["lyap"]] += rise
+        lyap = data[:, engine.COL["lyap"]]
+        lyap[:] = 1.0
+        lyap[step:800] += rise
+        lyap[1025:] += rise
         return [tuple(data[-1])], None
 
     monkeypatch.setattr(engine, "_integrate", integrate)
-    cfg = SimConfig(trajectory=CIRCLE, dt=1e-2, t_end=1.0)
-    if refused:
-        with pytest.raises(StepTooLarge, match="L rose from 1 to 1 at step 40 "):
-            simulate(cfg)
-    else:
-        assert simulate(cfg).lyap[-1] == 1.0 + rise
+    cfg = SimConfig(trajectory=CIRCLE, dt=1e-2, t_end=10.25)
+    assert cfg.steps == 2 * _BLOCK + 1
+    for step, named in ((_BLOCK, _BLOCK), (_BLOCK + 1, _BLOCK + 1), (0, 2 * _BLOCK + 1)):
+        if refused:
+            with pytest.raises(StepTooLarge, match=f"L rose from 1 to 1 at step {named} "):
+                simulate(cfg)
+        else:
+            assert simulate(cfg).lyap[-1] == 1.0 + rise
+
+
+@pytest.mark.parametrize("row", [_BLOCK - 1, _BLOCK, 2 * _BLOCK])
+def test_simulate_refuses_the_first_value_of_its_log_that_is_not_finite(monkeypatch, row):
+    # a kanayama log of 1025 rows, whose last row is a block of its own: px is inf at row, v
+    # NaN in a later column of that row, and theta NaN from 100 rows on, in an earlier column
+    def integrate(control, states, blocks, dt, data):
+        data[:] = 0.0
+        data[:, 0] = np.arange(len(data)) * dt
+        data[row, engine.COL["px"]] = math.inf
+        data[row, engine.COL["v"]] = math.nan
+        data[row + 100:, engine.COL["theta"]] = math.nan
+        return [tuple(data[-1])], None
+
+    monkeypatch.setattr(engine, "_integrate", integrate)
+    cfg = SimConfig(trajectory=CIRCLE, controller="kanayama", dt=1e-2, t_end=10.24)
+    assert cfg.steps == 2 * _BLOCK
+    with pytest.raises(FloatingPointError) as exc:
+        simulate(cfg)
+    assert str(exc.value) == f"px = inf at t = {row * 1e-2:g}"
+
+
+# ROADMAP item 24: on this thin ellipse at dt = 0.05, L rises mid-run in every draw of an
+# unseeded sweep of 40, and basin, which checks only each sample's final L, passes them all
+THIN_ELLIPSE = {"family": "ellipse", "a": 2.416, "b": 0.5, "h": -2.0, "origin": [0.0, 0.0]}
+THIN_SWEEP = SimConfig(trajectory=THIN_ELLIPSE, dt=0.05, t_end=20.0)
+
+
+def test_simulate_refuses_the_first_draw_of_a_sweep_on_a_thin_ellipse():
+    offset = basin_offsets(THIN_ELLIPSE, 1, 0)[0]
+    with pytest.raises(StepTooLarge, match=re.escape(
+            "L rose from 6.20282e-06 to 6.29865e-06 at step 157 (t = 7.85)")):
+        simulate(replace(THIN_SWEEP, offset=offset))
+
+
+@pytest.mark.xfail(strict=True, reason="basin checks only each sample's final L, not each step's "
+                                       "(ROADMAP item 24)")
+def test_basin_refuses_the_draw_that_simulate_refuses():
+    with pytest.raises(StepTooLarge, match="sample 0: "):
+        monte_carlo_basin(THIN_SWEEP, samples=40)
 
 
 @pytest.mark.parametrize("growth, refused", [(1.5, True), (1.0, False)])

@@ -25,9 +25,13 @@ It prints one line per invocation that differs, naming what differs
 number of a JSON document, such as
 ``lin.json report.r_squared: 0.9536797082417197 -> 0.9536797082417195``;
 then one line per criterion whose line differs, below it the line of
-BASE (``-``) and of the working tree (``+``); and a summary line. It
-exits 1 if anything differs, 0 if nothing does. It needs git and a
-second tree, so it is not part of the test suite.
+BASE (``-``) and of the working tree (``+``); then ``TRACEBACK name#k``
+for each invocation of the working tree whose stderr holds a Python
+traceback; and a summary line, which ends ``; N print a traceback``.
+A traceback printed by both trees never differs, so it is counted on
+its own. The tool exits 1 if anything differs or any invocation prints
+a traceback, 0 otherwise. It needs git and a second tree, so it is not
+part of the test suite.
 
 Each tree runs in one process that imports the package once and forks
 a child per invocation, which calls ``main``; the two trees run side by
@@ -156,6 +160,11 @@ def _corpus() -> list:
         ("lin-check-513-steps", {}, [["lin-check", "--t-end", "0.513", "--out", "lin.json"]]),
         # the last horizon below the default ellipse's first window that repeats sample times
         ("pe-check-far-horizon", {}, [["pe-check", "--horizon", "1e13", "--out", "pe.json"]]),
+        # L rises mid-run in each of these 40 draws, which simulate refuses; basin checks only
+        # each final L, and passes all 40 (ROADMAP item 24)
+        ("basin-lyapunov-rises-mid-run", {}, [["basin", "--a", "2.416", "--b", "0.5", "--h", "-2",
+                                               "--dt", "0.05", "--t-end", "20",
+                                               "--samples", "40"]]),
     ]
     # exit 1: a run that failed
     cases += [
@@ -223,6 +232,13 @@ def _corpus() -> list:
         ("compare-report-not-finite", {"c.json": {
             "trajectory": {"family": "line", "speed": 1e170, "heading": 0.0, "start": [0, 0]},
             "controllers": ["feedforward"], "offset": [1, 1, 1], "dt": 0.01, "t_end": 2}},
+         [["compare", "--config", "c.json", "--out", "cmp"]]),
+        # L(0) = (2e154)^2 / 2 overflows on a finite reference, in a run that no check of a
+        # rise of L covers
+        ("compare-log-not-finite", {"c.json": {
+            "trajectory": {"family": "ellipse", "a": 1e154, "b": 1e154, "h": 1e-10,
+                           "origin": [0, 0]},
+            "controllers": ["kanayama"], "offset": [0, 2e154, 0], "dt": 0.01, "t_end": 5}},
          [["compare", "--config", "c.json", "--out", "cmp"]]),
     ]
     # exit 2: a usage or configuration error
@@ -529,6 +545,7 @@ def main(argv=None) -> int:
             criteria[side] = _criteria((tmp / f"{side}.acceptance").read_bytes())
         count = 0
         differing = 0
+        tracebacks = []
         for name, _, invocations in _corpus():
             for k in range(len(invocations)):
                 count += 1
@@ -540,15 +557,20 @@ def main(argv=None) -> int:
                     print(f"DIFF {name}#{k}: {', '.join(diff)}")
                     for line in numbers:
                         print(f"  {line}")
+                if b"Traceback (most recent call last)" in (tmp / "head" /
+                                                            f"{name}.{k}.err").read_bytes():
+                    tracebacks.append(f"{name}#{k}")
         tags = {**criteria["base"], **criteria["head"]}
         moved = [tag for tag in tags if criteria["base"].get(tag) != criteria["head"].get(tag)]
         for tag in moved:
             print(f"DIFF criterion {tag}: its line")
             for sign, side in (("-", "base"), ("+", "head")):
                 print(f"  {sign} {criteria[side].get(tag, '(no line)')}")
+        for invocation in tracebacks:
+            print(f"TRACEBACK {invocation}")
     print(f"{differing} of {count} invocations differ, and {len(moved)} of {len(tags)} criteria, "
-          f"between {base_rev} and the working tree")
-    return 1 if differing or moved else 0
+          f"between {base_rev} and the working tree; {len(tracebacks)} print a traceback")
+    return 1 if differing or moved or tracebacks else 0
 
 
 if __name__ == "__main__":
