@@ -25,16 +25,12 @@ own process.
 One setup, _setup, turns a SimConfig into what a run needs: the
 control law, a walk of the reference's stage blocks and the reference
 at t = 0. One kernel, _integrate, owns the loop over the steps, the
-heading's wrap and the divergence checks. It steps a list of states
-that share the reference a block at a time: every state still running
-takes a block's steps before the next block. simulate passes it one
-state and a log array; monte_carlo_basin passes the states of a range
-of samples and no log, and reads each final Lyapunov value from its
-last row. A state that diverges stops, with every state after it; the
-states before it run on, since one of them may still fail first. The
-walk goes on to the last block even when no state is left, so that a
-reference that floats cannot hold at a later stage time is refused
-whether or not a state diverged before it.
+heading's wrap, the divergence checks and the one rule on whether L
+rose in a step of a spatial run, which simulate and monte_carlo_basin
+both refuse. It steps a list of states that share the reference a block
+at a time. simulate passes it one state and a log array;
+monte_carlo_basin passes the states of a range of samples and no log,
+and reads each final Lyapunov value from its last row.
 
 One array function, _log_rows, holds the log-row formula: the
 reference, both errors, L and the wrapped heading error, from a block
@@ -138,10 +134,9 @@ class SimulationDiverged(RuntimeError):
 class StepTooLarge(RuntimeError):
     """Raised when dt is too large a step for the reference.
 
-    simulate and compare raise it when L rises along a spatial run, and
-    basin when a spatial sample ends with L above its initial value: the
-    exact flow does neither. lin-check raises it when dt * trace(A_z)
-    passes RK4's stability limit.
+    simulate, compare and basin raise it when L rises by more than
+    _LYAP_RISE_TOL in a step of a spatial run, which the exact flow never
+    does; lin-check when dt * trace(A_z) passes RK4's stability limit.
     """
 
 
@@ -417,9 +412,9 @@ def _write_csv(path, header, blocks) -> None:
 def _make_controller(cfg: SimConfig):
     """Build control(ref, th, px, py) -> (omega, v, omega_tilde, v_tilde).
 
-    ref is (theta_d, pdx, pdy, omega_d, v_d), the values that the
-    reference's state_at returns at the stage time: a row of its
-    _stage_blocks as plain floats.
+    ref is (theta_d, pdx, pdy, omega_d, v_d), state_at's values at the
+    stage time as a row of _stage_blocks in plain floats. The spatial law
+    appends its error's (cos(theta - theta_d), pEx, pEy), which give L.
     """
     if cfg.controller == "feedforward":
 
@@ -442,7 +437,7 @@ def _make_controller(cfg: SimConfig):
             omt, vt = _correction_scalars(cE, sE, pEx, pEy, thd, pdx, pdy)
             omt *= k_om
             vt *= k_v
-            return omd + omt, vd + vt, omt, vt
+            return omd + omt, vd + vt, omt, vt, cE, pEx, pEy
 
         return control
 
@@ -551,8 +546,9 @@ def _fitting_dt(peak: float, dt: float) -> str:
     return f"dt <= {fit:.4g} fits"
 
 
-def _spatial_step_too_large(head: str, cfg: SimConfig) -> StepTooLarge:
-    """The StepTooLarge of a spatial run whose L rose as head says.
+def _spatial_step_too_large(head: str, before: float, after: float, step: int,
+                            cfg: SimConfig) -> StepTooLarge:
+    """The StepTooLarge of a spatial run whose L rose from before to after at step, after head.
 
     Its clause is _fitting_dt of the peak trace k_omega (2 + |p_d|^2) + k_v
     of the loop's matrix near zero error on the run's stage grids, which
@@ -566,7 +562,9 @@ def _spatial_step_too_large(head: str, cfg: SimConfig) -> StepTooLarge:
         sq = max(float(np.max(grid[:, 1] * grid[:, 1] + grid[:, 2] * grid[:, 2]))
                  for _, *grids in walk() for grid in grids)
     clause = _fitting_dt(g.k_omega * (2.0 + sq) + g.k_v, cfg.dt)
-    return StepTooLarge(f"{head}: dt = {cfg.dt:g} is too large a step for this reference; {clause}")
+    return StepTooLarge(f"{head}L rose from {before:.6g} to {after:.6g} at step {step} "
+                        f"(t = {step * cfg.dt:.6g}): dt = {cfg.dt:g} is too large a step for "
+                        f"this reference; {clause}")
 
 
 def _rk4_step(field, s1, s2, s3, p: float, q: float, r: float, dt: float) -> tuple:
@@ -590,7 +588,7 @@ def _rk4_step(field, s1, s2, s3, p: float, q: float, r: float, dt: float) -> tup
             r + sixth * (c1 + 2.0 * (c2 + c3) + c4), aux)
 
 
-def _integrate(control, states: list, blocks, dt: float, data=None) -> tuple:
+def _integrate(control, states: list, blocks, dt: float, data=None, spatial=False) -> tuple:
     """Integrate the closed loop from each state = (theta, px, py) of states at t = 0.
 
     blocks is a walk of the reference's _stage_blocks over the run, which
@@ -604,15 +602,19 @@ def _integrate(control, states: list, blocks, dt: float, data=None) -> tuple:
     goes on to its end, stepping nothing, so that a reference that is not
     finite at a later stage time raises its ValueError all the same.
 
-    Returns (rows, diverged): the last log row of each state before the
-    first that diverged, and that state's SimulationDiverged; or the last
-    rows of all states and None. The rows are _log_rows', from each last
-    state and its control at the reference's last grid time. When data
-    is given, a (steps + 1, len(CSV_COLUMNS)) array, the log of the one
-    state is written into it: each step appends only the state and its
+    Where spatial is true, control is the spatial law, whose error gives L
+    at each step's state (at stage 1) and at the final one. A state's rise
+    is then (L at step k - 1, L at step k, k) at its largest rise of L in
+    one step, the first of equal ones, if that passes _LYAP_RISE_TOL; a
+    NaN difference is none. Else, and for any other law, it is None.
+
+    Returns (rows, rises, diverged): the last log row and the rise of each
+    state before the first that diverged, and its SimulationDiverged or
+    None. The rows are _log_rows' at the reference's last grid time. When
+    data is given, a (steps + 1, len(CSV_COLUMNS)) array, the log of the
+    one state is written into it: each step appends only its state and
     control to an array of doubles, and one _log_rows call fills the
-    block's rows once its steps are done, so that one block's array is
-    alive at a time.
+    block's rows once its steps are done, so one block's array is alive.
     """
     def field(ref, th, px, py):
         # the unicycle under the control law; aux is the control, which the log records
@@ -620,13 +622,14 @@ def _integrate(control, states: list, blocks, dt: float, data=None) -> tuple:
         v = u[1]
         return u[0], v * math.cos(th), v * math.sin(th), u
 
-    states = list(states)
+    # each state carries L at its last step and (rise, L before, L after, step) of its top rise
+    states = [(*state, math.nan, (_LYAP_RISE_TOL,)) for state in states]
     diverged = None
     for ks, on_k, on_mid, on_end in blocks:
         if not states:
             continue
         refs = on_k.tolist(), on_mid.tolist(), on_end.tolist()
-        for i, (th, px, py) in enumerate(states):
+        for i, (th, px, py, lyap, top) in enumerate(states):
             steps = array("d")
             try:
                 for k, ref, ref_mid, ref_end in zip(ks, *refs):
@@ -635,16 +638,20 @@ def _integrate(control, states: list, blocks, dt: float, data=None) -> tuple:
                         th1 = wrap_angle(th1)
                     except (OverflowError, ValueError):
                         raise SimulationDiverged(k + 1, k * dt + dt) from None
-                    if data is not None:
-                        steps.extend((th, px, py, *u))
-                    th, px, py = th1, px1, py1
-                    if not (math.isfinite(th) and math.isfinite(px) and math.isfinite(py)):
+                    if not (math.isfinite(th1) and math.isfinite(px1) and math.isfinite(py1)):
                         raise SimulationDiverged(k + 1, k * dt + dt)
+                    if spatial:
+                        before, lyap = lyap, _lyapunov_cos(u[4], u[5], u[6])
+                        if lyap - before > top[0]:
+                            top = lyap - before, before, lyap, k
+                    if data is not None:
+                        steps.extend((th, px, py, *u[:4]))
+                    th, px, py = th1, px1, py1
             except SimulationDiverged as exc:
                 diverged = exc
                 del states[i:]
                 break
-            states[i] = th, px, py
+            states[i] = th, px, py, lyap, top
         # released before the log's rows and the next block's floats are made, so that one
         # block's floats are alive at once
         del refs
@@ -656,12 +663,19 @@ def _integrate(control, states: list, blocks, dt: float, data=None) -> tuple:
     rows = []
     if states:
         ref = on_k[-1].tolist()
-        last = [(th, px, py, *control(ref, th, px, py)) for th, px, py in states]
-        rows = _log_rows(np.full(len(last), ks.stop * dt), np.array(last),
-                         np.broadcast_to(on_k[-1], (len(last), len(ref)))).tolist()
+        finals = [control(ref, th, px, py) for th, px, py, _, _ in states]
+        # the last step's rise, to the final state
+        for i, u in enumerate(finals if spatial else ()):
+            th, px, py, before, top = states[i]
+            lyap = _lyapunov_cos(u[4], u[5], u[6])
+            if lyap - before > top[0]:
+                states[i] = th, px, py, lyap, (lyap - before, before, lyap, ks.stop)
+        rows = _log_rows(np.full(len(states), ks.stop * dt),
+                         np.array([(*state[:3], *u[:4]) for state, u in zip(states, finals)]),
+                         np.broadcast_to(on_k[-1], (len(states), len(ref)))).tolist()
         if data is not None:
             data[ks.stop] = rows[0]
-    return rows, diverged
+    return rows, [top[1:] or None for *_, top in states], diverged
 
 
 def simulate(cfg: SimConfig) -> SimLog:
@@ -669,29 +683,18 @@ def simulate(cfg: SimConfig) -> SimLog:
 
     Deterministic for a fixed config. Raises SimulationDiverged (with
     the offending step index) if the state leaves the finite range,
-    StepTooLarge at the largest rise of L above _LYAP_RISE_TOL in one
-    step of a spatial run, and then FloatingPointError at the first value
-    of the log that is not finite. Both checks read _BLOCK rows at a time.
+    StepTooLarge, naming the log's L, at _integrate's rise of a spatial
+    run, then FloatingPointError at the log's first value not finite.
     """
     control, walk, ref0 = _setup(cfg)
     data = np.empty((cfg.steps + 1, len(CSV_COLUMNS)))
-    _, diverged = _integrate(control, [_initial_state(ref0, cfg.offset)], walk(), cfg.dt, data)
+    _, rises, diverged = _integrate(control, [_initial_state(ref0, cfg.offset)], walk(), cfg.dt,
+                                    data, cfg.controller == "spatial")
     if diverged is not None:
         raise diverged
-    if cfg.controller == "spatial":
-        lyap = data[:, COL["lyap"]]
-        k, rise = 0, -math.inf
-        for start in range(0, cfg.steps, _BLOCK):
-            # a step from inf to inf is no rise: its NaN reads as -inf, without numpy's warning
-            with np.errstate(invalid="ignore"):
-                block = np.fmax(np.diff(lyap[start:start + _BLOCK + 1]), -math.inf)
-            j = int(np.argmax(block))
-            # the first of equal rises is kept, as one argmax over the whole log keeps it
-            if block[j] > rise:
-                k, rise = start + j, block[j]
-        if rise > _LYAP_RISE_TOL:
-            raise _spatial_step_too_large(f"L rose from {lyap[k]:.6g} to {lyap[k + 1]:.6g} at "
-                                          f"step {k + 1} (t = {data[k + 1, 0]:.6g})", cfg)
+    if rises[0]:
+        k = rises[0][2]
+        raise _spatial_step_too_large("", *data[k - 1:k + 1, COL["lyap"]], k, cfg)
     for start in range(0, len(data), _BLOCK):
         block = data[start:start + _BLOCK]
         finite = np.isfinite(block)
@@ -739,8 +742,8 @@ def monte_carlo_basin(cfg: SimConfig, samples: int,
     _processes grants them, each range in one _integrate; each range
     raises its lowest-index failure, and the ranges are read in order.
     So the lowest-index sample that diverged raises SimulationDiverged,
-    and for the spatial controller the lowest-index one whose L ended
-    above its start raises StepTooLarge, whichever comes first.
+    and for the spatial controller the lowest-index one whose L rose in a
+    step, by simulate's rule, raises StepTooLarge, whichever is first.
     """
     _require_count("sample count", samples, 0)
     _require_positive("threshold", threshold)
@@ -748,7 +751,7 @@ def monte_carlo_basin(cfg: SimConfig, samples: int,
     _, pdx0, pdy0, _, _ = ref0
     seed = 0 if cfg.seed is None else cfg.seed
     rng = np.random.default_rng(seed)
-    draws, states, starts = [], [], []
+    draws, states = [], []
     for _ in range(samples):
         thE, pEx, pEy = draw = (rng.uniform(-math.pi + _THETA_MARGIN, math.pi - _THETA_MARGIN),
                                 rng.uniform(-_P_BOX, _P_BOX), rng.uniform(-_P_BOX, _P_BOX))
@@ -758,21 +761,17 @@ def monte_carlo_basin(cfg: SimConfig, samples: int,
         dy = pEy + (s * pdx0 + c * pdy0) - pdy0
         draws.append(draw)
         states.append(_initial_state(ref0, (dx, dy, thE)))
-        starts.append(_lyapunov_cos(c, pEx, pEy))
 
     def final_lyapunov(part):
         # the samples of part in one kernel; its lowest-index failure is raised
-        rows, diverged = _integrate(control, [states[i] for i in part], walk(), cfg.dt)
-        finals = []
-        for i, row in zip(part, rows):
-            final = row[COL["lyap"]]
-            if cfg.controller == "spatial" and final > starts[i]:
-                raise _spatial_step_too_large(f"sample {i}: L rose from {starts[i]:.6g} to "
-                                              f"{final:.6g}", cfg)
-            finals.append(final)
+        rows, rises, diverged = _integrate(control, [states[i] for i in part], walk(), cfg.dt,
+                                           None, cfg.controller == "spatial")
+        for i, rise in zip(part, rises):
+            if rise:
+                raise _spatial_step_too_large(f"sample {i}: ", *rise, cfg)
         if diverged is not None:
             raise diverged
-        return finals
+        return [row[COL["lyap"]] for row in rows]
 
     parts = np.array_split(range(samples), _processes(samples))
     finals = [final for part in _in_parallel(final_lyapunov, parts) for final in part]

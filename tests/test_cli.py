@@ -801,8 +801,14 @@ def test_a_basin_sample_whose_L_rises_names_a_dt_that_fits(capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err.endswith(
         "dt = 0.005 is too large a step for this reference; dt <= 0.0009903 fits\n")
-    assert main([*argv, "--dt", "0.0009903"]) == 0
-    assert capsys.readouterr().out.startswith("0/4 runs reached Lyapunov < 1e-06 by t = 20 s")
+    # the trace bound is necessary, not sufficient: at the dt it names, sample 2's L still
+    # rises in one step, as simulate finds at that sample's offset
+    assert main([*argv, "--dt", "0.0009903"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("simulation failed: sample 2: L rose from 31.8493 to 36.8228 at step "
+                            "15 (t = 0.0148545): dt = 0.0009903 is too large a step for this "
+                            "reference; the trace bound holds at this dt\n")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv, clause", [

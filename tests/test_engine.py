@@ -37,6 +37,7 @@ from se2track import (
     left_error,
     lyapunov,
     monte_carlo_basin,
+    right_error,
     simulate,
     stability_probe,
     total_control,
@@ -367,14 +368,18 @@ def test_engine_control_matches_library_law(controller, gains, desc, t, theta, p
     cfg = SimConfig(trajectory=desc, controller=controller, gains=gains)
     traj = trajectory_from_descriptor(desc)
     x = Pose(theta, (px, py))
-    om, v, omt, vt = _make_controller(cfg)(traj.state_at(t), x.theta, x.p[0], x.p[1])
+    om, v, omt, vt, *error = _make_controller(cfg)(traj.state_at(t), x.theta, x.p[0], x.p[1])
     ud = traj.input_at(t)
     if controller == "feedforward":
-        assert (om, v, omt, vt) == (ud.omega, ud.v, 0.0, 0.0)
+        assert (om, v, omt, vt, *error) == (ud.omega, ud.v, 0.0, 0.0)
         return
     if controller == "spatial":
         u = total_control(x, traj.pose_at(t), ud, Gains(*gains))
+        # the spatial law hands its error on, from which the kernel takes L
+        L = lyapunov(right_error(x, traj.pose_at(t)))
+        assert _lyapunov_cos(*error) == pytest.approx(L, rel=1e-12, abs=1e-12)
     else:
+        assert error == []
         u = kanayama_control(left_error(x, traj.pose_at(t)), ud, KanayamaGains(*gains))
     assert abs(om - u.omega) < 1e-12
     assert abs(v - u.v) < 1e-12
@@ -482,7 +487,7 @@ def per_step_reference_log(cfg):
     control = _make_controller(cfg)
 
     def f(t, th, px, py):
-        om, v, _, _ = control(state_at(t), th, px, py)
+        om, v, *_ = control(state_at(t), th, px, py)
         return om, v * math.cos(th), v * math.sin(th)
 
     dt, steps = cfg.dt, cfg.steps
@@ -490,7 +495,7 @@ def per_step_reference_log(cfg):
     rows = []
     for k in range(steps + 1):
         t = k * dt
-        rows.append(_log_row(t, th, px, py, state_at(t), control(state_at(t), th, px, py)))
+        rows.append(_log_row(t, th, px, py, state_at(t), control(state_at(t), th, px, py)[:4]))
         if k == steps:
             break
         a1, b1, c1 = f(t, th, px, py)
@@ -573,8 +578,8 @@ def test_basin_reports_the_lowest_diverged_sample_when_it_finishes_last(monkeypa
         # sample 0 diverges late in its run and returns after sample 1
         if states == [first]:
             time.sleep(0.5)
-            return [], SimulationDiverged(70, 0.7)
-        return [], SimulationDiverged(3, 0.03)
+            return [], [], SimulationDiverged(70, 0.7)
+        return [], [], SimulationDiverged(3, 0.03)
 
     monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(engine, "_integrate", diverge)
@@ -704,19 +709,24 @@ def test_a_runs_memory_beyond_its_log_does_not_grow_with_its_length(monkeypatch)
 
 def test_a_spatial_runs_checks_and_the_cli_hold_memory_that_does_not_grow_with_t_end(
         monkeypatch, tmp_path):
-    # simulate checks its log a block at a time, and the CLI takes its two final errors from
-    # the last row. Checking the whole log at once added 0.50 MB to simulate's peak at 60k
-    # steps, but only 0.19 MB at 40k, within the bound, so the long run takes 60k steps
-    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0})
+    # on a prepared log, without the integration: simulate checks it a block at a time, and the
+    # CLI takes its two final errors from the last row. Checking the whole log at once, or
+    # taking the errors of every row, adds 1 MB or more at 60k steps
+    def integrate(control, states, blocks, dt, data, spatial):
+        data[:] = 0.5
+        return [tuple(data[-1])], [None], None
+
+    monkeypatch.setattr(engine, "_integrate", integrate)
+    monkeypatch.setattr(SimLog, "to_csv", lambda log, path: None)
     monkeypatch.chdir(tmp_path)
     runs, commands = [], []
     for steps in (2_000, 60_000):
-        cfg = SimConfig(trajectory=CIRCLE, offset=(0.3, -0.2, 0.4), dt=1e-2, t_end=steps * 1e-2)
+        cfg = SimConfig(trajectory=CIRCLE, dt=1e-2, t_end=steps * 1e-2)
         log, peak = peak_mb(lambda: simulate(cfg))
         runs.append(peak - log.data.nbytes / 2**20)
         code, peak = peak_mb(lambda: main(["simulate", "--a", "1", "--b", "1", "--h", "1",
-                                           "--offset", "0.3,-0.2,0.4", "--dt", "0.01",
-                                           "--t-end", str(steps * 1e-2), "--out", "run.csv"]))
+                                           "--dt", "0.01", "--t-end", str(steps * 1e-2),
+                                           "--out", "run.csv"]))
         assert code == 0
         commands.append(peak - (steps + 1) * len(CSV_COLUMNS) * 8 / 2**20)
     assert abs(runs[1] - runs[0]) < 0.25, runs
@@ -726,7 +736,7 @@ def test_a_spatial_runs_checks_and_the_cli_hold_memory_that_does_not_grow_with_t
 def test_basin_stops_at_a_spatial_sample_whose_lyapunov_rose():
     # far from the origin the loop is too stiff for RK4 at this dt
     cfg = SimConfig(trajectory={**CIRCLE, "origin": [50.0, 0.0]}, t_end=5.0, dt=5e-3, seed=1)
-    # the rise is measured from the L of the sample's own draw, 16.4823
+    # L rises at the first step, from the L of the sample's own draw, 16.4823
     (thE, pEx, pEy), = basin_draws(1, 1)
     start = lyapunov(GroupError(ErrorKind.SPATIAL, Pose(thE, (pEx, pEy))))
     with pytest.raises(StepTooLarge, match=re.escape(f"sample 0: L rose from {start:.6g} to ")):
@@ -744,43 +754,70 @@ def test_simulate_stops_when_spatial_lyapunov_rises_in_a_step():
         simulate(cfg)
 
 
-@pytest.mark.parametrize("rise, refused", [(2e-8, True), (5e-9, False)])
-def test_simulate_refuses_a_rise_of_L_above_1e_8_in_one_step(monkeypatch, rise, refused):
-    # a log of 1025 steps whose L is 1 and rises by rise at step, on either side of the first
-    # block's end; it falls back to 1 at step 800 and rises by the same rise at step 1025, the
-    # last, which is a block of its own. So the first of two equal rises is the one named, and
-    # the last is named where L starts above 1
-    def integrate(control, states, blocks, dt, data):
-        data[:] = 0.0
-        data[:, 0] = np.arange(len(data)) * dt
-        lyap = data[:, engine.COL["lyap"]]
-        lyap[:] = 1.0
-        lyap[step:800] += rise
-        lyap[1025:] += rise
-        return [tuple(data[-1])], None
+def numbered_blocks(steps):
+    """A walk of stage blocks over steps steps, as _stage_blocks yields them, in which every
+    value of step k's stages, and of the final state's, is k."""
+    for start in range(0, steps, _BLOCK):
+        stop = min(start + _BLOCK, steps)
+        on_k = np.repeat(np.arange(start, stop + 1.0)[:, None], 5, axis=1)
+        yield range(start, stop), on_k, on_k[:-1], on_k[:-1]
 
-    monkeypatch.setattr(engine, "_integrate", integrate)
-    cfg = SimConfig(trajectory=CIRCLE, dt=1e-2, t_end=10.25)
-    assert cfg.steps == 2 * _BLOCK + 1
-    for step, named in ((_BLOCK, _BLOCK), (_BLOCK + 1, _BLOCK + 1), (0, 2 * _BLOCK + 1)):
-        if refused:
-            with pytest.raises(StepTooLarge, match=f"L rose from 1 to 1 at step {named} "):
-                simulate(cfg)
-        else:
-            assert simulate(cfg).lyap[-1] == 1.0 + rise
+
+def still(lyap_at, omega_at=lambda k: 0.0):
+    """A spatial law that leaves the state at rest, and whose error gives L = lyap_at(k) at the
+    stage-1 state of step k, through cE = 1 - L / 2 at p_E = 0; omega_at(k) may move it."""
+    def control(ref, th, px, py):
+        k = ref[0]
+        return omega_at(k), 0.0, 0.0, 0.0, 1.0 - lyap_at(k) / 2.0, 0.0, 0.0
+
+    return control
+
+
+@pytest.mark.parametrize("rise, refused", [(2e-8, True), (5e-9, False)])
+def test_the_kernel_names_the_first_largest_rise_of_L_above_1e_8_in_one_step(rise, refused):
+    # a run of 1025 steps whose L is 1 and rises by rise at step, on either side of the first
+    # block's end; it falls back to 1 at step 800, may rise by the same rise at step 900 and fall
+    # at 1000, and rises by it at step 1025, to the final state, which is a block of its own. So
+    # the first of three equal rises is the one named, and the last is named where L starts
+    # above 1
+    high = _lyapunov_cos(1.0 - (1.0 + rise) / 2.0, 0.0, 0.0)
+    for step, again, named in ((_BLOCK, True, _BLOCK), (_BLOCK + 1, True, _BLOCK + 1),
+                               (0, False, 2 * _BLOCK + 1)):
+        control = still(lambda k: 1.0 + rise if (step <= k < 800 or again and 900 <= k < 1000
+                                                 or k == 2 * _BLOCK + 1) else 1.0)
+        _, rises, diverged = engine._integrate(control, [(0.0, 0.0, 0.0)],
+                                               numbered_blocks(2 * _BLOCK + 1), 1e-2, None, True)
+        assert diverged is None
+        assert rises == [(1.0, high, named) if refused else None]
+        # any other law is not checked
+        _, rises, _ = engine._integrate(control, [(0.0, 0.0, 0.0)],
+                                        numbered_blocks(2 * _BLOCK + 1), 1e-2)
+        assert rises == [None]
+
+
+def test_the_kernel_drops_the_record_of_a_state_that_diverged():
+    # L rises from 1 to 2 at step 3, and omega is inf from step 600 on, in the second block,
+    # which leaves the state at step 601
+    control = still(lambda k: 2.0 if k >= 3 else 1.0, lambda k: math.inf if k >= 600 else 0.0)
+    _, rises, diverged = engine._integrate(control, [(0.0, 0.0, 0.0)], numbered_blocks(600),
+                                           1e-2, None, True)
+    assert (rises, diverged) == ([(1.0, 2.0, 3)], None)
+    rows, rises, diverged = engine._integrate(control, [(0.0, 0.0, 0.0)], numbered_blocks(700),
+                                              1e-2, None, True)
+    assert (rows, rises, diverged.step) == ([], [], 601)
 
 
 @pytest.mark.parametrize("row", [_BLOCK - 1, _BLOCK, 2 * _BLOCK])
 def test_simulate_refuses_the_first_value_of_its_log_that_is_not_finite(monkeypatch, row):
     # a kanayama log of 1025 rows, whose last row is a block of its own: px is inf at row, v
     # NaN in a later column of that row, and theta NaN from 100 rows on, in an earlier column
-    def integrate(control, states, blocks, dt, data):
+    def integrate(control, states, blocks, dt, data, spatial):
         data[:] = 0.0
         data[:, 0] = np.arange(len(data)) * dt
         data[row, engine.COL["px"]] = math.inf
         data[row, engine.COL["v"]] = math.nan
         data[row + 100:, engine.COL["theta"]] = math.nan
-        return [tuple(data[-1])], None
+        return [tuple(data[-1])], [None], None
 
     monkeypatch.setattr(engine, "_integrate", integrate)
     cfg = SimConfig(trajectory=CIRCLE, controller="kanayama", dt=1e-2, t_end=10.24)
@@ -790,10 +827,12 @@ def test_simulate_refuses_the_first_value_of_its_log_that_is_not_finite(monkeypa
     assert str(exc.value) == f"px = inf at t = {row * 1e-2:g}"
 
 
-# ROADMAP item 24: on this thin ellipse at dt = 0.05, L rises mid-run in every draw of an
-# unseeded sweep of 40, and basin, which checks only each sample's final L, passes them all
+# on this thin ellipse at dt = 0.05, L rises mid-run in every draw of an unseeded sweep of 40,
+# and simulate refuses each; basin refuses the sweep at sample 0
 THIN_ELLIPSE = {"family": "ellipse", "a": 2.416, "b": 0.5, "h": -2.0, "origin": [0.0, 0.0]}
 THIN_SWEEP = SimConfig(trajectory=THIN_ELLIPSE, dt=0.05, t_end=20.0)
+DEFAULT_ELLIPSE = {"family": "ellipse", "a": 3.0, "b": 5.0, "h": 2.0 * math.pi / 5.0,
+                   "origin": [0.0, 0.0]}
 
 
 def test_simulate_refuses_the_first_draw_of_a_sweep_on_a_thin_ellipse():
@@ -803,26 +842,75 @@ def test_simulate_refuses_the_first_draw_of_a_sweep_on_a_thin_ellipse():
         simulate(replace(THIN_SWEEP, offset=offset))
 
 
-@pytest.mark.xfail(strict=True, reason="basin checks only each sample's final L, not each step's "
-                                       "(ROADMAP item 24)")
 def test_basin_refuses_the_draw_that_simulate_refuses():
     with pytest.raises(StepTooLarge, match="sample 0: "):
         monte_carlo_basin(THIN_SWEEP, samples=40)
 
 
-@pytest.mark.parametrize("growth, refused", [(1.5, True), (1.0, False)])
-def test_basin_refuses_a_spatial_sample_whose_final_L_exceeds_its_start(monkeypatch, growth,
-                                                                        refused):
-    # each sample starts at L = 2 and ends at growth times that
-    monkeypatch.setattr(engine, "_lyapunov_cos", lambda *draw: 2.0)
-    monkeypatch.setattr(engine, "_integrate",
-                        lambda *_: ([(2.0 * growth,) * len(CSV_COLUMNS)], None))
+# sweeps of 40 unseeded draws of 20 s each, which basin passed while it checked only each final
+# L: simulate refuses 40, 18 and 1 of them on the thin ellipse, and 24 and 1 on the default one;
+# first is the lowest draw it refuses
+@pytest.mark.parametrize("desc, dt, first", [
+    (THIN_ELLIPSE, 0.05, 0), (THIN_ELLIPSE, 0.04, 1), (THIN_ELLIPSE, 0.03, 18),
+    (DEFAULT_ELLIPSE, 0.08, 2), (DEFAULT_ELLIPSE, 0.06, 12),
+], ids=["thin-0.05", "thin-0.04", "thin-0.03", "default-0.08", "default-0.06"])
+def test_basin_refuses_the_lowest_draw_that_simulate_refuses(desc, dt, first):
+    cfg = SimConfig(trajectory=desc, dt=dt, t_end=20.0)
+    refusal = None
+    for i, offset in enumerate(basin_offsets(desc, 40, 0)):
+        try:
+            simulate(replace(cfg, offset=offset))
+        except StepTooLarge as exc:
+            refusal = f"sample {i}: {exc}"
+            break
+    assert refusal is not None and i == first
+    with pytest.raises(StepTooLarge) as exc:
+        monte_carlo_basin(cfg, samples=40)
+    assert str(exc.value) == refusal
+
+
+# draws of 20 s whose final L ends above their start: 20 of 20 on the line, 3 of 20 on the
+# off-centre ellipse; on that ellipse at dt = 0.05, L rose in one step in all 20 draws, and
+# none ended above its start
+@pytest.mark.parametrize("desc, dt, above", [
+    ({"family": "line", "speed": 1.3, "heading": 0.7, "start": [0.5, 0.2]}, 0.05, 20),
+    ({**DEFAULT_ELLIPSE, "origin": [3.0, 3.0]}, 0.08, 3),
+    ({**DEFAULT_ELLIPSE, "origin": [3.0, 3.0]}, 0.05, 0),
+], ids=["line", "off-centre", "off-centre-fine"])
+def test_each_draw_whose_final_L_ends_above_its_start_rose_in_one_step(desc, dt, above):
+    cfg = SimConfig(trajectory=desc, dt=dt, t_end=20.0)
+    control, walk, ref0 = engine._setup(cfg)
+    states = [engine._initial_state(ref0, offset) for offset in basin_offsets(desc, 20, 0)]
+    rows, rises, diverged = engine._integrate(control, states, walk(), dt, None, True)
+    assert diverged is None
+    ended_above = [i for i, ((thE, pEx, pEy), row) in enumerate(zip(basin_draws(20, 0), rows))
+                   if row[engine.COL["lyap"]] > _lyapunov_cos(math.cos(thE), pEx, pEy)]
+    assert len(ended_above) == above
+    assert all(rises[i] for i in ended_above)
+    assert all(rises)
+    # simulate refuses each draw by the same rule
+    for i in ended_above[:3]:
+        with pytest.raises(StepTooLarge):
+            simulate(replace(cfg, offset=basin_offsets(desc, 20, 0)[i]))
+
+
+@pytest.mark.parametrize("rises, refusal", [
+    ([None, None], None),
+    ([None, (2.0, 3.0, 3)], "sample 1: L rose from 2 to 3 at step 3 (t = 0.03): "),
+    ([(2.0, 2.5, 7), (2.0, 3.0, 3)], "sample 0: L rose from 2 to 2.5 at step 7 (t = 0.07): "),
+], ids=["none-rose", "sample-1-rose", "both-rose"])
+def test_basin_refuses_the_lowest_spatial_sample_whose_L_rose_in_one_step(monkeypatch, rises,
+                                                                          refusal):
+    # two samples that end at L = 2, in one range
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(engine, "_integrate", lambda *_: (
+        [(2.0,) * len(CSV_COLUMNS)] * 2, rises, None))
     cfg = SimConfig(trajectory=CIRCLE, dt=1e-2, t_end=1.0, seed=4)
-    if refused:
-        with pytest.raises(StepTooLarge, match="sample 0: L rose from 2 to 3: "):
-            monte_carlo_basin(cfg, samples=1, threshold=10.0)
+    if refusal:
+        with pytest.raises(StepTooLarge, match=re.escape(refusal + "dt = 0.01 is too large")):
+            monte_carlo_basin(cfg, samples=2, threshold=10.0)
     else:
-        assert monte_carlo_basin(cfg, samples=1, threshold=10.0).final_lyapunov == [2.0]
+        assert monte_carlo_basin(cfg, samples=2, threshold=10.0).final_lyapunov == [2.0, 2.0]
 
 
 @pytest.mark.parametrize("dt,t_end", [(1e-9, 100.0), (5e-324, 1.0)],
@@ -1077,8 +1165,8 @@ def test_a_failure_in_the_first_part_wins_over_one_in_a_later_part(monkeypatch):
         # sample 0's L rises, after sample 1 diverged
         if states == [first]:
             time.sleep(0.5)
-            return [(math.inf,) * len(CSV_COLUMNS)], None
-        return [], SimulationDiverged(3, 0.03)
+            return [(math.inf,) * len(CSV_COLUMNS)], [(1.0, math.inf, 3)], None
+        return [], [], SimulationDiverged(3, 0.03)
 
     monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(engine, "_integrate", integrate)

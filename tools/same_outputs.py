@@ -35,7 +35,7 @@ part of the test suite.
 
 Each tree runs in one process that imports the package once and forks
 a child per invocation, which calls ``main``; the two trees run side by
-side. The entry group (``ENTRY``) is the exception: each of its seven
+side. The entry group (``ENTRY``) is the exception: each of its nine
 invocations is a fresh ``python -m se2track.cli`` process, which goes
 through ``cli.run`` and its own exit, with Python's default buffering.
 It adds about 4.5 s to each tree's run (2 CPUs, Python 3.11).
@@ -76,6 +76,9 @@ FIFO = object()
 # a line whose p_d passes float range near t = 18 s, in the fourth block of 512 steps of 0.01 s,
 # after each basin sample on it diverged at step 1
 OVERFLOWS_LATE = ["--traj", "line", "--speed", "1e307", "--dt", "0.01", "--t-end", "20"]
+# at the dt that the trace bound names for this reference, sample 2's L still rises in one step,
+# at step 15; on two CPUs sample 2 runs in the second range, in the forked worker
+RISES_AT_FITTING_DT = ["--origin", "50,0", "--samples", "4", "--dt", "0.0009903"]
 # the entry group: each runs as a fresh process through cli.run, the installed script's entry,
 # which the rest of the corpus, calling main in a forked child, never reaches; the one- and
 # two-CPU cases patch the CPU count first, so that a sweep runs its samples in one process or
@@ -93,6 +96,8 @@ ENTRY = {
                                 "--out", "run.csv"],
     "entry-basin-overflows-late-one-cpu": [*ONE_CPU, "basin", *OVERFLOWS_LATE, "--samples", "2"],
     "entry-basin-overflows-late-two-cpus": [*TWO_CPUS, "basin", *OVERFLOWS_LATE, "--samples", "2"],
+    "entry-basin-rises-one-cpu": [*ONE_CPU, "basin", *RISES_AT_FITTING_DT, "--t-end", "1"],
+    "entry-basin-rises-two-cpus": [*TWO_CPUS, "basin", *RISES_AT_FITTING_DT, "--t-end", "1"],
 }
 
 
@@ -160,11 +165,6 @@ def _corpus() -> list:
         ("lin-check-513-steps", {}, [["lin-check", "--t-end", "0.513", "--out", "lin.json"]]),
         # the last horizon below the default ellipse's first window that repeats sample times
         ("pe-check-far-horizon", {}, [["pe-check", "--horizon", "1e13", "--out", "pe.json"]]),
-        # L rises mid-run in each of these 40 draws, which simulate refuses; basin checks only
-        # each final L, and passes all 40 (ROADMAP item 24)
-        ("basin-lyapunov-rises-mid-run", {}, [["basin", "--a", "2.416", "--b", "0.5", "--h", "-2",
-                                               "--dt", "0.05", "--t-end", "20",
-                                               "--samples", "40"]]),
     ]
     # exit 1: a run that failed
     cases += [
@@ -188,6 +188,13 @@ def _corpus() -> list:
          [["compare", "--config", "c.json", "--out", "cmp"]]),
         ("basin-lyapunov-rises", {}, [["basin", "--origin", "50,0", "--samples", "2", "--seed",
                                        "1", "--t-end", "5", "--out", "b.json"]]),
+        # L rises mid-run in each of these 40 draws and falls again; basin refuses the sweep at
+        # sample 0, by the rule by which simulate refuses that draw
+        ("basin-lyapunov-rises-mid-run", {}, [["basin", "--a", "2.416", "--b", "0.5", "--h", "-2",
+                                               "--dt", "0.05", "--t-end", "20",
+                                               "--samples", "40"]]),
+        ("basin-lyapunov-rises-at-fitting-dt", {}, [["basin", *RISES_AT_FITTING_DT,
+                                                     "--t-end", "20"]]),
         ("basin-diverges", {}, [["basin", "--dt", "100", "--t-end", "10000", "--samples", "2",
                                  "--out", "b.json"]]),
         ("pe-check-not-finite", {}, [["pe-check", "--a", "1e200", "--b", "1", "--h", "1",
